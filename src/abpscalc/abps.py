@@ -26,7 +26,6 @@ from .extquot import (
     SymbolicTorusPoint,
     act,
     q_power,
-    spectral_eq,
     strata,
 )
 from .langlands import (
@@ -36,6 +35,7 @@ from .langlands import (
     PadicGroup,
     cuspidal_support,
     enhancements,
+    is_cuspidal,
     is_discrete,
     validate,
 )
@@ -358,19 +358,16 @@ def mu(G: PadicGroup, triple: InertialTriple,
     """Match every stabilizer character of every stratum with an
     enhanced parameter whose cuspidal support lies in the triple."""
     data = inertial or build_inertial(G, triple)
-    families = {}
-    for fam in spectral_eq(data.action):
-        families[(str(fam.base), fam.irrep)] = fam
     reference = None
     entries = []
     for st in data.strata:
+        families = {f.irrep: f for f in st.families()}
         slot_lines = _slot_lines(triple, st.base)
         restriction = validate(G, _restriction_parameter(triple, slot_lines))
-        cdata, _ = enhancements(G, restriction)
+        cdata, chars = enhancements(G, restriction)
         fslots = _factor_slots(cdata, slot_lines)
         if reference is None:  # the open stratum comes first
-            res0 = cuspidal_support(G, restriction,
-                                    enhancements(G, restriction)[1][0])
+            res0 = cuspidal_support(G, restriction, chars[0])
             reference = _support_signature(res0)
         found = {}
         for u in unipotent_classes(cdata.group):
@@ -395,7 +392,7 @@ def mu(G: PadicGroup, triple: InertialTriple,
                 )
             phi, eta, udata, u, res = found.pop(key)
             entries.append(MuEntry(
-                st, irrep, families.get((str(st.base), irrep)),
+                st, irrep, families.get(irrep),
                 phi, eta, udata, u, res,
                 _cochar(res, udata, fslots, slot_lines, triple.rank),
                 _component_label(triple, udata, u),
@@ -476,7 +473,7 @@ def packets(mu_data: MuData):
     grouped = {}
     order = []
     for e in mu_data.entries:
-        key = (str(e.stratum.base), str(e.u))
+        key = (e.stratum.base, e.u)
         if key not in grouped:
             grouped[key] = []
             order.append(key)
@@ -496,8 +493,6 @@ def bernstein_blocks(G: PadicGroup, triple: InertialTriple):
     data = build_inertial(G, triple)
     blocks = [triple]
     seen = set()
-    from .langlands import is_cuspidal
-
     for st in data.strata:
         if st.dimension:
             continue
@@ -510,11 +505,9 @@ def bernstein_blocks(G: PadicGroup, triple: InertialTriple):
             if not cusp:
                 continue
             for eta in chars:
-                res = cuspidal_support(G, phi, eta)
-                key = (str(phi), str(eta))
-                if key in seen:
+                if (phi, eta) in seen:
                     continue
-                seen.add(key)
+                seen.add((phi, eta))
                 blocks.append(InertialTriple(G, (), phi, eta))
     return blocks
 

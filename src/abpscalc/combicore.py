@@ -9,7 +9,6 @@ form is computed over the integers with unimodular transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -417,9 +416,7 @@ def smith_normal_form(matrix):
         for t in range(n):
             U[i][t] = -U[i][t]
 
-    k = 0
-    while k < min(n, m):
-        # find pivot: smallest |entry| != 0 in the trailing block
+    def find_pivot(k):  # smallest |entry| != 0 in the trailing block
         pivot = None
         best = None
         for i in range(k, n):
@@ -427,6 +424,10 @@ def smith_normal_form(matrix):
                 if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
                     best = abs(A[i][j])
                     pivot = (i, j)
+        return pivot
+
+    for k in range(min(n, m)):
+        pivot = find_pivot(k)
         if pivot is None:
             break
         done = False
@@ -460,14 +461,7 @@ def smith_normal_form(matrix):
                     if not done:
                         break
             if not done:
-                pivot = None
-                best = None
-                for i in range(k, n):
-                    for j in range(k, m):
-                        if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                            best = abs(A[i][j])
-                            pivot = (i, j)
-        k += 1
+                pivot = find_pivot(k)
     return A, U, V
 
 
@@ -478,22 +472,20 @@ def mat_mul(A, B):
 
 
 def mat_det(A):
-    """Determinant of an integer matrix, by fraction-free elimination."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
+    """Determinant of an integer matrix, by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    M = [[int(x) for x in row] for row in A]
+    n = len(M)
+    sign, prev = 1, 1
+    for c in range(n - 1):
         pivot = next((r for r in range(c, n) if M[r][c] != 0), None)
         if pivot is None:
             return 0
         if pivot != c:
             M[c], M[pivot] = M[pivot], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = M[c][c]
+            sign = -sign
         for r in range(c + 1, n):
-            f = M[r][c] / inv
-            for t in range(c, n):
-                M[r][t] -= f * M[c][t]
-    assert det.denominator == 1
-    return int(det)
+            for t in range(c + 1, n):
+                M[r][t] = (M[r][t] * M[c][c] - M[r][c] * M[c][t]) // prev
+        prev = M[c][c]
+    return sign * M[n - 1][n - 1] if n else 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .combicore import (
@@ -204,6 +205,16 @@ class TorusCoset:
     ``basis`` rows generate the cocharacter lattice of the identity
     component; the stored form is canonical (Hermite basis, translation
     reduced modulo one and modulo the basis span).
+
+    The coset is cut out exactly by its :attr:`equations` ``E x = E t
+    (mod Z)``: a point lies in the coset if and only if it satisfies
+    them, so membership and intersection read nothing else.  The reason:
+    with ``U L V = S`` the Smith form of the basis ``L`` of rank ``r``,
+    the rows of ``E`` are the last ``n - r`` columns of the unimodular
+    ``V``.  They vanish on the real span of ``L``, and ``E`` maps ``Z^n``
+    onto ``Z^(n-r)``.  So if ``E (x - t)`` is integral, some integer
+    vector has the same image, and ``x - t`` lies in the span of ``L``
+    plus ``Z^n``: one coset, not a union of parallel components.
     """
 
     rank: int
@@ -213,6 +224,20 @@ class TorusCoset:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def equations(self):
+        """``(E, E t)``: the integral equations of the coset and their
+        right-hand sides."""
+        n = self.rank
+        if not self.basis:
+            E = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        else:
+            S, _, V = smith_normal_form(self.basis)
+            r = sum(1 for i in range(min(len(self.basis), n)) if S[i][i])
+            E = tuple(tuple(V[i][j] for i in range(n)) for j in range(r, n))
+        rhs = tuple(sum(row[j] * self.translation[j] for j in range(n)) for row in E)
+        return E, rhs
 
     def generic_point(self, names=None) -> SymbolicTorusPoint:
         if names is None:
@@ -227,24 +252,12 @@ class TorusCoset:
 
     def contains_torsion(self, pt) -> bool:
         """Membership of a point with all-rational coordinates."""
-        v = [Fraction(x) - t for x, t in zip(pt, self.translation)]
-        if not self.basis:
-            return all(x % 1 == 0 for x in v)
-        A = [[row[j] for row in self.basis] for j in range(self.rank)]
-        S, U, _ = smith_normal_form(A)
-        ok = True
-        for i in range(self.rank):
-            if i < len(self.basis) and i < self.rank and S[i][i] != 0:
-                continue
-            s = sum(U[i][j] * v[j] for j in range(self.rank))
-            ok = ok and s % 1 == 0
-        return ok
-
-    def contains_coset(self, other: "TorusCoset") -> bool:
-        if not self.contains_torsion(other.translation):
-            return False
-        span = _row_hnf(list(self.basis) + list(other.basis), self.rank)
-        return span == list(self.basis)
+        E, rhs = self.equations
+        v = [Fraction(x) for x in pt]
+        return all(
+            (sum(e * x for e, x in zip(row, v)) - b) % 1 == 0
+            for row, b in zip(E, rhs)
+        )
 
     def __str__(self) -> str:
         return str(self.generic_point())
@@ -304,26 +317,10 @@ def fixed_locus(w: SignedPermutation):
     return _solve_torus(A, [0] * n, n)
 
 
-def _coset_equations(c: TorusCoset):
-    """Integral equations ``E x = E t (mod Z)`` cutting out the union of
-    components parallel to ``c``; ``c`` itself is the one through ``t``."""
-    n = c.rank
-    if not c.basis:
-        E = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        L = [list(r) for r in c.basis]
-        S, _, V = smith_normal_form(L)
-        r = sum(1 for i in range(min(len(L), n)) if S[i][i])
-        E = [[V[i][j] for i in range(n)] for j in range(r, n)]
-    rhs = [sum(row[j] * c.translation[j] for j in range(n)) for row in E]
-    return E, rhs
-
-
 def intersect_cosets(c1: TorusCoset, c2: TorusCoset):
-    E1, b1 = _coset_equations(c1)
-    E2, b2 = _coset_equations(c2)
-    sols = _solve_torus(E1 + E2, b1 + b2, c1.rank)
-    return [s for s in sols if c1.contains_coset(s) and c2.contains_coset(s)]
+    E1, b1 = c1.equations
+    E2, b2 = c2.equations
+    return _solve_torus(E1 + E2, b1 + b2, c1.rank)
 
 
 def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
@@ -555,6 +552,35 @@ class Stratum:
     def dimension(self) -> int:
         return self.coset.dimension
 
+    def families(self):
+        """The families of the spectral extended quotient that this
+        stratum carries; :func:`spectral_eq` describes the kinds."""
+        H = self.group
+        if H.order == 1:
+            return [EQPoint(self.base, H, H.irreps()[0], "generic")]
+        if self.dimension > 0:
+            connected = len(_pointwise_fix(H, self.coset.rank)) == 1
+            trivial = H.irreps()[0]
+            out = []
+            for rho in H.irreps():
+                if connected:
+                    kind = "sheet" if rho == trivial else "plane_generic"
+                else:
+                    kind = "special"
+                out.append(EQPoint(self.base, H, rho, kind))
+            return out
+        # reflections whose fixed torus is connected
+        refl = [
+            w
+            for w in H.elements
+            if len(locus := fixed_locus(w)) == 1 and locus[0].dimension == w.rank - 1
+        ]
+        return [
+            EQPoint(self.base, H, rho, "special")
+            for rho in H.irreps()
+            if all(_acts_by_minus_one(H, rho, w) for w in refl)
+        ]
+
     def __str__(self) -> str:
         return f"{self.base} : {self.group.structure()}"
 
@@ -621,24 +647,6 @@ class EQPoint:
         return f"({self.base}, {self.irrep}) [{self.kind}]"
 
 
-def _is_reflection(w: SignedPermutation) -> bool:
-    M = w.matrix()
-    n = w.rank
-    A = [[Fraction(M[i][j] - (i == j)) for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if A[r][col]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        for r in range(n):
-            if r != rank and A[r][col]:
-                f = A[r][col] / A[rank][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[rank])]
-        rank += 1
-    return rank == 1
-
-
 def _acts_by_minus_one(group: RecognizedSubgroup, irrep, w: SignedPermutation) -> bool:
     """Whether the irrep sends the reflection ``w`` to minus the identity."""
     labels = irrep if len(group.pieces) > 1 else (irrep,)
@@ -667,15 +675,13 @@ def _acts_by_minus_one(group: RecognizedSubgroup, irrep, w: SignedPermutation) -
     return True
 
 
-def _pointwise_fix(action: MonomialAction, group: RecognizedSubgroup):
+def _pointwise_fix(group: RecognizedSubgroup, rank: int):
     """The full fixed locus of the subgroup, as cosets."""
-    A, b = [], []
+    A = []
     for w in group.elements:
         M = w.matrix()
-        n = action.rank
-        A.extend([M[i][j] - (i == j) for j in range(n)] for i in range(n))
-        b.extend([0] * n)
-    return _solve_torus(A, b, action.rank)
+        A.extend([M[i][j] - (i == j) for j in range(rank)] for i in range(rank))
+    return _solve_torus(A, [0] * len(A), rank)
 
 
 def spectral_eq(action: MonomialAction):
@@ -691,31 +697,7 @@ def spectral_eq(action: MonomialAction):
     fixed torus to minus the identity start a new family; the rest
     continue families of larger strata.
     """
-    out = []
-    for st in strata(action):
-        H = st.group
-        if H.order == 1:
-            out.append(EQPoint(st.base, H, H.irreps()[0], "generic"))
-            continue
-        if st.dimension > 0:
-            connected = len(_pointwise_fix(action, H)) == 1
-            trivial = H.irreps()[0]
-            for rho in H.irreps():
-                if connected:
-                    kind = "sheet" if rho == trivial else "plane_generic"
-                else:
-                    kind = "special"
-                out.append(EQPoint(st.base, H, rho, kind))
-            continue
-        refl = [
-            w
-            for w in H.elements
-            if _is_reflection(w) and len(fixed_locus(w)) == 1
-        ]
-        for rho in H.irreps():
-            if all(_acts_by_minus_one(H, rho, w) for w in refl):
-                out.append(EQPoint(st.base, H, rho, "special"))
-    return out
+    return [f for st in strata(action) for f in st.families()]
 
 
 def eq_pairs(action: MonomialAction):

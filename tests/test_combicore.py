@@ -187,3 +187,29 @@ class TestSmithNormalForm:
     def test_deterministic(self):
         A = [[3, 1], [1, 2]]
         assert smith_normal_form(A) == smith_normal_form([row[:] for row in A])
+
+
+def cofactor_det(A):
+    if not A:
+        return 1
+    return sum(
+        (-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
+        for j in range(len(A))
+    )
+
+
+# small entries so that zero pivots and singular matrices come up often
+square_matrices = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+class TestDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices)
+    def test_matches_cofactor_expansion(self, A):
+        assert mat_det(A) == cofactor_det(A)

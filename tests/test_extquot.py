@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -18,6 +19,7 @@ from abpscalc.extquot import (
     full_torus,
     geometric_eq,
     hyperoctahedral_action,
+    intersect_cosets,
     irreps,
     permutation_action,
     point,
@@ -112,6 +114,34 @@ class TestFixedLoci:
             for v in B2.elements:
                 for c in fixed_locus(w):
                     assert act_coset(v, act_coset(v.inverse(), c)) == c
+
+
+class TestIntersection:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_intersection_is_exact_on_closure_pool(self, n):
+        # the pool strata() closes: the full torus and every fixed locus,
+        # closed under pairwise intersection
+        pool = {full_torus(n)}
+        for w in hyperoctahedral_action(n).elements:
+            pool.update(fixed_locus(w))
+        fresh = pool
+        while fresh:
+            fresh = {
+                c for c1, c2 in combinations(pool, 2) for c in intersect_cosets(c1, c2)
+            } - pool
+            pool |= fresh
+        grid = list(product([Fraction(k, 8) for k in range(8)], repeat=n))
+        members = {}
+
+        def points_of(c):
+            if c not in members:
+                members[c] = {p for p in grid if c.contains_torsion(p)}
+            return members[c]
+
+        for c1, c2 in combinations_with_replacement(pool, 2):
+            parts = intersect_cosets(c1, c2)
+            covered = set().union(*(points_of(c) for c in parts))
+            assert covered == points_of(c1) & points_of(c2)
 
 
 class TestStabilizers:
