@@ -14,8 +14,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .combicore import BCSymbol, sign_twist, symbol_of_bipartition
-from .extquot import ONE, MINUS_ONE, free, hyperoctahedral_action, q_power, spectral_eq, strata
+from .combicore import BCSymbol, Partition, sign_twist, staircase, symbol_of_bipartition
+from .extquot import (
+    MAX_RANK, MINUS_ONE, ONE, free, hyperoctahedral_action, q_power, spectral_eq,
+)
 from .langlands import (
     DEFAULT_CATALOGUE,
     FormalParameter,
@@ -36,15 +38,7 @@ from .langlands import (
     parse_catalogue,
     validate,
 )
-from .springer import (
-    SO,
-    Sp,
-    SpringerError,
-    component_group,
-    cuspidal_triples,
-    generalized_springer,
-    unipotent_classes,
-)
+from .springer import SO, Sp, SpringerError, cuspidal_triples, springer_blocks
 from . import abps
 
 
@@ -177,64 +171,49 @@ def _block_letter(triple):
     return "M"
 
 
-def _mirror_symbol(bp):
-    """The two-row symbol of a non-principal-block label: the roles of
-    the rows are exchanged and the longer row sits at the bottom."""
-    b = max(len(bp.alpha), len(bp.beta) + 1)
-    alpha = (0,) * (b - len(bp.alpha)) + bp.alpha.ascending()
-    beta = (0,) * (b - 1 - len(bp.beta)) + bp.beta.ascending()
-    top = tuple(x + 2 * i for i, x in enumerate(beta))
-    bottom = tuple(x + 2 * i + 1 for i, x in enumerate(alpha))
-    return BCSymbol(top, bottom)
-
-
-def _dlabel_symbol(label):
-    width = max(len(label.alpha), len(label.beta))
-    alpha = (0,) * (width - len(label.alpha)) + label.alpha.ascending()
-    beta = (0,) * (width - len(label.beta)) + label.beta.ascending()
-    top = tuple(x + 2 * i for i, x in enumerate(alpha))
-    bottom = tuple(x + 2 * i for i, x in enumerate(beta))
-    return f"({','.join(map(str, top)) or '-'}|{','.join(map(str, bottom)) or '-'})"
-
-
-def _core_symbol(d, step0):
-    return "(" + ",".join(str(step0 + 2 * i) for i in range(d)) + "|-)"
+def _symbol(kind, block, d, label) -> BCSymbol:
+    """The symbol column of a Springer table row.  A cuspidal (``H``)
+    row shows the core staircase; a symplectic ``M`` row exchanges the
+    roles of the rows, with the longer row at the bottom."""
+    if block == "H":
+        return BCSymbol(staircase(Partition(), d + 1 if kind == "Sp" else d), ())
+    if kind == "SO":
+        width = max(len(label.alpha), len(label.beta))
+        return BCSymbol(staircase(label.alpha, width), staircase(label.beta, width))
+    if block == "T":
+        return symbol_of_bipartition(label)
+    width = max(len(label.alpha), len(label.beta) + 1)
+    return BCSymbol(staircase(label.beta, width - 1), staircase(label.alpha, width, 1))
 
 
 def springer_rows(kind, size, generalized=True):
-    group = Sp(size) if kind == "Sp" else SO(size)
+    """The Springer table of ``Sp(size)`` or ``SO(size)``, read from
+    :func:`springer_blocks`: classes by descending parts, then by tag,
+    and characters in :meth:`ComponentGroup.characters` order."""
+    makers = {"Sp": Sp, "SO": SO}
+    if kind not in makers:
+        raise SpringerError(f"springer tables cover Sp and SO groups, not {kind}")
+    pairs = [(u, ch, triple, labels[0])
+             for triple, block in springer_blocks(makers[kind](size)).items()
+             for u, ch, labels in block]
+    pairs.sort(key=lambda r: (tuple(-p for p in r[0].partitions[0].parts),
+                              r[0].tags[0], tuple(-v for v in r[1].values)))
     rows = []
-    for u in sorted(unipotent_classes(group),
-                    key=lambda u: (tuple(-p for p in u.partitions[0].parts),
-                                   u.tags[0])):
-        for char in component_group(group, u).characters():
-            triple, labels = generalized_springer(group, u, char)
-            label = labels[0]
-            block = _block_letter(triple)
-            d = triple.ds[0]
-            if kind == "Sp":
-                if block == "H":
-                    symbol = _core_symbol(d + 1, 0)
-                elif block == "T":
-                    symbol = str(symbol_of_bipartition(label))
-                else:
-                    symbol = str(_mirror_symbol(label))
-            else:
-                symbol = _core_symbol(d, 0) if block == "H" else _dlabel_symbol(label)
-            shown = "1" if block == "H" else str(label) + ("'" if block == "M" else "")
-            row = {
-                "u": str(u.partitions[0]) + u.tags[0],
-                "a_group": component_group(group, u).structure(),
-                "character": str(char),
-                "symbol": symbol,
-                "block": block,
-                "label": shown,
-            }
-            if not generalized and block != "T":
-                continue
-            if kind == "SO":
-                row["label_times_sign"] = str(sign_twist(label)) if block != "H" else "1"
-            rows.append(row)
+    for u, ch, triple, label in pairs:
+        block = _block_letter(triple)
+        if not generalized and block != "T":
+            continue
+        row = {
+            "u": str(u.partitions[0]) + u.tags[0],
+            "a_group": ch.group.structure(),
+            "character": str(ch),
+            "symbol": str(_symbol(kind, block, triple.ds[0], label)),
+            "block": block,
+            "label": "1" if block == "H" else str(label) + ("'" if block == "M" else ""),
+        }
+        if kind == "SO":
+            row["label_times_sign"] = str(sign_twist(label)) if block != "H" else "1"
+        rows.append(row)
     return rows
 
 
@@ -257,6 +236,8 @@ def cuspidal_rows(family, bound):
 
 
 def extquot_rows(rank):
+    if not 0 <= rank <= MAX_RANK:
+        raise ValueError(f"extquot covers ranks 0 to {MAX_RANK}, not {rank}")
     action = hyperoctahedral_action(rank)
     rows = []
     for fam in spectral_eq(action):

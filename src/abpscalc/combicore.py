@@ -238,19 +238,22 @@ class BCSymbol:
         return f"({t}|{b})"
 
 
+def staircase(p: Partition, length: int, offset: int = 0) -> tuple[int, ...]:
+    """The parts of ``p`` in ascending order, padded with zeros in front
+    to ``length`` parts, with ``2i + offset`` added to part ``i``
+    (counted from 0): one row of a symbol."""
+    padded = (0,) * (length - len(p)) + p.ascending()
+    return tuple(x + 2 * i + offset for i, x in enumerate(padded))
+
+
 def symbol_of_bipartition(bp: Bipartition) -> BCSymbol:
     """The defect-1 symbol of a bipartition (reduced form).
 
-    With ``alpha`` padded to ``m + 1`` parts and ``beta`` to ``m`` parts
-    (ascending), the rows are ``alpha_i + 2(i-1)`` and
-    ``beta_i + 2(i-1) + 1``.
+    With ``alpha`` padded to ``m + 1`` parts and ``beta`` to ``m`` parts,
+    the rows are ``staircase(alpha, m + 1)`` and ``staircase(beta, m, 1)``.
     """
     m = max(len(bp.alpha) - 1, len(bp.beta), 0)
-    a = (0,) * (m + 1 - len(bp.alpha)) + bp.alpha.ascending()
-    b = (0,) * (m - len(bp.beta)) + bp.beta.ascending()
-    top = tuple(x + 2 * i for i, x in enumerate(a))
-    bottom = tuple(x + 2 * i + 1 for i, x in enumerate(b))
-    return BCSymbol(top, bottom).reduce()
+    return BCSymbol(staircase(bp.alpha, m + 1), staircase(bp.beta, m, 1)).reduce()
 
 
 def bipartition_of_symbol(sym: BCSymbol) -> Bipartition:

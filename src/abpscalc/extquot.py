@@ -83,10 +83,6 @@ class SymbolicCoordinate:
     def is_unitary(self) -> bool:
         return self.qexp == 0
 
-    @property
-    def is_torsion(self) -> bool:
-        return self.qexp == 0 and not self.monomial
-
     def __str__(self) -> str:
         parts = []
         if self.torsion == Fraction(1, 2):
@@ -443,10 +439,6 @@ class RecognizedSubgroup:
             return per_piece[0]
         return [tuple(c) for c in product(*per_piece)]
 
-    @property
-    def num_irreps(self) -> int:
-        return len(self.irreps())
-
 
 def _restrict(w: SignedPermutation, coords):
     pos = {c: i for i, c in enumerate(coords)}
@@ -585,12 +577,16 @@ class Stratum:
         return f"{self.base} : {self.group.structure()}"
 
 
-def strata(action: MonomialAction, max_rank: int = 6):
+# the largest rank that strata accepts: B7 alone has 645,120 elements
+MAX_RANK = 6
+
+
+def strata(action: MonomialAction):
     """Canonical representatives of the stabilizer strata of the action,
     one per orbit, ordered by decreasing dimension."""
     n = action.rank
-    if n > max_rank:
-        raise ValueError(f"stratification limited to rank {max_rank}")
+    if n > MAX_RANK:
+        raise ValueError(f"stratification limited to rank {MAX_RANK}")
     pool = {full_torus(n)}
     for w in action.elements:
         if w != action.identity():

@@ -24,6 +24,7 @@ anchor staircases yields the character label.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
@@ -88,17 +89,6 @@ class ComplexGroup:
             inner = "S(" + "x".join(ofacs) + ")"
             return "x".join(plain + [inner]) if plain else inner
         return "x".join(str(f) for f in self.factors) or "1"
-
-    @property
-    def disconnected_swap(self) -> bool:
-        """Whether a determinant -1 move is available on each O factor
-        (fusing the two very-even classes)."""
-        ofs = [f for f in self.factors if f.kind == "O" and f.n >= 1]
-        if not ofs:
-            return False
-        if not self.det1:
-            return True
-        return len(ofs) >= 2
 
 
 def Sp(n: int) -> ComplexGroup:
@@ -633,7 +623,7 @@ class RelativeWeylGroup:
     letters, labels = partitions), ``B`` (signed permutations, labels =
     bipartitions), ``D`` (even signed permutations, labels = unordered
     pairs with split labels doubled).  ``coupled`` marks a joint
-    even-sign condition across all B pieces."""
+    even-sign condition across all B pieces, one of them of positive rank."""
 
     pieces: tuple[tuple[str, int], ...]
     coupled: bool = False
@@ -649,7 +639,7 @@ class RelativeWeylGroup:
                 n *= factorial(k) * 2 ** k
             elif t == "D":
                 n *= factorial(k) * 2 ** max(k - 1, 0) if k else 1
-        if self.coupled and any(t == "B" and k for t, k in self.pieces):
+        if self.coupled:
             n //= 2
         return n
 
@@ -670,22 +660,17 @@ class RelativeWeylGroup:
             else:
                 per.append(dlabels(k))
         combos = [tuple(c) for c in iproduct(*per)] if per else [()]
-        if not self.coupled or not any(t == "B" and k for t, k in self.pieces):
+        if not self.coupled:
             return combos
         # joint even-sign condition: characters are orbits under the
-        # simultaneous swap of every bipartition, split orbits doubled
+        # simultaneous swap of every bipartition, named by _fold; split
+        # orbits are doubled
         out = []
-        seen = set()
         for combo in combos:
-            swapped = tuple(
-                Bipartition(l.beta, l.alpha) if isinstance(l, Bipartition) else l
-                for l in combo
-            )
-            if combo == swapped:
+            if combo == _swap_all(combo):
                 out.append((combo, 0))
                 out.append((combo, 1))
-            elif swapped not in seen:
-                seen.add(combo)
+            elif combo == _fold(combo):
                 out.append((combo, None))
         return out
 
@@ -721,9 +706,9 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
             pieces.append(("B", k))
             if group.det1 and d == 0:
                 coupled = True
-    if coupled and has_core_absorbing:
-        coupled = False
-    if not group.det1:
+    # no joint sign condition when a core absorbs the determinant flip,
+    # or when no B piece has a sign to flip
+    if has_core_absorbing or not any(t == "B" and k for t, k in pieces):
         coupled = False
     return RelativeWeylGroup(tuple(pieces), coupled=coupled)
 
@@ -816,33 +801,22 @@ def springer_blocks(group: ComplexGroup, twisted: bool = True):
     for u, ch in enumerate_pairs(group):
         triple, label = generalized_springer(group, u, ch, twisted=twisted)
         blocks.setdefault(triple, []).append((u, ch, label))
-    coupled_relabel = {}
     for triple, rows in blocks.items():
         W = relative_weyl_group(triple)
-        expected = W.character_labels()
-        got = [r[2] for r in rows]
+        got = [lab for _, _, lab in rows]
+        want = W.character_labels()
         if W.coupled:
-            # labels computed per factor are lifted representatives;
-            # fold them onto the coupled label set
-            folded = []
-            used = {}
-            for lab in got:
-                swapped = _swap_all(lab)
-                rep = min(lab, swapped, key=_label_key)
-                if lab == swapped:
-                    k = used.get(_label_key(rep), 0)
-                    used[_label_key(rep)] = k + 1
-                    folded.append((rep, k))
-                else:
-                    folded.append((rep, None))
-            got = folded
-            expected = [(min(c, _swap_all(c), key=_label_key), t) for c, t in expected]
-        if sorted(map(_label_key, got)) != sorted(map(_label_key, expected)):
+            # labels computed per factor are lifted representatives:
+            # compare swap orbits, a split orbit counting twice
+            got = [_fold(lab) for lab in got]
+            want = [combo for combo, _ in want]
+        got, want = Counter(got), Counter(want)
+        if got != want:
             raise SpringerError(
-                f"block {triple} of {group}: labels {sorted(map(str, got))} "
-                f"do not match Irr of {W.structure()}"
+                f"{group}: block {triple} does not biject with Irr {W.structure()}: "
+                f"labels in excess {_label_list(got - want)}, "
+                f"missing {_label_list(want - got)}"
             )
-        blocks[triple] = rows
     return blocks
 
 
@@ -853,8 +827,15 @@ def _swap_all(combo):
     )
 
 
-def _label_key(label):
-    return str(label)
+def _fold(combo):
+    """The representative of ``combo`` under the simultaneous swap."""
+    return min(combo, _swap_all(combo))
+
+
+def _label_list(labels: Counter) -> str:
+    """Relative Weyl labels in CLI notation, factor labels joined by ``x``."""
+    return "[" + ", ".join(sorted("x".join(map(str, combo)) or "1"
+                                  for combo in labels.elements())) + "]"
 
 
 def generalized_springer_inverse(group: ComplexGroup, triple: CuspidalTriple, label,

@@ -2,10 +2,15 @@
 and fixture idempotence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from abpscalc import cli
+from abpscalc.extquot import MAX_RANK
 from abpscalc.langlands import FormalParameter, PadicGroup, line
 
 
@@ -187,3 +192,29 @@ class TestExitCodes:
     def test_dimension_error_is_1(self, capsys):
         assert cli.run(["param", "--group", "Sp4", "--expr", "zeta"]) == 1
         assert "DimensionMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group, kind", [("GL3", "GL"), ("SL4", "SL"), ("O5", "O")])
+    def test_springer_refuses_other_kinds(self, group, kind, capsys):
+        assert cli.run(["springer", "--group", group]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SpringerError:") and err.split()[-1] == kind
+
+    def test_springer_runs_the_bijectivity_check(self, capsys):
+        assert cli.run(["springer", "--group", "Sp10", "--generalized"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "SpringerError" in captured.err
+
+    def test_extquot_refuses_negative_rank(self, capsys):
+        assert cli.run(["extquot", "--rank", "-1"]) == 1
+        assert f"ranks 0 to {MAX_RANK}" in capsys.readouterr().err
+
+    def test_extquot_refuses_large_rank_before_building(self):
+        # in a subprocess, so that a rank-7 build cannot hang the suite
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "abpscalc.cli", "extquot", "--rank", str(MAX_RANK + 1)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert f"ranks 0 to {MAX_RANK}" in done.stderr

@@ -17,6 +17,7 @@ from abpscalc.combicore import (
     partitions,
     sign_twist,
     smith_normal_form,
+    staircase,
     symbol_of_bipartition,
 )
 
@@ -90,6 +91,12 @@ class TestSymbols:
         assert shifted != sym
         assert shifted.reduce() == sym
         assert bipartition_of_symbol(shifted) == B((2,), (1,))
+
+    def test_staircase_pads_in_front(self):
+        assert staircase(Partition((2, 1)), 3) == (0, 3, 6)
+        assert staircase(Partition((2, 1)), 3, 1) == (1, 4, 7)
+        assert staircase(Partition(), 3) == (0, 2, 4)
+        assert staircase(Partition(), 0) == ()
 
     def test_malformed(self):
         with pytest.raises(MalformedSymbol):

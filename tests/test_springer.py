@@ -20,6 +20,7 @@ from abpscalc.springer import (
     springer_blocks,
     unipotent_classes,
     SignCharacter,
+    SpringerError,
     UnipotentClass,
 )
 
@@ -156,6 +157,40 @@ def test_blocks_biject_with_relative_weyl_characters(g):
     assert total == len(enumerate_pairs(g))
     for triple, rows in blocks.items():
         assert len(rows) == relative_weyl_group(triple).num_characters
+
+
+@pytest.mark.parametrize("n, size", [(4, 5), (6, 10)])
+def test_coupled_block_folds_swapped_labels(n, size):
+    # S(O2 x On): the principal block has the coupled relative Weyl group
+    # S[W(B1) x W(B(n/2))], whose characters are swap orbits of label pairs
+    g = group_product(GroupFactor("O", 2), GroupFactor("O", n), det1=True)
+    coupled = [(t, rows) for t, rows in springer_blocks(g).items()
+               if relative_weyl_group(t).coupled]
+    assert len(coupled) == 1
+    triple, rows = coupled[0]
+    assert len(rows) == size == relative_weyl_group(triple).num_characters
+
+
+O0 = GroupFactor("O", 0)
+
+
+@pytest.mark.parametrize("factors", [(O0, O0), (O0, O0, O0), (GroupFactor("GL", 1), O0, O0)],
+                         ids=lambda fs: "x".join(map(str, fs)))
+def test_coupled_group_without_signs_has_one_pair(factors):
+    # with every O factor of rank zero there is no sign for the
+    # determinant condition to couple: one pair, in the principal block
+    g = group_product(*factors, det1=True)
+    blocks = springer_blocks(g)
+    assert [len(rows) for rows in blocks.values()] == [1]
+    assert not relative_weyl_group(next(iter(blocks))).coupled
+
+
+def test_block_error_names_group_and_labels():
+    with pytest.raises(SpringerError) as exc:
+        springer_blocks(Sp(10))
+    message = str(exc.value)
+    assert "Sp10" in message and "Partition(" not in message
+    assert "labels in excess" in message and "missing" in message
 
 
 def test_sp8_depth_two_block_contents():
