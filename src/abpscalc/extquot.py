@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
+from operator import mul
 
 from .combicore import (
     Bipartition,
@@ -235,6 +237,14 @@ class TorusCoset:
         rhs = tuple(sum(row[j] * self.translation[j] for j in range(n)) for row in E)
         return E, rhs
 
+    @cached_property
+    def _integer_rhs(self):
+        """``(D, D * E t)``: the right-hand sides of :attr:`equations`
+        over their common denominator ``D``, as integers."""
+        _, rhs = self.equations
+        D = lcm(*(b.denominator for b in rhs))
+        return D, tuple(b.numerator * (D // b.denominator) for b in rhs)
+
     def generic_point(self, names=None) -> SymbolicTorusPoint:
         if names is None:
             names = ["z" + "'" * k for k in range(len(self.basis))]
@@ -247,13 +257,15 @@ class TorusCoset:
         return SymbolicTorusPoint(tuple(coords))
 
     def contains_torsion(self, pt) -> bool:
-        """Membership of a point with all-rational coordinates."""
-        E, rhs = self.equations
-        v = [Fraction(x) for x in pt]
-        return all(
-            (sum(e * x for e, x in zip(row, v)) - b) % 1 == 0
-            for row, b in zip(E, rhs)
-        )
+        """Membership of a point with all-rational coordinates: ``E x = E t
+        (mod Z)`` tested on integers over a common denominator."""
+        E, _ = self.equations
+        D, rhs = self._integer_rhs
+        v = [x if type(x) in (int, Fraction) else Fraction(x) for x in pt]
+        d = lcm(D, *[x.denominator for x in v])
+        a = [x.numerator * (d // x.denominator) for x in v]
+        k = d // D
+        return all((sum(map(mul, row, a)) - k * b) % d == 0 for row, b in zip(E, rhs))
 
     def __str__(self) -> str:
         return str(self.generic_point())
@@ -335,7 +347,17 @@ def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
 
 @dataclass(frozen=True)
 class MonomialAction:
-    """A finite group of signed permutations, listed in full."""
+    """A finite group of signed permutations, listed in full.
+
+    The list must contain the identity and be closed under composition.
+    Closure is checked from generators rather than on all pairs: walking
+    the sorted elements, each one not yet reached becomes a generator,
+    and the reached set is extended breadth first by left multiplication
+    with the generators, every product being looked up in the list.  A
+    finite set that contains the identity and is closed under left
+    multiplication by a generating subset is the group they generate, so
+    about ``order * len(generators)`` products decide closure.
+    """
 
     elements: tuple
 
@@ -343,10 +365,30 @@ class MonomialAction:
         elems = tuple(sorted(set(self.elements), key=lambda w: (w.images, w.signs)))
         object.__setattr__(self, "elements", elems)
         group = set(elems)
-        for v in elems:
-            for w in elems:
-                if v * w not in group:
-                    raise ValueError("element list is not closed under composition")
+        identity = SignedPermutation.identity(elems[0].rank) if elems else None
+        if identity not in group:
+            raise ValueError("element list is not closed under composition")
+        reached = {identity}
+        gens = []
+        for g in elems:
+            if g in reached:
+                continue
+            # old elements need only the new generator; what that adds
+            # needs every generator
+            frontier = list(reached)
+            gens.append(g)
+            todo = [g]
+            while frontier:
+                fresh = []
+                for x in frontier:
+                    for s in todo:
+                        y = s * x
+                        if y not in group:
+                            raise ValueError("element list is not closed under composition")
+                        if y not in reached:
+                            reached.add(y)
+                            fresh.append(y)
+                frontier, todo = fresh, gens
 
     @property
     def rank(self) -> int:
@@ -561,12 +603,7 @@ class Stratum:
                     kind = "special"
                 out.append(EQPoint(self.base, H, rho, kind))
             return out
-        # reflections whose fixed torus is connected
-        refl = [
-            w
-            for w in H.elements
-            if len(locus := fixed_locus(w)) == 1 and locus[0].dimension == w.rank - 1
-        ]
+        refl = [w for w in H.elements if _has_connected_hyperplane(w)]
         return [
             EQPoint(self.base, H, rho, "special")
             for rho in H.irreps()
@@ -669,6 +706,21 @@ def _acts_by_minus_one(group: RecognizedSubgroup, irrep, w: SignedPermutation) -
             if label != DLabel(Partition((1,) * k), Partition(())):
                 return False
     return True
+
+
+def _has_connected_hyperplane(w: SignedPermutation) -> bool:
+    """Whether the fixed locus of ``w`` is one coset of codimension 1.
+
+    That happens exactly when ``w`` swaps two coordinates with equal
+    signs (fixing ``x_i = x_j`` or ``x_i x_j = 1``) and fixes every other
+    coordinate with sign +1; a lone sign flip fixes the two cosets
+    ``x_i = 1`` and ``x_i = -1``.
+    """
+    moved = [i for i in range(w.rank) if w.images[i] != i + 1 or w.signs[i] != 1]
+    if len(moved) != 2:
+        return False
+    i, j = moved
+    return w.images[i] == j + 1 and w.images[j] == i + 1 and w.signs[i] == w.signs[j]
 
 
 def _pointwise_fix(group: RecognizedSubgroup, rank: int):

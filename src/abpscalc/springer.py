@@ -799,7 +799,10 @@ def springer_blocks(group: ComplexGroup, twisted: bool = True):
     biject with the characters of its relative Weyl group."""
     blocks = {}
     for u, ch in enumerate_pairs(group):
-        triple, label = generalized_springer(group, u, ch, twisted=twisted)
+        try:
+            triple, label = generalized_springer(group, u, ch, twisted=twisted)
+        except SpringerError as exc:
+            raise type(exc)(f"{group}: class {u}, character {ch}: {exc}") from exc
         blocks.setdefault(triple, []).append((u, ch, label))
     for triple, rows in blocks.items():
         W = relative_weyl_group(triple)

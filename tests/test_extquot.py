@@ -1,15 +1,29 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abpscalc.combicore import Bipartition, Partition, SignedPermutation
+from abpscalc.abps import _inertial_action, inertial_triple
+from abpscalc.combicore import (
+    Bipartition,
+    Partition,
+    SignedPermutation,
+    all_signed_permutations,
+)
 from abpscalc.extquot import (
     MINUS_ONE,
     ONE,
+    MonomialAction,
     RankMismatch,
+    _has_connected_hyperplane,
     act,
     act_coset,
     eq_pairs,
@@ -30,10 +44,131 @@ from abpscalc.extquot import (
     strata,
     trivial_action,
 )
+from abpscalc.langlands import PadicGroup, line, parse_catalogue
 
 S1 = SignedPermutation((2, 1), (1, 1))
 S2 = SignedPermutation((1, 2), (1, -1))
 B2 = hyperoctahedral_action(2)
+B3 = hyperoctahedral_action(3)
+
+
+def closed_by_brute_force(elements):
+    """The closure check on all pairs, kept here as the oracle."""
+    group = set(elements)
+    return all(v * w in group for v in group for w in group)
+
+
+def generated(gens):
+    """The subgroup generated by ``gens``, by breadth-first search."""
+    out = {SignedPermutation.identity(gens[0].rank)}
+    frontier = out
+    while frontier:
+        frontier = {g * x for x in frontier for g in gens} - out
+        out |= frontier
+    return out
+
+
+@lru_cache(maxsize=None)
+def closure_pool(n):
+    """The full torus and every fixed locus of B_n, closed under
+    pairwise intersection, in a fixed order."""
+    pool = {full_torus(n)}
+    for w in hyperoctahedral_action(n).elements:
+        pool.update(fixed_locus(w))
+    fresh = pool
+    while fresh:
+        fresh = {
+            c for c1, c2 in combinations(pool, 2) for c in intersect_cosets(c1, c2)
+        } - pool
+        pool |= fresh
+    return tuple(sorted(pool, key=lambda c: (c.dimension, c.basis, c.translation)))
+
+
+def _rank(rows):
+    """Rank of a rational matrix, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def in_coset_by_definition(c, p):
+    """Whether ``p = t + sum(l_k b_k) (mod Z^n)`` for some real ``l``.
+
+    Equivalently ``p - t - m`` lies in the real span of the basis for
+    some integer ``m``.  Taking ``l`` modulo 1 and ``p - t`` in
+    ``[0, 1)`` bounds ``|m_j|`` by ``1 + sum_k |b_kj|``, so a finite
+    search decides it.
+    """
+    diff = [(Fraction(x) - t) % 1 for x, t in zip(p, c.translation)]
+    bounds = [1 + sum(abs(b[j]) for b in c.basis) for j in range(c.rank)]
+    return any(
+        _rank(list(c.basis) + [[d - k for d, k in zip(diff, m)]]) == len(c.basis)
+        for m in product(*(range(-b, b + 1) for b in bounds))
+    )
+
+
+# torsion coordinates with denominators 1 to 12
+fractions_to_12 = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
+
+
+def presented(values):
+    """The coordinates ``values``, each given as a ``Fraction``, as a
+    string, or (when integral) as an ``int``."""
+    return st.tuples(*(
+        st.sampled_from([x, str(x)] + ([int(x)] if x.denominator == 1 else []))
+        for x in map(Fraction, values)
+    ))
+
+
+@st.composite
+def torsion_points(draw, n):
+    """Rank-``n`` points whose coordinates often repeat or invert each
+    other, so that elements of B_n fix a fair share of them."""
+    seeds = draw(st.lists(fractions_to_12, min_size=1, max_size=2))
+    coordinate = st.one_of(
+        st.sampled_from(seeds),
+        st.sampled_from(seeds).map(lambda x: -x),
+        st.sampled_from([Fraction(0), Fraction(1, 2)]),
+        fractions_to_12,
+    )
+    return draw(presented(draw(st.lists(coordinate, min_size=n, max_size=n))))
+
+
+@st.composite
+def points_on(draw, c):
+    """A point of the coset ``c``, reached with torsion parameters."""
+    lams = draw(st.lists(fractions_to_12, min_size=c.dimension, max_size=c.dimension))
+    values = [
+        t + sum(l * b[j] for l, b in zip(lams, c.basis))
+        for j, t in enumerate(c.translation)
+    ]
+    return draw(presented(values))
+
+
+@st.composite
+def element_lists(draw):
+    """Lists of elements of B2 or B3: random subsets, subgroups generated
+    by two elements, and such subgroups with one element put in or taken
+    out."""
+    pool = draw(st.sampled_from([B2.elements, B3.elements]))
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    group = generated([draw(st.sampled_from(pool)), draw(st.sampled_from(pool))])
+    if draw(st.booleans()):
+        group ^= {draw(st.sampled_from(pool))}
+    # toggling the identity out of the trivial group leaves nothing: an
+    # empty list has no rank, so take a one-element list instead
+    return sorted(group, key=lambda w: (w.images, w.signs)) or [pool[0]]
 
 
 def bp(alpha, beta):
@@ -109,6 +244,23 @@ class TestFixedLoci:
                 member = any(c.contains_torsion(p) for c in cosets)
                 assert fixed == member
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_membership_off_the_eighth_grid(self, data):
+        n = data.draw(st.integers(1, 4))
+        w = data.draw(st.sampled_from(all_signed_permutations(n)))
+        p = data.draw(torsion_points(n))
+        # as torsion coordinates: point() would read a literal -1 as -1
+        q = point(*(root_of_unity(Fraction(x)) for x in p))
+        assert any(c.contains_torsion(p) for c in fixed_locus(w)) == (act(w, q) == q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_connected_hyperplane_rule_matches_fixed_locus(self, n):
+        for w in hyperoctahedral_action(n).elements:
+            locus = fixed_locus(w)
+            connected = len(locus) == 1 and locus[0].dimension == n - 1
+            assert _has_connected_hyperplane(w) == connected
+
     def test_coset_action_consistency(self):
         for w in B2.elements:
             for v in B2.elements:
@@ -142,6 +294,101 @@ class TestIntersection:
             parts = intersect_cosets(c1, c2)
             covered = set().union(*(points_of(c) for c in parts))
             assert covered == points_of(c1) & points_of(c2)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_intersection_membership_off_the_eighth_grid(self, data):
+        pool = closure_pool(2)
+        c1 = data.draw(st.sampled_from(pool))
+        c2 = data.draw(st.sampled_from(pool))
+        p = data.draw(st.one_of(torsion_points(2), points_on(c1), points_on(c2)))
+        parts = intersect_cosets(c1, c2)
+        for c in parts:
+            assert c.contains_torsion(p) == in_coset_by_definition(c, p)
+        both = in_coset_by_definition(c1, p) and in_coset_by_definition(c2, p)
+        assert any(c.contains_torsion(p) for c in parts) == both
+
+
+FREE_CATALOGUE = parse_catalogue("""
+chi kind=ramified order=5 dim=1 selfdual=none period=1
+psi kind=ramified order=7 dim=1 selfdual=none period=1
+""")
+
+
+class TestClosureCheck:
+    def test_rejects_list_without_identity(self):
+        with pytest.raises(ValueError):
+            MonomialAction((S1,))
+        with pytest.raises(ValueError):
+            MonomialAction(())
+
+    def test_rejects_b3_with_one_element_removed(self):
+        for w in B3.elements:
+            with pytest.raises(ValueError):
+                MonomialAction(tuple(v for v in B3.elements if v != w))
+
+    def test_rejects_missing_product(self):
+        e = SignedPermutation.identity(2)
+        assert S1 * S2 not in {e, S1, S2}
+        with pytest.raises(ValueError):
+            MonomialAction((e, S1, S2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(element_lists())
+    def test_accepts_exactly_the_closed_lists(self, elements):
+        try:
+            MonomialAction(tuple(elements))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == closed_by_brute_force(elements)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_constructors_keep_their_elements(self, n):
+        full = all_signed_permutations(n)
+        cases = [
+            (hyperoctahedral_action(n), full),
+            (even_sign_action(n), [w for w in full if w.signs.count(-1) % 2 == 0]),
+            (permutation_action(n), [w for w in full if w.signs == (1,) * n]),
+            (trivial_action(n), [SignedPermutation.identity(n)]),
+        ]
+        for action, source in cases:
+            assert action.elements == tuple(sorted(source, key=lambda w: (w.images, w.signs)))
+            assert closed_by_brute_force(action.elements)
+
+    @pytest.mark.parametrize("family, size, names, order", [
+        ("Sp", 4, ("zeta", "zeta"), 8),
+        ("Sp", 4, ("zeta", "eta"), 4),
+        ("Sp", 4, ("1", "1"), 8),
+        ("Sp", 6, ("zeta",) * 3, 48),
+        ("Sp", 6, ("zeta", "zeta", "eta"), 16),
+        ("Sp", 6, ("zeta", "eta", "1"), 8),
+        ("SO", 5, ("zeta", "zeta"), 8),
+        ("SO", 4, ("zeta", "zeta"), 8),
+        ("SO", 7, ("zeta",) * 3, 48),
+        ("GL", 2, ("zeta",) * 2, 2),
+        ("GL", 3, ("zeta",) * 3, 6),
+        ("GL", 2, ("chi", "psi"), 1),
+    ])
+    def test_inertial_actions_build(self, family, size, names, order):
+        catalogue = FREE_CATALOGUE if "chi" in names else None
+        coords = tuple(line(name, catalogue=catalogue) for name in names)
+        action = _inertial_action(inertial_triple(PadicGroup(family, size), coords))
+        assert action.order == order
+        assert closed_by_brute_force(action.elements)
+
+    def test_b5_builds_in_bounded_time(self):
+        # in a subprocess, so that a slow closure check cannot hang the suite
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from abpscalc.extquot import hyperoctahedral_action; "
+             "print(hyperoctahedral_action(5).order)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and done.stdout.split() == ["3840"]
 
 
 class TestStabilizers:

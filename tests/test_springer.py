@@ -193,6 +193,18 @@ def test_block_error_names_group_and_labels():
     assert "labels in excess" in message and "missing" in message
 
 
+@pytest.mark.parametrize("group, name, engine_message", [
+    (Sp(14), "Sp14", "does not fit frame"),
+    (Orth(11), "O11", "marking moves collided"),
+])
+def test_engine_error_names_group_class_and_character(group, name, engine_message):
+    with pytest.raises(SpringerError) as exc:
+        springer_blocks(group)
+    message = str(exc.value)
+    assert message.startswith(f"{name}: class (") and ", character " in message
+    assert engine_message in message
+
+
 def test_sp8_depth_two_block_contents():
     g = Sp(8)
     blocks = springer_blocks(g)
