@@ -11,8 +11,8 @@ support map as an orbit map, temperedness and discreteness filters,
 packet grouping, and the block decomposition of an inertial packet.
 """
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .combicore import (
     Bipartition,
@@ -25,6 +25,7 @@ from .extquot import (
     SymbolicCoordinate,
     SymbolicTorusPoint,
     act,
+    full_torus,
     q_power,
     strata,
 )
@@ -39,12 +40,7 @@ from .langlands import (
     is_discrete,
     validate,
 )
-from .springer import (
-    ComplexGroup,
-    UnrecognizedStructure,
-    relative_weyl_group,
-    unipotent_classes,
-)
+from .springer import UnrecognizedStructure, unipotent_classes
 
 
 class MatchingError(ValueError):
@@ -80,9 +76,8 @@ class InertialTriple:
         return f"[GL1^{self.rank} ({coords}); {self.core}]"
 
 
-def inertial_triple(group, coordinates, core=FormalParameter(()),
-                    core_char=None) -> InertialTriple:
-    return InertialTriple(group, tuple(coordinates), core, core_char)
+def inertial_triple(group, coordinates, core=FormalParameter(())) -> InertialTriple:
+    return InertialTriple(group, tuple(coordinates), core)
 
 
 def _inertial_action(triple: InertialTriple) -> MonomialAction:
@@ -132,9 +127,7 @@ def build_inertial(G: PadicGroup, triple: InertialTriple) -> InertialData:
 
 def action_table(data: InertialData):
     """One row per group element: the images of the generic coordinates."""
-    t = SymbolicTorusPoint(
-        tuple(_generic_coordinate(i) for i in range(data.rank))
-    )
+    t = full_torus(data.rank).generic_point()
     rows = []
     for w in data.action.elements:
         rows.append((w, act(w, t)))
@@ -142,13 +135,6 @@ def action_table(data: InertialData):
                              + sum(r[0].images[i] != i + 1 for i in range(data.rank)),
                              str(r[1])))
     return rows
-
-
-def _generic_coordinate(i: int) -> SymbolicCoordinate:
-    from .extquot import free
-
-    name = "z" + "'" * i
-    return free(name)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +172,13 @@ def _rebuild(data, u) -> FormalParameter:
 def _support_signature(res):
     """What the cuspidal support looks like through inertial glasses:
     the number of GL(1) coordinates, the core parameter, and the
-    cuspidal block marks of the core factors."""
-    core = tuple(sorted(f"{l}^{a}" for l, a in res.core.summands))
-    marks = []
+    cuspidal block marks of the core factors, compared by value."""
     tri = res.core_triple
-    for i, f in enumerate(res.factors):
-        if f.kind == "GL":
-            continue
-        if tri.ds[i]:
-            marks.append((str(f.line), tri.core_partition(i).parts, tri.signs[i]))
-    return (len(res.coordinates), core, tuple(sorted(marks)))
+    marks = frozenset(
+        (f.line, tri.core_partition(i).parts, tri.signs[i])
+        for i, f in enumerate(res.factors) if f.kind != "GL" and tri.ds[i]
+    )
+    return (len(res.coordinates), res.core, marks)
 
 
 @dataclass(frozen=True)
@@ -208,7 +191,6 @@ class MuEntry:
     family: object  # the EQPoint when this pair starts a spectral family
     param: FormalParameter
     eta: object
-    data: object  # centralizer data at the stratum base
     u: object
     support: object
     cochar: tuple  # correcting exponent per coordinate, in sqrt-q units
@@ -274,8 +256,6 @@ _MINUS = Bipartition(Partition(()), Partition((1,)))
 def _slot_signs(gens, label):
     """Rewrite a character of a diagonal sign group, given on arbitrary
     generators, as one sign per flipped slot (0-based)."""
-    from itertools import combinations
-
     vecs = [frozenset(g) for g in gens]
     out = {}
     for s in sorted(set().union(*vecs)):
@@ -393,7 +373,7 @@ def mu(G: PadicGroup, triple: InertialTriple,
             phi, eta, udata, u, res = found.pop(key)
             entries.append(MuEntry(
                 st, irrep, families.get(irrep),
-                phi, eta, udata, u, res,
+                phi, eta, u, res,
                 _cochar(res, udata, fslots, slot_lines, triple.rank),
                 _component_label(triple, udata, u),
             ))

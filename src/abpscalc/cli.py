@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .combicore import BCSymbol, Partition, sign_twist, staircase, symbol_of_bipartition
@@ -23,7 +22,6 @@ from .langlands import (
     FormalParameter,
     PadicGroup,
     UnknownCharacter,
-    WFLine,
     component_groups,
     centralizer_display,
     centralizer_restriction,
@@ -133,15 +131,17 @@ def parse_parameter(text, catalogue=None) -> FormalParameter:
 # rendering
 
 
-def render(rows, fmt, columns):
+def render(rows, fmt):
+    """The table in ``md``, ``json`` or ``tsv``; the columns are the keys
+    of the rows, in the order the row builders insert them."""
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    columns = list(rows[0])
     if fmt == "tsv":
         lines = ["\t".join(columns)]
         lines += ["\t".join(str(r[c]) for c in columns) for r in rows]
         return "\n".join(lines) + "\n"
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
-              for c in columns}
+    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
     out = ["| " + " | ".join(c.ljust(widths[c]) for c in columns) + " |",
            "| " + " | ".join("-" * widths[c] for c in columns) + " |"]
     for r in rows:
@@ -218,6 +218,10 @@ def springer_rows(kind, size, generalized=True):
 
 
 def cuspidal_rows(family, bound):
+    """The full-group cuspidal data of the family up to size ``bound``
+    (``Sp(2 size)`` or ``SO(size)``); ``bound`` is at least 1."""
+    if bound < 1:
+        raise ValueError(f"cuspidal covers --max 1 and above, not {bound}")
     rows = []
     for size in range(1, bound + 1):
         group = Sp(2 * size) if family == "Sp" else SO(size)
@@ -388,24 +392,13 @@ def packet_rows():
 
 
 FIXTURES = {
-    "table1": (lambda: springer_rows("Sp", 6, generalized=False),
-               ["u", "a_group", "character", "symbol", "block", "label"]),
-    "table2": (lambda: springer_rows("Sp", 6),
-               ["u", "a_group", "character", "symbol", "block", "label"]),
-    "table3": (lambda: springer_rows("SO", 4),
-               ["u", "a_group", "character", "symbol", "block", "label",
-                "label_times_sign"]),
-    "table4": (action_rows, ["images", "signs", "result"]),
-    "table6": (parameters_rows,
-               ["parameter", "centralizer", "centralizer_connected",
-                "unipotent", "a_group", "a_generators", "a_connected",
-                "support_levis"]),
-    "table7": (packet_rows,
-               ["parameter", "base", "unipotent", "size", "matched",
-                "labels", "weyl"]),
-    "figure1": (abps_rows,
-                ["base", "irrep", "kind", "parameter", "character",
-                 "unipotent", "component", "correcting", "weyl"]),
+    "table1": lambda: springer_rows("Sp", 6, generalized=False),
+    "table2": lambda: springer_rows("Sp", 6),
+    "table3": lambda: springer_rows("SO", 4),
+    "table4": action_rows,
+    "table6": parameters_rows,
+    "table7": packet_rows,
+    "figure1": abps_rows,
 }
 
 
@@ -415,11 +408,10 @@ def write_fixtures(directory: Path, names=None):
     directory.mkdir(parents=True, exist_ok=True)
     changed = []
     for name in names or sorted(FIXTURES):
-        make, columns = FIXTURES[name]
-        rows = make()
+        rows = FIXTURES[name]()
         for fmt, ext in (("md", "md"), ("json", "json")):
             path = directory / f"{name}.{ext}"
-            text = render(rows, fmt, columns)
+            text = render(rows, fmt)
             old = path.read_text() if path.exists() else None
             if old != text:
                 path.write_text(text)
@@ -503,50 +495,50 @@ def build_parser():
     return parser
 
 
+def _group_and_parameter(args):
+    kind, size = _parse_group(args.group)
+    phi = parse_parameter(args.expr, _load_catalogue(args.chars))
+    return PadicGroup(kind, size), phi
+
+
+def _param(args):
+    record = param_record(*_group_and_parameter(args))
+    validate_record(record)
+    return json.dumps(record, indent=2, sort_keys=True) + "\n", 0
+
+
+def _fixtures(args):
+    names = None if args.all or not args.name else args.name
+    changed = write_fixtures(Path(args.dir), names)
+    return "".join(f"updated {path}\n" for path in changed), 1 if changed else 0
+
+
+def _table(rows):
+    """A command that prints the rows ``rows(args)`` in ``--format``."""
+    return lambda args: (render(rows(args), args.format), 0)
+
+
+# command -> function of the parsed arguments giving (stdout, exit code)
+COMMANDS = {
+    "springer": _table(lambda a: springer_rows(*_parse_group(a.group, a.rank), a.generalized)),
+    "cuspidal": _table(lambda a: cuspidal_rows(a.family, a.max)),
+    "extquot": _table(lambda a: extquot_rows(a.rank)),
+    "param": _param,
+    "support": _table(lambda a: support_rows(*_group_and_parameter(a))),
+    "abps": _table(lambda a: abps_rows()),
+    "fixtures": _fixtures,
+}
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "springer":
-            kind, size = _parse_group(args.group, args.rank)
-            rows = springer_rows(kind, size, generalized=args.generalized)
-            cols = ["u", "a_group", "character", "symbol", "block", "label"]
-            if kind == "SO":
-                cols.append("label_times_sign")
-            sys.stdout.write(render(rows, args.format, cols))
-        elif args.command == "cuspidal":
-            rows = cuspidal_rows(args.family, args.max)
-            sys.stdout.write(render(rows, args.format,
-                                    ["group", "partition", "character"]))
-        elif args.command == "extquot":
-            rows = extquot_rows(args.rank)
-            sys.stdout.write(render(rows, args.format,
-                                    ["base", "stabilizer", "irrep", "kind"]))
-        elif args.command == "param":
-            kind, size = _parse_group(args.group)
-            phi = parse_parameter(args.expr, _load_catalogue(args.chars))
-            record = param_record(PadicGroup(kind, size), phi)
-            validate_record(record)
-            sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        elif args.command == "support":
-            kind, size = _parse_group(args.group)
-            phi = parse_parameter(args.expr, _load_catalogue(args.chars))
-            rows = support_rows(PadicGroup(kind, size), phi)
-            sys.stdout.write(render(rows, args.format,
-                                    ["character", "levi", "support",
-                                     "correcting", "weyl"]))
-        elif args.command == "abps":
-            rows = abps_rows()
-            sys.stdout.write(render(rows, args.format, FIXTURES["figure1"][1]))
-        elif args.command == "fixtures":
-            names = None if args.all or not args.name else args.name
-            changed = write_fixtures(Path(args.dir), names)
-            for path in changed:
-                print(f"updated {path}")
-            return 1 if changed else 0
+        text, code = COMMANDS[args.command](args)
     except (SpringerError, ExpressionError, UnknownCharacter, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
+    sys.stdout.write(text)
+    return code
 
 
 def main():  # pragma: no cover - console entry

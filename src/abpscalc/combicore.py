@@ -340,13 +340,6 @@ class SignedPermutation:
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1)) and all(s == 1 for s in self.signs)
 
-    def order(self) -> int:
-        n, w = 1, self
-        while not w.is_identity():
-            w = w * self
-            n += 1
-        return n
-
     def __str__(self) -> str:
         bits = []
         for i in range(self.rank):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm
+from math import factorial, lcm
 from operator import mul
 
 from .combicore import (
@@ -135,6 +135,11 @@ class SymbolicTorusPoint:
 
 
 def point(*coords) -> SymbolicTorusPoint:
+    """A torus point.  Each coordinate is a :class:`SymbolicCoordinate`, a
+    free variable name, the number ``1`` or ``-1`` itself, or any other
+    number ``t``, read as the exponent of ``e^{2 pi i t}``.  So
+    ``point(-1)`` is the point -1, while :meth:`TorusCoset.contains_torsion`
+    reads ``-1`` as an exponent, the point 1."""
     out = []
     for c in coords:
         if isinstance(c, SymbolicCoordinate):
@@ -245,9 +250,9 @@ class TorusCoset:
         D = lcm(*(b.denominator for b in rhs))
         return D, tuple(b.numerator * (D // b.denominator) for b in rhs)
 
-    def generic_point(self, names=None) -> SymbolicTorusPoint:
-        if names is None:
-            names = ["z" + "'" * k for k in range(len(self.basis))]
+    def generic_point(self) -> SymbolicTorusPoint:
+        """The coset with one free variable ``z``, ``z'``, ... per basis row."""
+        names = ["z" + "'" * k for k in range(len(self.basis))]
         coords = []
         for j in range(self.rank):
             mono = tuple(
@@ -257,8 +262,11 @@ class TorusCoset:
         return SymbolicTorusPoint(tuple(coords))
 
     def contains_torsion(self, pt) -> bool:
-        """Membership of a point with all-rational coordinates: ``E x = E t
-        (mod Z)`` tested on integers over a common denominator."""
+        """Membership of a torsion point given by its exponents: the
+        number ``x`` stands for the coordinate ``e^{2 pi i x}``, so ``0``
+        and ``-1`` both mean the point 1 and ``1/2`` means -1 (unlike
+        :func:`point`).  ``E x = E t (mod Z)`` is tested on integers over
+        a common denominator."""
         E, _ = self.equations
         D, rhs = self._integer_rhs
         v = [x if type(x) in (int, Fraction) else Fraction(x) for x in pt]
@@ -525,14 +533,14 @@ def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
         if all(im == identity[0] for im, _ in restricted):
             diag_coords.extend(block)
             continue
-        full_b = {(w.images, w.signs) for w in all_signed_permutations(k)}
-        full_a = {f for f in full_b if f[1] == (1,) * k}
-        full_d = {f for f in full_b if f[1].count(-1) % 2 == 0}
-        if restricted == full_a:
+        # the restriction is a subgroup of W(B_k): it is S_k, W(B_k) or
+        # W(D_k) exactly when it has that group's order and sign condition
+        order, negatives = len(restricted), [s.count(-1) for _, s in restricted]
+        if order == factorial(k) and not any(negatives):
             pieces.append(("A", tuple(block)))
-        elif restricted == full_b:
+        elif order == 2 ** k * factorial(k):
             pieces.append(("B", tuple(block)))
-        elif restricted == full_d:
+        elif order == 2 ** (k - 1) * factorial(k) and all(n % 2 == 0 for n in negatives):
             pieces.append(("D", tuple(block)))
         else:
             raise UnrecognizedStructure(

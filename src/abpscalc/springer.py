@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from math import factorial, gcd
 
 from .combicore import (
     Bipartition,
@@ -36,7 +37,6 @@ from .combicore import (
     partitions,
     bipartitions,
     dlabels,
-    sign_twist,
 )
 
 
@@ -270,19 +270,11 @@ class SignCharacter:
         return "[" + " ".join(bits) + "]"
 
 
-def _gcd_all(parts):
-    from math import gcd
-    g = 0
-    for p in parts:
-        g = gcd(g, p)
-    return g
-
-
 def component_group(group: ComplexGroup, u: UnipotentClass) -> ComponentGroup:
     if len(u.partitions) != len(group.factors):
         raise SpringerError("class does not belong to this group")
     if len(group.factors) == 1 and group.factors[0].kind == "SL":
-        return ComponentGroup((), (), (), cyclic=_gcd_all(u.partitions[0].parts) or 1)
+        return ComponentGroup((), (), (), cyclic=gcd(*u.partitions[0].parts) or 1)
     gens, keys, cons = [], [], []
     prime_level = 0
     for fi, (factor, lam) in enumerate(zip(group.factors, u.partitions)):
@@ -584,7 +576,6 @@ def cuspidal_triples(group: ComplexGroup):
             opts.append((0, 0, 0))
         elif f.kind == "SL":
             opts.append((0, 0, 0))
-            from math import gcd
             for e in range(2, f.n + 1):
                 if f.n == e:  # full-group cuspidal data: faithful characters
                     opts.extend((0, 0, k) for k in range(1, e + 1) if gcd(k, e) == 1)
@@ -630,7 +621,6 @@ class RelativeWeylGroup:
 
     @property
     def order(self) -> int:
-        from math import factorial
         n = 1
         for t, k in self.pieces:
             if t == "A":
@@ -742,13 +732,11 @@ def enumerate_pairs(group: ComplexGroup):
     return out
 
 
-def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignCharacter,
-                         twisted: bool = True):
+def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignCharacter):
     """The correspondence on one pair: returns ``(triple, label)``.
 
     ``label`` is a tuple of per-factor character labels of the relative
-    Weyl group of ``triple``.  With ``twisted=False`` the labels are
-    composed with the sign character.
+    Weyl group of ``triple``.
 
     Orthogonal factor labels never depend on the choice of lifting of a
     constrained character, because positive-defect markings delegate to
@@ -786,21 +774,18 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
         signs.append(sign)
         labels.append(label)
     triple = CuspidalTriple(group, tuple(ds), _canonical_signs(group, signs))
-    labels = tuple(labels)
-    if not twisted:
-        labels = tuple(sign_twist(l) for l in labels)
-    return triple, labels
+    return triple, tuple(labels)
 
 
 @lru_cache(maxsize=None)
-def springer_blocks(group: ComplexGroup, twisted: bool = True):
+def springer_blocks(group: ComplexGroup):
     """The full correspondence: maps each block (cuspidal triple) to the
     list of its pairs with their labels.  Raises if any block fails to
     biject with the characters of its relative Weyl group."""
     blocks = {}
     for u, ch in enumerate_pairs(group):
         try:
-            triple, label = generalized_springer(group, u, ch, twisted=twisted)
+            triple, label = generalized_springer(group, u, ch)
         except SpringerError as exc:
             raise type(exc)(f"{group}: class {u}, character {ch}: {exc}") from exc
         blocks.setdefault(triple, []).append((u, ch, label))
@@ -841,10 +826,9 @@ def _label_list(labels: Counter) -> str:
                                   for combo in labels.elements())) + "]"
 
 
-def generalized_springer_inverse(group: ComplexGroup, triple: CuspidalTriple, label,
-                                 twisted: bool = True):
+def generalized_springer_inverse(group: ComplexGroup, triple: CuspidalTriple, label):
     """The pair mapping to ``(triple, label)``."""
-    for t, rows in springer_blocks(group, twisted).items():
+    for t, rows in springer_blocks(group).items():
         if t != triple:
             continue
         for u, ch, lab in rows:

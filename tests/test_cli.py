@@ -3,6 +3,8 @@ and fixture idempotence."""
 
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from abpscalc import cli
 from abpscalc.extquot import MAX_RANK
 from abpscalc.langlands import FormalParameter, PadicGroup, line
 
+ROOT = Path(__file__).resolve().parent.parent
 
 ROUND_TRIP = [
     "1 + zeta + zeta*S[3]",
@@ -204,6 +207,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "SpringerError" in captured.err
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_cuspidal_refuses_max_below_one(self, bound, capsys):
+        assert cli.run(["cuspidal", "--family", "Sp", "--max", str(bound)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ValueError:") and "--max 1" in captured.err
+
     def test_extquot_refuses_negative_rank(self, capsys):
         assert cli.run(["extquot", "--rank", "-1"]) == 1
         assert f"ranks 0 to {MAX_RANK}" in capsys.readouterr().err
@@ -218,3 +228,23 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 1
         assert f"ranks 0 to {MAX_RANK}" in done.stderr
+
+
+def readme_commands():
+    """The ``abpscalc`` lines of the README's "Command line" block, as
+    argument lists without the program name."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(l, comments=True)[1:] for l in block.splitlines()
+            if l.startswith("abpscalc ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    shutil.copytree(ROOT / "fixtures", tmp_path, dirs_exist_ok=True)
+    for argv in commands:
+        if argv[0] == "fixtures":
+            argv = argv + ["--dir", str(tmp_path)]
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()

@@ -23,6 +23,7 @@ from abpscalc.extquot import (
     ONE,
     MonomialAction,
     RankMismatch,
+    _canonical_coset,
     _has_connected_hyperplane,
     act,
     act_coset,
@@ -171,6 +172,36 @@ def element_lists(draw):
     return sorted(group, key=lambda w: (w.images, w.signs)) or [pool[0]]
 
 
+@lru_cache(maxsize=None)
+def fixed_locus_cosets():
+    """Every coset in a fixed locus of an element of B1 to B4."""
+    cosets = {c for n in range(1, 5) for w in hyperoctahedral_action(n).elements
+              for c in fixed_locus(w)}
+    return tuple(sorted(cosets, key=lambda c: (c.rank, c.dimension, c.basis, c.translation)))
+
+
+@st.composite
+def presentations(draw, c):
+    """Another basis and translation of the coset ``c``: unimodular row
+    operations on its basis, and its translation moved along the basis
+    and by an integer vector."""
+    rows = [list(r) for r in c.basis]
+    d = len(rows)
+    for _ in range(draw(st.integers(0, 8)) if d else 0):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            k = draw(st.integers(-3, 3))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    rows = [rows[i] for i in draw(st.permutations(range(d)))]
+    t = list(c.translation)
+    for row in rows:
+        k = draw(fractions_to_12)
+        t = [a + k * b for a, b in zip(t, row)]
+    return rows, [a + draw(st.integers(-3, 3)) for a in t]
+
+
 def bp(alpha, beta):
     return Bipartition(Partition(alpha), Partition(beta))
 
@@ -266,6 +297,15 @@ class TestFixedLoci:
             for v in B2.elements:
                 for c in fixed_locus(w):
                     assert act_coset(v, act_coset(v.inverse(), c)) == c
+
+
+class TestCanonicalCoset:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_canonical_form_ignores_the_presentation(self, data):
+        c = data.draw(st.sampled_from(fixed_locus_cosets()))
+        rows, t = data.draw(presentations(c))
+        assert _canonical_coset(c.rank, rows, t) == c
 
 
 class TestIntersection:
@@ -436,6 +476,21 @@ class TestStrata:
     def test_rank_bound(self):
         with pytest.raises(ValueError):
             strata(trivial_action(7))
+
+    def test_closure_adds_intersections_of_fixed_loci(self):
+        # each sign flip fixes four lines; lines of two flips meet in the
+        # points (+-1, +-1, +-1), which no single fixed locus contains
+        # as a component
+        flips = [SignedPermutation((1, 2, 3), s)
+                 for s in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]]
+        pool = {c for w in flips for c in fixed_locus(w)}
+        assert len(pool) == 13
+        sts = strata(MonomialAction(tuple(flips)))
+        assert len(sts) == 21
+        points = [s for s in sts if s.dimension == 0]
+        assert {s.base for s in points} == {point(*p) for p in product((1, -1), repeat=3)}
+        assert {s.group.structure() for s in points} == {"Z/2 x Z/2"}
+        assert not pool & {s.coset for s in points}
 
 
 class TestSpectralQuotient:
