@@ -281,6 +281,7 @@ def param_record(group, phi):
 
 
 def support_rows(group, phi):
+    validate(group, phi)
     data, chars = enhancements(group, phi)
     rows = []
     for eta in chars:

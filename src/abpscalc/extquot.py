@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
-from math import factorial, lcm
+from itertools import product
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .combicore import (
@@ -60,7 +60,9 @@ class SymbolicCoordinate:
     monomial: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", Fraction(self.torsion) % 1)
+        t = self.torsion
+        if type(t) is not Fraction or not 0 <= t.numerator < t.denominator:
+            object.__setattr__(self, "torsion", Fraction(t) % 1)
         object.__setattr__(self, "qexp", int(self.qexp))
         object.__setattr__(self, "monomial", _norm_monomial(self.monomial))
 
@@ -72,6 +74,8 @@ class SymbolicCoordinate:
         )
 
     def __pow__(self, k: int) -> "SymbolicCoordinate":
+        if k == 1:
+            return self
         return SymbolicCoordinate(
             self.torsion * k,
             self.qexp * k,
@@ -207,7 +211,9 @@ class TorusCoset:
 
     ``basis`` rows generate the cocharacter lattice of the identity
     component; the stored form is canonical (Hermite basis, translation
-    reduced modulo one and modulo the basis span).
+    reduced modulo one and modulo the basis span).  Translations are
+    computed as integer numerators over one common denominator and
+    stored reduced, as ``Fraction`` coordinates in ``[0, 1)``.
 
     The coset is cut out exactly by its :attr:`equations` ``E x = E t
     (mod Z)``: a point lies in the coset if and only if it satisfies
@@ -229,6 +235,13 @@ class TorusCoset:
         return len(self.basis)
 
     @cached_property
+    def _scaled_translation(self):
+        """``(L, L * t)``: the translation over its common denominator
+        ``L``, as integers."""
+        L = lcm(*(x.denominator for x in self.translation))
+        return L, tuple(x.numerator * (L // x.denominator) for x in self.translation)
+
+    @cached_property
     def equations(self):
         """``(E, E t)``: the integral equations of the coset and their
         right-hand sides."""
@@ -239,8 +252,8 @@ class TorusCoset:
             S, _, V = smith_normal_form(self.basis)
             r = sum(1 for i in range(min(len(self.basis), n)) if S[i][i])
             E = tuple(tuple(V[i][j] for i in range(n)) for j in range(r, n))
-        rhs = tuple(sum(row[j] * self.translation[j] for j in range(n)) for row in E)
-        return E, rhs
+        L, t = self._scaled_translation
+        return E, tuple(Fraction(sum(map(mul, row, t)), L) for row in E)
 
     @cached_property
     def _integer_rhs(self):
@@ -279,15 +292,30 @@ class TorusCoset:
         return str(self.generic_point())
 
 
-def _canonical_coset(rank, rows, translation) -> TorusCoset:
+def _canonical_coset(rank, rows, translation, denominator=None) -> TorusCoset:
+    """The canonical form of the coset ``translation + span(rows)``.
+
+    ``translation`` holds rational numbers, or, when ``denominator`` is
+    given, integer numerators over it.  Either way it is reduced on
+    integers: each Hermite row with pivot entry ``a`` clears the pivot
+    coordinate, which multiplies the common denominator by at most
+    ``a``, and ``Fraction`` appears only in the stored result.
+    """
     basis = _row_hnf(rows, rank)
-    t = [Fraction(x) for x in translation]
+    if denominator is None:
+        t = [Fraction(x) for x in translation]
+        L = lcm(*(x.denominator for x in t))
+        nums = [x.numerator * (L // x.denominator) for x in t]
+    else:
+        L, nums = denominator, translation
     for row in basis:
         p = next(j for j, x in enumerate(row) if x)
-        c = t[p] / row[p]
-        t = [a - c * b for a, b in zip(t, row)]
-    t = tuple(x % 1 for x in t)
-    return TorusCoset(rank, tuple(basis), t)
+        g = gcd(row[p], nums[p])
+        a, c = row[p] // g, nums[p] // g
+        # t - (t_p / row_p) row, over the denominator L * a
+        nums = [a * x - c * b for x, b in zip(nums, row)]
+        L *= a
+    return TorusCoset(rank, tuple(basis), tuple(Fraction(x % L, L) for x in nums))
 
 
 def full_torus(rank: int) -> TorusCoset:
@@ -297,28 +325,39 @@ def full_torus(rank: int) -> TorusCoset:
 
 def _solve_torus(A, b, rank):
     """All solutions of ``A x = b (mod Z)`` on the rank-``rank`` torus,
-    as a list of canonical cosets."""
+    as a list of canonical cosets.
+
+    With ``U A V = S`` the Smith form and ``D`` the common denominator
+    of ``b``, everything runs on integers: ``x = V y`` solves the system
+    when ``d_i y_i = (U b)_i (mod Z)`` for the elementary divisors
+    ``d_i``, and ``(U b)_i`` is integral past them.  The candidate
+    translations ``y_i = ((U b)_i + k_i) / d_i``, ``0 <= k_i < d_i``,
+    share the denominator ``D * lcm(d_i)``.
+    """
     m = len(A)
     if m == 0:
         return [full_torus(rank)]
     S, U, V = smith_normal_form(A)
-    c = [sum(U[i][j] * Fraction(b[j]) for j in range(m)) for i in range(m)]
+    D = lcm(*(x.denominator for x in b))
+    B = [x.numerator * (D // x.denominator) for x in b]
+    c = [sum(map(mul, row, B)) for row in U]
     divisors = []
     r = 0
     for i in range(min(m, rank)):
         if S[i][i]:
             divisors.append(abs(S[i][i]))
             r += 1
-    for i in range(r, m):
-        if c[i] % 1 != 0:
-            return []
+    if any(c[i] % D for i in range(r, m)):
+        return []
     rows = [tuple(V[i][j] for i in range(rank)) for j in range(r, rank)]
-    out = []
+    M = lcm(*divisors)
+    scale = [M // d for d in divisors]
+    out = set()
     for ks in product(*(range(d) for d in divisors)):
-        psi = [(c[i] + ks[i]) / divisors[i] for i in range(r)] + [Fraction(0)] * (rank - r)
-        theta = [sum(V[i][j] * psi[j] for j in range(rank)) for i in range(rank)]
-        out.append(_canonical_coset(rank, rows, theta))
-    return sorted(set(out), key=_coset_key)
+        psi = [(c[i] + ks[i] * D) * scale[i] for i in range(r)]
+        theta = [sum(map(mul, V[i][:r], psi)) for i in range(rank)]
+        out.add(_canonical_coset(rank, rows, theta, D * M))
+    return sorted(out, key=_coset_key)
 
 
 def _coset_key(c: TorusCoset):
@@ -339,14 +378,19 @@ def intersect_cosets(c1: TorusCoset, c2: TorusCoset):
     return _solve_torus(E1 + E2, b1 + b2, c1.rank)
 
 
+def _signed_image(w: SignedPermutation, v):
+    """The vector ``w v``: entry ``i`` of ``v`` moves to ``w(i)`` with
+    the sign of ``w`` there."""
+    out = [0] * len(v)
+    for x, i, s in zip(v, w.images, w.signs):
+        out[i - 1] = s * x
+    return out
+
+
 def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
-    M = w.matrix()
-    rows = [
-        tuple(sum(M[i][j] * row[j] for j in range(c.rank)) for i in range(c.rank))
-        for row in c.basis
-    ]
-    t = [sum(M[i][j] * c.translation[j] for j in range(c.rank)) for i in range(c.rank)]
-    return _canonical_coset(c.rank, rows, t)
+    L, t = c._scaled_translation
+    rows = [_signed_image(w, row) for row in c.basis]
+    return _canonical_coset(c.rank, rows, _signed_image(w, t), L)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +408,8 @@ class MonomialAction:
     with the generators, every product being looked up in the list.  A
     finite set that contains the identity and is closed under left
     multiplication by a generating subset is the group they generate, so
-    about ``order * len(generators)`` products decide closure.
+    about ``order * len(generators)`` products decide closure.  The
+    generators found are kept as :attr:`generators`.
     """
 
     elements: tuple
@@ -397,6 +442,7 @@ class MonomialAction:
                             reached.add(y)
                             fresh.append(y)
                 frontier, todo = fresh, gens
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def rank(self) -> int:
@@ -576,7 +622,14 @@ def stabilizer(action: MonomialAction, t: SymbolicTorusPoint) -> RecognizedSubgr
     """All elements fixing ``t`` with its free variables generic."""
     if t.rank != action.rank:
         raise RankMismatch(f"rank {t.rank} point under rank {action.rank} action")
-    fix = tuple(w for w in action.elements if act(w, t) == t)
+    # act(w, t) == t, with each coordinate inverted once rather than
+    # once per element
+    power = {1: t.coords, -1: tuple(c.inverse() for c in t.coords)}
+    fix = tuple(
+        w
+        for w in action.elements
+        if all(t.coords[j - 1] == power[s][i] for i, (j, s) in enumerate(zip(w.images, w.signs)))
+    )
     return recognize_subgroup(fix, action.rank)
 
 
@@ -622,13 +675,33 @@ class Stratum:
         return f"{self.base} : {self.group.structure()}"
 
 
+def _coset_orbit(action: MonomialAction, c: TorusCoset):
+    """The orbit of ``c``, sorted, reached from ``c`` by the generators."""
+    orbit, frontier = {c}, {c}
+    while frontier:
+        frontier = {act_coset(g, x) for x in frontier for g in action.generators} - orbit
+        orbit |= frontier
+    return sorted(orbit, key=_coset_key)
+
+
 # the largest rank that strata accepts: B7 alone has 645,120 elements
 MAX_RANK = 6
 
 
 def strata(action: MonomialAction):
     """Canonical representatives of the stabilizer strata of the action,
-    one per orbit, ordered by decreasing dimension."""
+    one per orbit, ordered by decreasing dimension.
+
+    The strata come from the pool of the full torus and every fixed
+    locus, closed under intersection.  The pool is W-stable, because
+    ``v Fix(w) = Fix(v w v^-1)``, and so is every intersection of its
+    members.  So when ``c1 = v r`` for an orbit representative ``r``,
+    the intersection ``c1 & c2 = v (r & v^-1 c2)`` is known up to W from
+    representatives alone: each new orbit's representative meets the
+    pool, whatever the meeting adds joins with its whole orbit, and
+    this repeats until nothing new appears.  Two new representatives
+    need to meet only one of the two orbits, for the same reason.
+    """
     n = action.rank
     if n > MAX_RANK:
         raise ValueError(f"stratification limited to rank {MAX_RANK}")
@@ -636,23 +709,32 @@ def strata(action: MonomialAction):
     for w in action.elements:
         if w != action.identity():
             pool.update(fixed_locus(w))
-    frontier = list(pool)
-    while frontier:
-        fresh = []
-        for c1, c2 in combinations(sorted(pool, key=_coset_key), 2):
-            for c in intersect_cosets(c1, c2):
-                if c not in pool:
-                    fresh.append(c)
-        pool.update(fresh)
-        frontier = fresh
+    orbit_of = {}
     orbits = []
-    seen = set()
-    for c in sorted(pool, key=_coset_key):
-        if c in seen:
-            continue
-        orbit = {act_coset(w, c) for w in action.elements}
-        seen |= orbit
-        orbits.append(sorted(orbit, key=_coset_key))
+
+    def new_orbits(cosets):
+        reps = []
+        for c in cosets:
+            if c not in orbit_of:
+                orbit = _coset_orbit(action, c)
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+                orbits.append(orbit)
+                reps.append(orbit[0])
+        return reps
+
+    met = []
+    fresh = new_orbits(pool)
+    while fresh:
+        found = set()
+        # each new representative meets the older orbits, its own, and
+        # the orbits of the new representatives after it
+        for r in reversed(fresh):
+            met += orbit_of[r]
+            for c in met:
+                if c != r:
+                    found.update(intersect_cosets(r, c))
+        fresh = new_orbits(found)
+    orbits.sort(key=lambda orbit: _coset_key(orbit[0]))
     out = []
     for orbit in orbits:
         # prefer the representative whose stabilizer has recognized

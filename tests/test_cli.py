@@ -196,6 +196,15 @@ class TestExitCodes:
         assert cli.run(["param", "--group", "Sp4", "--expr", "zeta"]) == 1
         assert "DimensionMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group, expr, need", [
+        ("SO5", "zeta*(S[3]+S[1])+1", 4),
+        ("Sp4", "zeta*S[4]", 5),
+    ])
+    def test_support_checks_the_dimension_first(self, group, expr, need, capsys):
+        assert cli.run(["support", "--group", group, "--expr", expr]) == 1
+        err = capsys.readouterr().err
+        assert "DimensionMismatch" in err and f"(need {need})" in err
+
     @pytest.mark.parametrize("group, kind", [("GL3", "GL"), ("SL4", "SL"), ("O5", "O")])
     def test_springer_refuses_other_kinds(self, group, kind, capsys):
         assert cli.run(["springer", "--group", group]) == 1

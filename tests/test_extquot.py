@@ -25,6 +25,7 @@ from abpscalc.extquot import (
     RankMismatch,
     _canonical_coset,
     _has_connected_hyperplane,
+    _solve_torus,
     act,
     act_coset,
     eq_pairs,
@@ -69,12 +70,18 @@ def generated(gens):
     return out
 
 
+# the sign flips of an even number of coordinates of a rank-3 torus
+KLEIN_FOUR = MonomialAction(tuple(
+    SignedPermutation((1, 2, 3), s)
+    for s in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]))
+
+
 @lru_cache(maxsize=None)
-def closure_pool(n):
-    """The full torus and every fixed locus of B_n, closed under
+def closure_pool(action):
+    """The full torus and every fixed locus of the action, closed under
     pairwise intersection, in a fixed order."""
-    pool = {full_torus(n)}
-    for w in hyperoctahedral_action(n).elements:
+    pool = {full_torus(action.rank)}
+    for w in action.elements:
         pool.update(fixed_locus(w))
     fresh = pool
     while fresh:
@@ -299,6 +306,34 @@ class TestFixedLoci:
                     assert act_coset(v, act_coset(v.inverse(), c)) == c
 
 
+# rational right-hand sides with denominators 1, 2, 3, 4 and 6
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+class TestSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rational_right_hand_sides(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 3))
+        A = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+        b = data.draw(st.lists(small_rationals, min_size=m, max_size=m))
+        cosets = _solve_torus(A, b, n)
+        for c in cosets:
+            assert _canonical_coset(c.rank, c.basis, c.translation) == c
+
+        def solves(p):
+            x = [Fraction(v) for v in p]
+            return all((sum(a * v for a, v in zip(row, x)) - rhs).denominator == 1
+                       for row, rhs in zip(A, b))
+
+        drawn = [data.draw(points_on(c)) for c in cosets]
+        grid = product([Fraction(k, 12) for k in range(12)], repeat=n)
+        for p in [*drawn, *grid]:
+            assert any(c.contains_torsion(p) for c in cosets) == solves(p)
+
+
 class TestCanonicalCoset:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -339,7 +374,7 @@ class TestIntersection:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_intersection_membership_off_the_eighth_grid(self, data):
-        pool = closure_pool(2)
+        pool = closure_pool(B2)
         c1 = data.draw(st.sampled_from(pool))
         c2 = data.draw(st.sampled_from(pool))
         p = data.draw(st.one_of(torsion_points(2), points_on(c1), points_on(c2)))
@@ -396,6 +431,13 @@ class TestClosureCheck:
         for action, source in cases:
             assert action.elements == tuple(sorted(source, key=lambda w: (w.images, w.signs)))
             assert closed_by_brute_force(action.elements)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_generators_generate(self, n):
+        for action in (hyperoctahedral_action(n), even_sign_action(n),
+                       permutation_action(n), trivial_action(n)):
+            gens = list(action.generators) or [action.identity()]
+            assert generated(gens) == set(action.elements)
 
     @pytest.mark.parametrize("family, size, names, order", [
         ("Sp", 4, ("zeta", "zeta"), 8),
@@ -491,6 +533,29 @@ class TestStrata:
         assert {s.base for s in points} == {point(*p) for p in product((1, -1), repeat=3)}
         assert {s.group.structure() for s in points} == {"Z/2 x Z/2"}
         assert not pool & {s.coset for s in points}
+
+    @pytest.mark.parametrize("n, count", [(2, 7), (3, 14)])
+    def test_hyperoctahedral_counts(self, n, count):
+        assert len(strata(hyperoctahedral_action(n))) == count
+
+    @pytest.mark.parametrize("action", [B2, B3, KLEIN_FOUR], ids=["B2", "B3", "klein_four"])
+    def test_orbits_of_strata_are_the_closure_pool(self, action):
+        # strata() closes the pool from orbit representatives only; the
+        # oracle intersects every pair
+        orbits = {act_coset(w, s.coset) for s in strata(action) for w in action.elements}
+        assert orbits == set(closure_pool(action))
+
+    def test_b4_in_bounded_time(self):
+        # in a subprocess, so that a slow closure cannot hang the suite
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from abpscalc.extquot import hyperoctahedral_action, strata; "
+             "print(len(strata(hyperoctahedral_action(4))))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and done.stdout.split() == ["26"]
 
 
 class TestSpectralQuotient:
