@@ -172,7 +172,9 @@ def sign_twist(label):
 
     For bipartitions (hyperoctahedral groups) this swaps the two
     components and transposes each.  For :class:`DLabel` it transposes
-    both components; for split labels the primed tag toggles.
+    both components; for split labels the primed tag toggles, except on
+    the empty pair, the character of the trivial group W(D0), whose
+    sign character is trivial.
     """
     if isinstance(label, Bipartition):
         return Bipartition(label.beta.conjugate(), label.alpha.conjugate())
@@ -180,8 +182,7 @@ def sign_twist(label):
         a = label.alpha.conjugate()
         b = label.beta.conjugate()
         if a == b:
-            primed = not label.primed if label.split else False
-            return DLabel(a, b, primed=primed)
+            return DLabel(a, b, primed=label.primed != bool(a))
         return DLabel(a, b)
     if isinstance(label, Partition):
         return label.conjugate()

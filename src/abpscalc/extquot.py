@@ -64,7 +64,18 @@ class SymbolicCoordinate:
         if type(t) is not Fraction or not 0 <= t.numerator < t.denominator:
             object.__setattr__(self, "torsion", Fraction(t) % 1)
         object.__setattr__(self, "qexp", int(self.qexp))
-        object.__setattr__(self, "monomial", _norm_monomial(self.monomial))
+        m = self.monomial
+        object.__setattr__(self, "monomial", _norm_monomial(m) if m else ())
+
+    def __hash__(self) -> int:
+        """Hash of the fields the dataclass ``__eq__`` compares, with the
+        torsion as its numerator and denominator.  ``__post_init__``
+        stores the torsion as a ``Fraction`` in [0, 1), always in lowest
+        terms, so equal coordinates have equal numerators and
+        denominators, and hashing the two integers agrees with ``__eq__``
+        without the cost of ``Fraction.__hash__``."""
+        t = self.torsion
+        return hash((t.numerator, t.denominator, self.qexp, self.monomial))
 
     def __mul__(self, other: "SymbolicCoordinate") -> "SymbolicCoordinate":
         return SymbolicCoordinate(
@@ -91,10 +102,11 @@ class SymbolicCoordinate:
 
     def __str__(self) -> str:
         parts = []
-        if self.torsion == Fraction(1, 2):
+        t = self.torsion  # in lowest terms in [0, 1): denominator 2 is 1/2
+        if t.denominator == 2:
             parts.append("-1")
-        elif self.torsion:
-            parts.append(f"zeta{self.torsion.denominator}^{self.torsion.numerator}")
+        elif t.numerator:
+            parts.append(f"zeta{t.denominator}^{t.numerator}")
         if self.qexp:
             parts.append("q^{%s/2}" % self.qexp if self.qexp % 2 else f"q^{self.qexp // 2}")
         for name, e in self.monomial:
@@ -684,8 +696,9 @@ def _coset_orbit(action: MonomialAction, c: TorusCoset):
     return sorted(orbit, key=_coset_key)
 
 
-# the largest rank that strata accepts: B7 alone has 645,120 elements
-MAX_RANK = 6
+# the largest rank that strata accepts, its measured reach: strata(B5)
+# answers in seconds, strata(B6) takes minutes
+MAX_RANK = 5
 
 
 def strata(action: MonomialAction):

@@ -22,9 +22,6 @@ from .springer import (
     CuspidalTriple,
     GroupFactor,
     SignCharacter,
-    SO,
-    Sp,
-    GL,
     UnipotentClass,
     component_group,
     generalized_springer,
@@ -124,7 +121,16 @@ class WFLine:
 
     @property
     def is_selfdual(self) -> bool:
-        return self.base.selfdual != "none" and self.twist == self.twist.inverse()
+        """Whether the line equals its dual: the character is declared
+        self-dual and the twist is its own inverse, that is, the twist
+        has no ``q`` power and no monomial, and its torsion is 0 or 1/2."""
+        t = self.twist
+        return (
+            self.base.selfdual != "none"
+            and t.qexp == 0
+            and not t.monomial
+            and t.torsion.denominator <= 2
+        )
 
     def __str__(self) -> str:
         t = str(self.twist)
@@ -162,21 +168,23 @@ class PadicGroup:
             raise ValueError("symplectic groups have even size")
 
     def dual(self) -> ComplexGroup:
-        if self.family == "Sp":
-            return SO(self.size + 1)
-        if self.family == "SO" and self.size % 2:
-            return Sp(self.size - 1)
-        if self.family == "SO":
-            return SO(self.size)
-        return GL(self.size)
+        return ComplexGroup((GroupFactor(self.dual_kind, self.dual_dim),))
 
     @property
     def dual_dim(self) -> int:
-        return self.dual().factors[0].n
+        if self.family == "Sp":
+            return self.size + 1
+        if self.family == "SO" and self.size % 2:
+            return self.size - 1
+        return self.size
 
     @property
     def dual_kind(self) -> str:
-        return self.dual().factors[0].kind
+        """Sp(2n) is dual to SO(2n+1), SO(2n+1) to Sp(2n), SO(2n) to
+        itself and GL(n) to itself."""
+        if self.family == "SO" and self.size % 2:
+            return "Sp"
+        return "SO" if self.family == "Sp" else self.family
 
     def __str__(self) -> str:
         return f"{self.family}{self.size}(F)"
@@ -320,29 +328,28 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     per_line = {}
     for l, a in phi.summands:
         per_line.setdefault(l, []).append(a)
-    gl, selfdual = [], []
-    used = set()
-    for l in per_line:
-        if l in used:
+    kind = "Sp" if G.dual_kind == "Sp" else "O"
+    gl, selfdual = [], []  # (sort key, factor)
+    paired = set()  # dual lines already taken into a GL pair
+    for l, mult in per_line.items():
+        if l in paired:
             continue
-        parts = Partition(sorted(per_line[l], reverse=True))
-        if l.is_selfdual and G.family != "GL":
-            kind = "Sp" if G.dual_kind == "Sp" else "O"
-            selfdual.append(IsotypicFactor(l, None, kind, parts))
-            used.add(l)
+        parts = Partition(sorted(mult, reverse=True))
+        name = str(l)
+        if G.family == "GL" or l.base.selfdual == "none":
+            gl.append((name, IsotypicFactor(l, None, "GL", parts)))
+        elif l.is_selfdual:
+            selfdual.append(((-sum(parts.parts), name), IsotypicFactor(l, None, kind, parts)))
         else:
-            d = l.dual() if l.base.selfdual != "none" else None
-            if G.family == "GL" or d is None or d == l:
-                gl.append(IsotypicFactor(l, None, "GL", parts))
-                used.add(l)
-            else:
-                rep, other = sorted((l, d), key=str)
-                if per_line.get(d, []) and sorted(per_line[d]) != sorted(per_line[l]):
-                    raise TypeMismatch(f"dual pair {l}, {d} has mismatched parts")
-                gl.append(IsotypicFactor(rep, other, "GL", parts))
-                used |= {l, d}
-    gl.sort(key=lambda f: str(f.line))
-    selfdual.sort(key=lambda f: (-sum(f.parts.parts), str(f.line)))
+            d = l.dual()
+            dname = str(d)
+            if per_line.get(d) and sorted(per_line[d]) != sorted(mult):
+                raise TypeMismatch(f"dual pair {l}, {d} has mismatched parts")
+            rep, other = (l, d) if name <= dname else (d, l)
+            gl.append((min(name, dname), IsotypicFactor(rep, other, "GL", parts)))
+            paired.add(d)
+    gl = [f for _, f in sorted(gl, key=lambda kf: kf[0])]
+    selfdual = [f for _, f in sorted(selfdual, key=lambda kf: kf[0])]
     factors, pieces = [], []
     for f in gl:
         factors.append(f)
@@ -520,13 +527,14 @@ def cuspidal_support(G: PadicGroup, phi: FormalParameter,
         triple, labels = generalized_springer(data.group, u, eta)
     except ValueError as exc:
         raise InvalidEnhancement(str(exc)) from exc
-    coords, core_summands = [], []
+    coords, core_summands = [], []  # coords: ((-e, name of the line), (line, e))
     for i, f in enumerate(data.factors):
-        E = Counter(_weight_expansion(f.parts.parts))
+        name = str(f.line)
         if f.kind == "GL":
-            for e in sorted(E.elements(), reverse=True):
-                coords.append((f.line, e))
+            for e in sorted(_weight_expansion(f.parts.parts), reverse=True):
+                coords.append(((-e, name), (f.line, e)))
             continue
+        E = Counter(_weight_expansion(f.parts.parts))
         core_parts = triple.core_partition(i).parts
         for a in core_parts:
             core_summands.append((f.line, a))
@@ -539,8 +547,8 @@ def cuspidal_support(G: PadicGroup, phi: FormalParameter,
                 raise InvalidEnhancement(
                     f"unpaired weight {e} in factor {f.line}"
                 )
-            coords.append((f.line, e))
-    coords.sort(key=lambda c: (-c[1], str(c[0])))
+            coords.append(((-e, name), (f.line, e)))
+    coords = [c for _, c in sorted(coords, key=lambda kc: kc[0])]
     core_dim = sum(l.dim * a for l, a in core_summands)
     pieces = [GroupFactor("GL", 1)] * len(coords)
     if G.family != "GL":

@@ -611,10 +611,12 @@ def cuspidal_triples(group: ComplexGroup):
 class RelativeWeylGroup:
     """The relative Weyl group of a cuspidal triple, as a product of
     recognized pieces.  Piece types: ``A`` (symmetric group on n+1
-    letters, labels = partitions), ``B`` (signed permutations, labels =
-    bipartitions), ``D`` (even signed permutations, labels = unordered
-    pairs with split labels doubled).  ``coupled`` marks a joint
-    even-sign condition across all B pieces, one of them of positive rank."""
+    letters, labels = partitions; ``A`` of rank -1 is the trivial S0),
+    ``B`` (signed permutations, labels = bipartitions), ``D`` (even
+    signed permutations, labels = unordered pairs with split labels
+    doubled, except for the trivial W(D0), whose one pair is one label).
+    ``coupled`` marks a joint even-sign condition across all B pieces,
+    one of them of positive rank."""
 
     pieces: tuple[tuple[str, int], ...]
     coupled: bool = False
@@ -634,9 +636,9 @@ class RelativeWeylGroup:
         return n
 
     def structure(self) -> str:
-        if not self.pieces or all(k == 0 for _, k in self.pieces):
+        if all(k <= 0 for _, k in self.pieces):
             return "1"
-        bits = [f"W({t}{k})" for t, k in self.pieces if k]
+        bits = [f"W({t}{k})" for t, k in self.pieces if k > 0]
         s = "x".join(bits)
         return ("S[" + s + "]") if self.coupled else s
 
@@ -648,7 +650,7 @@ class RelativeWeylGroup:
             elif t == "B":
                 per.append(bipartitions(k))
             else:
-                per.append(dlabels(k))
+                per.append(dlabels(k) if k else dlabels(k)[:1])
         combos = [tuple(c) for c in iproduct(*per)] if per else [()]
         if not self.coupled:
             return combos
@@ -684,7 +686,7 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
         k = triple.gl_rank(i)
         d = triple.ds[i]
         if f.kind in ("GL", "SL"):
-            pieces.append(("A", max(k - 1, 0)))
+            pieces.append(("A", k - 1))
         elif f.kind == "Sp":
             pieces.append(("B", k))
         elif f.kind == "SO":

@@ -285,3 +285,18 @@ class TestFreeAction:
     def test_support_not_injective_on_sp4(self):
         orbits = [support_orbit(e, MD) for e in MD.entries]
         assert len(set(orbits)) < len(orbits)
+
+
+class TestLargestCorpusTriple:
+    """Sp8 zeta^4: the largest triple of the corpus, every entry through
+    ``cuspidal_support``."""
+
+    def test_sp8_zeta4(self):
+        G = PadicGroup("Sp", 8)
+        j = inertial_triple(G, (line("zeta"),) * 4, FormalParameter(((line("1"), 1),)))
+        data = build_inertial(G, j)
+        md = mu(G, j, data)
+        assert len(data.strata) == 26
+        assert len(md.entries) == 226
+        assert len(md.entries) == sum(len(st.group.irreps()) for st in data.strata)
+        assert len({(e.param, e.eta) for e in md.entries}) == 226

@@ -211,6 +211,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("SpringerError:") and err.split()[-1] == kind
 
+    def test_springer_on_so0_prints_one_row(self, capsys):
+        assert cli.run(["--format", "json", "springer", "--group", "SO0"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 1
+        assert rows[0]["label"] == rows[0]["label_times_sign"] == "{-,-}"
+
     def test_springer_runs_the_bijectivity_check(self, capsys):
         assert cli.run(["springer", "--group", "Sp10", "--generalized"]) == 1
         captured = capsys.readouterr()

@@ -23,6 +23,7 @@ from abpscalc.extquot import (
     ONE,
     MonomialAction,
     RankMismatch,
+    SymbolicCoordinate,
     _canonical_coset,
     _has_connected_hyperplane,
     _solve_torus,
@@ -654,3 +655,40 @@ class TestCoordinates:
         assert str(MINUS_ONE) == "-1"
         assert str(free("z") ** -1) == "z^-1"
         assert str(MINUS_ONE * free("z")) == "-z"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_coordinates_hash_equally(self, data):
+        # every route to one coordinate gives an equal object with an
+        # equal hash: torsion as int, Fraction or str, any representative
+        # mod 1, unnormalised monomials, products and powers
+        den = data.draw(st.integers(1, 12), label="den")
+        num = data.draw(st.integers(0, den - 1), label="num")
+        shift = data.draw(st.integers(-2, 2), label="shift")
+        qexp = data.draw(st.integers(-4, 4), label="qexp")
+        exps = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), label="exps")
+        mono = tuple((n, e) for n, e in zip("xy", exps))
+        t = Fraction(num, den)
+        c = SymbolicCoordinate(t, qexp, mono)
+        noisy = (("y", exps[1] + 1), ("x", 0), ("x", exps[0]), ("z", 0), ("y", -1))
+        routes = [
+            SymbolicCoordinate(t + shift, qexp, tuple(reversed(mono))),
+            SymbolicCoordinate(f"{num + shift * den}/{den}", qexp, noisy),
+            SymbolicCoordinate(t) * SymbolicCoordinate(0, qexp) * SymbolicCoordinate(monomial=noisy),
+            (c ** -1) ** -1,
+            c.inverse().inverse() * ONE,
+        ]
+        if den == 1:
+            routes.append(SymbolicCoordinate(shift, qexp, list(mono)))
+        for k in (2, 3, -2):
+            power = ONE
+            for _ in range(abs(k)):
+                power = power * (c if k > 0 else c.inverse())
+            assert power == c ** k and hash(power) == hash(c ** k)
+        for other in routes:
+            assert other == c and hash(other) == hash(c)
+        assert {c: 1}[routes[1]] == 1
+
+    def test_empty_monomial_is_a_tuple(self):
+        assert SymbolicCoordinate(monomial=[]).monomial == ()
+        assert SymbolicCoordinate(monomial=[("x", 1), ("x", -1)]) == ONE

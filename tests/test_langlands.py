@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abpscalc.extquot import MINUS_ONE, free, q_power
+from abpscalc.extquot import MINUS_ONE, SymbolicCoordinate, free, q_power
 from abpscalc.langlands import (
+    CharacterClass,
     DimensionMismatch,
     PadicGroup,
     TypeMismatch,
+    WFLine,
     centralizer_display,
     centralizer_restriction,
     component_groups,
@@ -21,6 +25,7 @@ from abpscalc.langlands import (
     parse_catalogue,
     validate,
 )
+from abpscalc.springer import GL, SO, Sp
 
 SP4 = PadicGroup("Sp", 4)
 ZETA = line("zeta")
@@ -51,6 +56,37 @@ class TestCatalogue:
         assert XI.base.name == "1"
         assert XI.twist == MINUS_ONE
         assert XI.is_selfdual
+
+
+class TestSelfDuality:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["orthogonal", "symplectic", "none"]),
+        den=st.integers(1, 12),
+        num=st.integers(0, 11),
+        qexp=st.integers(-4, 4),
+        exps=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    def test_selfdual_iff_twist_is_its_own_inverse(self, kind, den, num, qexp, exps):
+        base = CharacterClass("c", selfdual=kind)
+        twist = SymbolicCoordinate(Fraction(num, den), qexp, tuple(zip("xy", exps)))
+        expected = twist == twist.inverse() and base.selfdual != "none"
+        assert WFLine(base, twist).is_selfdual == expected
+
+    @pytest.mark.parametrize("G", (
+        [PadicGroup("Sp", n) for n in range(0, 21, 2)]
+        + [PadicGroup("SO", n) for n in range(22)]
+        + [PadicGroup("GL", n) for n in range(11)]
+    ), ids=str)
+    def test_dual_group(self, G):
+        if G.family == "Sp":
+            expected = SO(G.size + 1)
+        elif G.family == "SO":
+            expected = Sp(G.size - 1) if G.size % 2 else SO(G.size)
+        else:
+            expected = GL(G.size)
+        assert G.dual() == expected
+        assert (G.dual_kind, G.dual_dim) == (expected.factors[0].kind, expected.factors[0].n)
 
 
 class TestValidation:

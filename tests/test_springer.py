@@ -2,6 +2,7 @@ import pytest
 
 from abpscalc.combicore import Bipartition, DLabel, Partition, bipartitions, sign_twist
 from abpscalc.springer import (
+    GL,
     GroupFactor,
     Orth,
     SL,
@@ -183,6 +184,20 @@ def test_coupled_group_without_signs_has_one_pair(factors):
     blocks = springer_blocks(g)
     assert [len(rows) for rows in blocks.values()] == [1]
     assert not relative_weyl_group(next(iter(blocks))).coupled
+
+
+@pytest.mark.parametrize("g, label", [
+    (SO(0), DLabel(Partition(()), Partition(()))),
+    (GL(0), Partition(())),
+], ids=str)
+def test_trivial_group_has_one_pair(g, label):
+    # W(D0) and S0 are trivial: one block, one pair, one label
+    blocks = springer_blocks(g)
+    assert [len(rows) for rows in blocks.values()] == [1]
+    triple, rows = next(iter(blocks.items()))
+    assert relative_weyl_group(triple).character_labels() == [(label,)]
+    assert relative_weyl_group(triple).structure() == "1"
+    assert rows[0][2] == (label,)
 
 
 def test_block_error_names_group_and_labels():
