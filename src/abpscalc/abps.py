@@ -13,6 +13,7 @@ packet grouping, and the block decomposition of an inertial packet.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 
 from .combicore import (
     Bipartition,
@@ -32,7 +33,6 @@ from .extquot import (
 from .langlands import (
     EnhancedParameter,
     FormalParameter,
-    InvalidEnhancement,
     PadicGroup,
     cuspidal_support,
     enhancements,
@@ -40,7 +40,12 @@ from .langlands import (
     is_discrete,
     validate,
 )
-from .springer import UnrecognizedStructure, unipotent_classes
+from .springer import (
+    UnrecognizedStructure,
+    generalized_springer,
+    springer_blocks,
+    unipotent_classes,
+)
 
 
 class MatchingError(ValueError):
@@ -169,16 +174,15 @@ def _rebuild(data, u) -> FormalParameter:
     return FormalParameter(tuple(summands))
 
 
-def _support_signature(res):
-    """What the cuspidal support looks like through inertial glasses:
-    the number of GL(1) coordinates, the core parameter, and the
-    cuspidal block marks of the core factors, compared by value."""
-    tri = res.core_triple
-    marks = frozenset(
+def _support_signature(tri, factors):
+    """What the cuspidal support of a Springer block looks like through
+    inertial glasses: the line, core partition and sign of each factor
+    with a cuspidal core, compared by value.  It fixes the core
+    parameter, and with it the number of GL(1) coordinates."""
+    return frozenset(
         (f.line, tri.core_partition(i).parts, tri.signs[i])
-        for i, f in enumerate(res.factors) if f.kind != "GL" and tri.ds[i]
+        for i, f in enumerate(factors) if f.kind != "GL" and tri.ds[i]
     )
-    return (len(res.coordinates), res.core, marks)
 
 
 @dataclass(frozen=True)
@@ -225,13 +229,13 @@ def _factor_slots(data, slot_lines):
     return out
 
 
-def _block_key(data, res, factor_slots):
+def _block_key(data, labels, factor_slots):
     entries = []
     for i, f in enumerate(data.factors):
         slots = factor_slots[i]
         if not slots:
             continue
-        label = res.labels[i]
+        label = labels[i]
         if f.kind == "GL":
             if len(slots) >= 2:
                 entries.append((min(slots), "A", label))
@@ -336,7 +340,9 @@ def _cochar(res, data, factor_slots, slot_lines, rank):
 def mu(G: PadicGroup, triple: InertialTriple,
        inertial: InertialData = None) -> MuData:
     """Match every stabilizer character of every stratum with an
-    enhanced parameter whose cuspidal support lies in the triple."""
+    enhanced parameter whose cuspidal support lies in the triple.  At
+    each stratum the candidates are the pairs of the one Springer block
+    of the centralizer whose cuspidal core is that of the open stratum."""
     data = inertial or build_inertial(G, triple)
     reference = None
     entries = []
@@ -347,35 +353,31 @@ def mu(G: PadicGroup, triple: InertialTriple,
         cdata, chars = enhancements(G, restriction)
         fslots = _factor_slots(cdata, slot_lines)
         if reference is None:  # the open stratum comes first
-            res0 = cuspidal_support(G, restriction, chars[0])
-            reference = _support_signature(res0)
+            tri, _ = generalized_springer(cdata.group, cdata.unipotent, chars[0])
+            reference = _support_signature(tri, cdata.factors)
         found = {}
-        for u in unipotent_classes(cdata.group):
-            phi = _rebuild(cdata, u)
-            udata, chars = enhancements(G, phi)
-            for eta in chars:
-                try:
-                    res = cuspidal_support(G, phi, eta)
-                except InvalidEnhancement:
-                    continue
-                if _support_signature(res) != reference:
-                    continue
-                key = _block_key(udata, res, fslots)
+        for tri, rows in springer_blocks(cdata.group).items():
+            if _support_signature(tri, cdata.factors) != reference:
+                continue
+            for u, eta, labels in rows:
+                key = _block_key(cdata, labels, fslots)
                 if key in found:
                     raise MatchingError(f"label collision at {st.base}: {key}")
-                found[key] = (phi, eta, udata, u, res)
+                found[key] = (u, eta)
         for irrep in st.group.irreps():
             key = _spectral_key(st.group, irrep)
             if key not in found:
                 raise MatchingError(
                     f"no enhanced parameter for ({st.base}, {irrep})"
                 )
-            phi, eta, udata, u, res = found.pop(key)
+            u, eta = found.pop(key)
+            phi = _rebuild(cdata, u)
+            res = cuspidal_support(G, phi, eta)
             entries.append(MuEntry(
                 st, irrep, families.get(irrep),
                 phi, eta, u, res,
-                _cochar(res, udata, fslots, slot_lines, triple.rank),
-                _component_label(triple, udata, u),
+                _cochar(res, cdata, fslots, slot_lines, triple.rank),
+                _component_label(triple, cdata, u),
             ))
         if found:
             raise MatchingError(
@@ -496,58 +498,55 @@ def bernstein_blocks(G: PadicGroup, triple: InertialTriple):
 # stabilizer structure of a matched point
 
 
-def weyl_structure(res) -> str:
-    """The stabilizer of a support point as a semidirect product: a
-    connected reflection part from the principal blocks of the
-    centralizer, extended by one sign swap per orthogonal factor that
-    can absorb a determinant flip."""
+def _weyl_pieces(res):
+    """The stabilizer of a support point, factor by factor: the connected
+    reflection parts, as ``("S", n)`` for the symmetric group of a GL
+    factor and ``("D", n)`` for the principal block of a classical one,
+    and the number of orthogonal factors that can absorb a determinant
+    flip."""
     conn = []
-    r = 0
+    swaps = 0
     tri = res.core_triple
     for i, f in enumerate(res.factors):
         if f.kind == "GL":
             n = sum(f.parts.parts)
             if n >= 2:
-                conn.append(f"S{n}")
+                conn.append(("S", n))
             continue
         gl = tri.gl_rank(i)
         if gl >= 2:
-            conn.append("(S2 x| Z/2)" if gl == 2 else f"D{gl}")
-        if f.kind == "O":
-            if gl >= 1:
-                r += 1
-            elif tri.ds[i] and sum(tri.core_partition(i).parts) % 2 == 0:
-                r += 1
-    head = " x ".join(conn) if conn else "{1}"
-    if r == 0:
+            conn.append(("D", gl))
+        if f.kind == "O" and (
+            gl >= 1 or (tri.ds[i] and sum(tri.core_partition(i).parts) % 2 == 0)
+        ):
+            swaps += 1
+    return conn, swaps
+
+
+def weyl_structure(res) -> str:
+    """The stabilizer of a support point as a semidirect product: a
+    connected reflection part from the principal blocks of the
+    centralizer, extended by one sign swap per orthogonal factor that
+    can absorb a determinant flip."""
+    conn, swaps = _weyl_pieces(res)
+    head = " x ".join(
+        f"S{n}" if kind == "S" else "(S2 x| Z/2)" if n == 2 else f"D{n}"
+        for kind, n in conn
+    ) or "{1}"
+    if swaps == 0:
         tail = "{1}"
-    elif r == 1:
+    elif swaps == 1:
         tail = "Z/2"
     else:
-        tail = "(" + " x ".join(["Z/2"] * r) + ")"
+        tail = "(" + " x ".join(["Z/2"] * swaps) + ")"
     return f"{head} x| {tail}"
 
 
 def weyl_order(res) -> int:
-    order = 1
-    tri = res.core_triple
-    for i, f in enumerate(res.factors):
-        if f.kind == "GL":
-            n = sum(f.parts.parts)
-            for m in range(2, n + 1):
-                order *= m
-            continue
-        gl = tri.gl_rank(i)
-        if gl >= 2:
-            half = 2 ** (gl - 1)
-            for m in range(2, gl + 1):
-                half *= m
-            order *= half
-        if f.kind == "O":
-            if gl >= 1:
-                order *= 2
-            elif tri.ds[i] and sum(tri.core_partition(i).parts) % 2 == 0:
-                order *= 2
+    conn, swaps = _weyl_pieces(res)
+    order = 2 ** swaps
+    for kind, n in conn:
+        order *= factorial(n) * (2 ** (n - 1) if kind == "D" else 1)
     return order
 
 

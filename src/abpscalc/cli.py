@@ -153,14 +153,13 @@ def render(rows, fmt):
 # table generators
 
 
-def _parse_group(token, rank=None):
-    if rank is None:
-        m = re.fullmatch(r"([A-Za-z]+)(\d+)", token)
-        if not m:
-            raise ValueError(f"cannot read group {token!r}")
-        token, rank = m.group(1), int(m.group(2))
-    kind = token.capitalize() if token.lower() == "sp" else token.upper()
-    return kind, int(rank)
+def _parse_group(token):
+    m = re.fullmatch(r"([A-Za-z]+)(\d+)", token)
+    if not m:
+        raise ValueError(f"cannot read group {token!r}")
+    kind, size = m.groups()
+    kind = kind.capitalize() if kind.lower() == "sp" else kind.upper()
+    return kind, int(size)
 
 
 def _block_letter(triple):
@@ -471,7 +470,6 @@ def build_parser():
 
     p = sub.add_parser("springer", help="generalized Springer table")
     p.add_argument("--group", required=True)
-    p.add_argument("--rank", type=int)
     p.add_argument("--generalized", action="store_true")
 
     p = sub.add_parser("cuspidal", help="full-group cuspidal data")
@@ -521,7 +519,7 @@ def _table(rows):
 
 # command -> function of the parsed arguments giving (stdout, exit code)
 COMMANDS = {
-    "springer": _table(lambda a: springer_rows(*_parse_group(a.group, a.rank), a.generalized)),
+    "springer": _table(lambda a: springer_rows(*_parse_group(a.group), a.generalized)),
     "cuspidal": _table(lambda a: cuspidal_rows(a.family, a.max)),
     "extquot": _table(lambda a: extquot_rows(a.rank)),
     "param": _param,

@@ -1,9 +1,10 @@
 """Partition and symbol combinatorics, signed permutations, and integer
-Smith normal form.
+row reduction.
 
 Everything in this module is exact: partitions are tuples of ints,
-symbols are pairs of strictly increasing tuples, and the Smith normal
-form is computed over the integers with unimodular transforms.
+symbols are pairs of strictly increasing tuples, and the Hermite and
+Smith normal forms are computed over the integers with unimodular
+transforms, both by the one routine :func:`hermite_reduce`.
 """
 
 from __future__ import annotations
@@ -368,98 +369,103 @@ def all_signed_permutations(k: int) -> tuple[SignedPermutation, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# integer row reduction and Smith normal form
+
+
+def hermite_reduce(rows, width):
+    """Row-reduce the integer ``rows`` in place on their first ``width``
+    columns and return the rank ``r`` of those columns.
+
+    Euclid runs down the columns on whole rows: rows are only swapped,
+    negated, or changed by adding an integer multiple of another row, so
+    the columns past ``width`` are carried along.  Started on ``[A | I]``
+    they record a unimodular ``U`` with ``U A = H``.  Afterwards the first
+    ``width`` columns of ``rows[:r]`` are the Hermite normal form of the
+    row lattice: positive pivots in strictly increasing columns, the
+    entries above each pivot in ``[0, pivot)``, zeros left of each pivot.
+    The rows ``rows[r:]`` vanish on the first ``width`` columns, so their
+    carried parts span the left kernel of ``A``.
+    """
+    n = len(rows)
+    r = 0
+    for c in range(width):
+        p = None
+        for i in range(r, n):
+            x = rows[i][c]
+            if x and (p is None or abs(x) < least):
+                p, least = i, abs(x)
+        if p is None:
+            continue
+        # Euclid: the row with the least nonzero entry in column c reduces
+        # the other rows, until no other row from r on is nonzero there
+        while True:
+            piv = rows[p]
+            a = piv[c]
+            nxt = None
+            for i in range(r, n):
+                x = rows[i][c]
+                if x and i != p:
+                    q = x // a
+                    row = rows[i] = [u - q * v for u, v in zip(rows[i], piv)]
+                    x = row[c]
+                    if x and (nxt is None or abs(x) < least):
+                        nxt, least = i, abs(x)
+            if nxt is None:
+                break
+            p = nxt
+        if a < 0:
+            piv = [-x for x in piv]
+            a = -a
+        rows[p] = rows[r]
+        rows[r] = piv
+        for k in range(r):
+            q = rows[k][c] // a
+            if q:
+                rows[k] = [x - q * y for x, y in zip(rows[k], piv)]
+        r += 1
+        if r == n:
+            break
+    return r
 
 
 def smith_normal_form(matrix):
     """Smith normal form over the integers.
 
     Returns ``(S, U, V)`` with ``U @ A @ V == S``, where ``U`` and ``V``
-    are unimodular and ``S`` is diagonal with each diagonal entry
-    dividing the next.  The pivot rule is deterministic: the nonzero
-    entry of smallest absolute value, topmost then leftmost on ties.
+    are unimodular and ``S`` is diagonal with nonnegative entries, each
+    dividing the next.  :func:`hermite_reduce` runs alternately on the
+    rows of ``[A | U]`` and on the rows of ``[A^T | V^T]`` until ``A`` is
+    diagonal; where a diagonal entry does not divide the next, the next
+    column is added to it and the alternation resumes.
     """
-    A = [[int(x) for x in row] for row in matrix]
+    A = [list(map(int, row)) for row in matrix]
     n = len(A)
     m = len(A[0]) if n else 0
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
+    U, Vt = identity_matrix(n), identity_matrix(m)
+    if not n or not m:
+        return A, U, Vt
+    while True:
+        rows = [a + u for a, u in zip(A, U)]
+        hermite_reduce(rows, m)
+        U = [row[m:] for row in rows]
+        cols = [list(a) + v for a, v in zip(zip(*rows), Vt)]
+        r = hermite_reduce(cols, n)
+        if all(col[i] and not any(col[i + 1:n]) for i, col in enumerate(cols[:r])):
+            # diagonal: where d_i does not divide d_(i+1), add column i + 1
+            # to column i, and the next row step puts their gcd at (i, i)
+            i = next((i for i in range(r - 1) if cols[i + 1][i + 1] % cols[i][i]), None)
+            if i is None:
+                S = [[0] * m for _ in range(n)]
+                for k in range(r):
+                    S[k][k] = cols[k][k]
+                return S, U, [list(v) for v in zip(*cols)][n:]
+            cols[i] = [x + y for x, y in zip(cols[i], cols[i + 1])]
+        Vt = [col[n:] for col in cols]
+        A = [list(a) for a in zip(*cols)][:n]
 
-    def row_op(i, j, c):  # row_i += c * row_j
-        for t in range(m):
-            A[i][t] += c * A[j][t]
-        for t in range(n):
-            U[i][t] += c * U[j][t]
 
-    def col_op(i, j, c):  # col_i += c * col_j
-        for t in range(n):
-            A[t][i] += c * A[t][j]
-        for t in range(m):
-            V[t][i] += c * V[t][j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for t in range(n):
-            A[t][i], A[t][j] = A[t][j], A[t][i]
-        for t in range(m):
-            V[t][i], V[t][j] = V[t][j], V[t][i]
-
-    def row_negate(i):
-        for t in range(m):
-            A[i][t] = -A[i][t]
-        for t in range(n):
-            U[i][t] = -U[i][t]
-
-    def find_pivot(k):  # smallest |entry| != 0 in the trailing block
-        pivot = None
-        best = None
-        for i in range(k, n):
-            for j in range(k, m):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        return pivot
-
-    for k in range(min(n, m)):
-        pivot = find_pivot(k)
-        if pivot is None:
-            break
-        done = False
-        while not done:
-            i, j = pivot
-            row_swap(k, i)
-            col_swap(k, j)
-            if A[k][k] < 0:
-                row_negate(k)
-            done = True
-            for i in range(k + 1, n):
-                q = A[i][k] // A[k][k]
-                if q:
-                    row_op(i, k, -q)
-                if A[i][k] != 0:
-                    done = False
-            for j in range(k + 1, m):
-                q = A[k][j] // A[k][k]
-                if q:
-                    col_op(j, k, -q)
-                if A[k][j] != 0:
-                    done = False
-            if done:
-                # divisibility: A[k][k] must divide the rest of the block
-                for i in range(k + 1, n):
-                    for j in range(k + 1, m):
-                        if A[i][j] % A[k][k] != 0:
-                            row_op(k, i, 1)
-                            done = False
-                            break
-                    if not done:
-                        break
-            if not done:
-                pivot = find_pivot(k)
-    return A, U, V
+def identity_matrix(k):
+    return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
 
 
 def mat_mul(A, B):

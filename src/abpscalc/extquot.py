@@ -26,6 +26,8 @@ from .combicore import (
     all_signed_permutations,
     bipartitions,
     dlabels,
+    hermite_reduce,
+    identity_matrix,
     partitions,
     smith_normal_form,
 )
@@ -186,37 +188,6 @@ def act(w: SignedPermutation, t: SymbolicTorusPoint) -> SymbolicTorusPoint:
 # torus cosets and the integral solver
 
 
-def _row_hnf(rows, width):
-    """Hermite normal form of the lattice spanned by ``rows``."""
-    mat = [list(r) for r in rows if any(r)]
-    basis = []
-    col = 0
-    while col < width and mat:
-        mat.sort(key=lambda r: (r[col] == 0, abs(r[col]) if r[col] else 0))
-        if mat[0][col] == 0:
-            col += 1
-            continue
-        while len(mat) > 1 and mat[1][col] != 0:
-            q = mat[1][col] // mat[0][col]
-            mat[1] = [a - q * b for a, b in zip(mat[1], mat[0])]
-            mat.sort(key=lambda r: (r[col] == 0, abs(r[col]) if r[col] else 0))
-        pivot = mat.pop(0)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        mat = [r for r in mat if any(r)]
-        col += 1
-    # reduce entries above each pivot
-    for i in reversed(range(len(basis))):
-        p = next(j for j, x in enumerate(basis[i]) if x)
-        for k in range(i):
-            q = basis[k][p] // basis[i][p]
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
-    basis.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
-    return [tuple(r) for r in basis]
-
-
 @dataclass(frozen=True)
 class TorusCoset:
     """A translated subtorus: ``exp(2 pi i (translation + span(basis)))``.
@@ -230,12 +201,13 @@ class TorusCoset:
     The coset is cut out exactly by its :attr:`equations` ``E x = E t
     (mod Z)``: a point lies in the coset if and only if it satisfies
     them, so membership and intersection read nothing else.  The reason:
-    with ``U L V = S`` the Smith form of the basis ``L`` of rank ``r``,
-    the rows of ``E`` are the last ``n - r`` columns of the unimodular
-    ``V``.  They vanish on the real span of ``L``, and ``E`` maps ``Z^n``
-    onto ``Z^(n-r)``.  So if ``E (x - t)`` is integral, some integer
-    vector has the same image, and ``x - t`` lies in the span of ``L``
-    plus ``Z^n``: one coset, not a union of parallel components.
+    row reduction of ``[L^T | I]``, for the basis ``L`` of rank ``r``,
+    gives a unimodular ``U`` with ``U L^T`` zero past row ``r``, and the
+    rows of ``E`` are those last ``n - r`` rows of ``U``.  They vanish on
+    the real span of ``L``, and ``E`` maps ``Z^n`` onto ``Z^(n-r)``.  So
+    if ``E (x - t)`` is integral, some integer vector has the same image,
+    and ``x - t`` lies in the span of ``L`` plus ``Z^n``: one coset, not
+    a union of parallel components.
     """
 
     rank: int
@@ -257,13 +229,11 @@ class TorusCoset:
     def equations(self):
         """``(E, E t)``: the integral equations of the coset and their
         right-hand sides."""
-        n = self.rank
-        if not self.basis:
-            E = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        else:
-            S, _, V = smith_normal_form(self.basis)
-            r = sum(1 for i in range(min(len(self.basis), n)) if S[i][i])
-            E = tuple(tuple(V[i][j] for i in range(n)) for j in range(r, n))
+        n, r = self.rank, self.dimension
+        rows = [[row[j] for row in self.basis] + e
+                for j, e in enumerate(identity_matrix(n))]
+        hermite_reduce(rows, r)
+        E = tuple(tuple(row[r:]) for row in rows[r:])
         L, t = self._scaled_translation
         return E, tuple(Fraction(sum(map(mul, row, t)), L) for row in E)
 
@@ -313,7 +283,8 @@ def _canonical_coset(rank, rows, translation, denominator=None) -> TorusCoset:
     coordinate, which multiplies the common denominator by at most
     ``a``, and ``Fraction`` appears only in the stored result.
     """
-    basis = _row_hnf(rows, rank)
+    mat = [list(row) for row in rows]
+    basis = [tuple(row) for row in mat[:hermite_reduce(mat, rank)]]
     if denominator is None:
         t = [Fraction(x) for x in translation]
         L = lcm(*(x.denominator for x in t))
@@ -331,8 +302,7 @@ def _canonical_coset(rank, rows, translation, denominator=None) -> TorusCoset:
 
 
 def full_torus(rank: int) -> TorusCoset:
-    eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    return _canonical_coset(rank, eye, [0] * rank)
+    return _canonical_coset(rank, identity_matrix(rank), [0] * rank)
 
 
 def _solve_torus(A, b, rank):

@@ -206,14 +206,6 @@ class FormalParameter:
     def dim(self) -> int:
         return sum(l.dim * a for l, a in self.summands)
 
-    def restriction(self) -> Counter:
-        """Weil-restriction: each ``line x S_a`` contributes ``a``
-        copies of the line."""
-        c = Counter()
-        for l, a in self.summands:
-            c[l] += a
-        return c
-
     def __str__(self) -> str:
         return " + ".join(
             str(l) if a == 1 else f"{l}*S[{a}]" for l, a in self.summands

@@ -71,6 +71,25 @@ class TestParamCommand:
         assert record["discrete"] and record["cuspidal"]
         assert cli.validate_record(record)
 
+    # odd and even orthogonal groups: s_order is |A|, halved exactly when
+    # the center of the dual group maps to the product of all generators
+    @pytest.mark.parametrize("group, expr, expected", [
+        (("SO", 5), "zeta*S[4]",
+         {"centralizer": "Sp4", "a_group": "Z/2", "s_order": 1}),
+        (("SO", 5), "zeta*S[2]+1*S[2]",
+         {"centralizer": "Sp2xSp2", "a_group": "(Z/2)^2", "s_order": 2}),
+        (("SO", 4), "zeta*S[3]+zeta",
+         {"centralizer": "S(O4)", "a_generators": ["z1z3"],
+          "a_connected": "Z/2", "s_order": 1}),
+        (("SO", 6), "zeta*S[3]+1*S[3]",
+         {"centralizer": "S(O3xO3)", "a_group": "Z/2", "a_connected": "1",
+          "s_order": 1}),
+    ])
+    def test_orthogonal_records(self, group, expr, expected):
+        record = cli.param_record(PadicGroup(*group), cli.parse_parameter(expr))
+        assert {k: record[k] for k in expected} == expected
+        assert cli.validate_record(record)
+
     def test_schema_keys_are_stable(self, capsys):
         cli.run(["param", "--group", "Sp4", "--expr", "zeta*(S[3]+S[1])+1"])
         record = json.loads(capsys.readouterr().out)

@@ -12,6 +12,8 @@ from abpscalc.combicore import (
     bipartition_of_symbol,
     bipartitions,
     dlabels,
+    hermite_reduce,
+    identity_matrix,
     mat_det,
     mat_mul,
     partitions,
@@ -194,6 +196,64 @@ class TestSmithNormalForm:
     def test_deterministic(self):
         A = [[3, 1], [1, 2]]
         assert smith_normal_form(A) == smith_normal_form([row[:] for row in A])
+
+
+@st.composite
+def lattice_matrices(draw):
+    """``(A, m)``: up to 6 rows of width ``m`` up to 6, entries -30..30,
+    with zero rows drawn on purpose."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(min_value=-30, max_value=30), min_size=m, max_size=m)
+    return draw(st.lists(st.one_of(st.just([0] * m), row), max_size=6)), m
+
+
+def hermite(A, m):
+    """``(r, H, U)`` from reducing ``[A | I]`` on its first ``m`` columns."""
+    rows = [list(a) + e for a, e in zip(A, identity_matrix(len(A)))]
+    r = hermite_reduce(rows, m)
+    return r, [row[:m] for row in rows], [row[m:] for row in rows]
+
+
+class TestHermiteReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_matrices(), st.data())
+    def test_form_ignores_unimodular_row_operations(self, Am, data):
+        A, m = Am
+        B = [row[:] for row in A]
+        if B:
+            index = st.integers(0, len(B) - 1)
+            ops = st.tuples(st.sampled_from(["add", "swap", "negate"]),
+                            index, index, st.integers(-5, 5))
+            for op, i, j, c in data.draw(st.lists(ops, max_size=12)):
+                if op == "swap":
+                    B[i], B[j] = B[j], B[i]
+                elif op == "negate":
+                    B[i] = [-x for x in B[i]]
+                elif i != j:
+                    B[i] = [x + c * y for x, y in zip(B[i], B[j])]
+        r, H, _ = hermite(A, m)
+        s, K, _ = hermite(B, m)
+        assert (r, H[:r]) == (s, K[:s])
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_matrices())
+    def test_hermite_shape(self, Am):
+        A, m = Am
+        r, H, _ = hermite(A, m)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in H[:r]]
+        assert pivots == sorted(set(pivots))
+        for i, p in enumerate(pivots):
+            assert H[i][p] > 0
+            assert all(0 <= H[k][p] < H[i][p] for k in range(i))
+        assert not any(any(row) for row in H[r:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_matrices())
+    def test_carried_transform(self, Am):
+        A, m = Am
+        _, H, U = hermite(A, m)
+        assert mat_det(U) in (1, -1)
+        assert mat_mul(U, A) == H
 
 
 def cofactor_det(A):
