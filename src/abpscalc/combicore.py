@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 
 class MalformedSymbol(ValueError):
@@ -74,16 +74,20 @@ class Partition:
 
 def partitions(n: int, max_part: int | None = None):
     """Yield all partitions of ``n`` (descending lexicographic order)."""
+    for parts in _partition_tuples(n, n if max_part is None else max_part):
+        yield Partition(parts)
+
+
+def _partition_tuples(n: int, max_part: int):
+    """The parts of :func:`partitions`, as plain descending tuples."""
     if n < 0:
         return
     if n == 0:
-        yield Partition()
+        yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield Partition((first,) + rest.parts)
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _partition_tuples(n - first, first):
+            yield (first,) + rest
 
 
 @dataclass(frozen=True, order=True)
@@ -350,19 +354,10 @@ class SignedPermutation:
         return "[" + " ".join(bits) + "]"
 
 
-def _permutations(seq):
-    if not seq:
-        yield ()
-        return
-    for i, x in enumerate(seq):
-        for rest in _permutations(seq[:i] + seq[i + 1:]):
-            yield (x,) + rest
-
-
 @lru_cache(maxsize=None)
 def all_signed_permutations(k: int) -> tuple[SignedPermutation, ...]:
     out = []
-    for perm in _permutations(tuple(range(1, k + 1))):
+    for perm in permutations(range(1, k + 1)):
         for signs in product((1, -1), repeat=k):
             out.append(SignedPermutation(perm, signs))
     return tuple(out)

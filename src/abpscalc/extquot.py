@@ -80,8 +80,10 @@ class SymbolicCoordinate:
         return hash((t.numerator, t.denominator, self.qexp, self.monomial))
 
     def __mul__(self, other: "SymbolicCoordinate") -> "SymbolicCoordinate":
+        # a zero torsion leaves the other one, already reduced in [0, 1)
+        t, s = self.torsion, other.torsion
         return SymbolicCoordinate(
-            self.torsion + other.torsion,
+            t + s if t and s else t or s,
             self.qexp + other.qexp,
             self.monomial + other.monomial,
         )

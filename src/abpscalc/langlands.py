@@ -18,7 +18,6 @@ from .combicore import Partition
 from .extquot import ONE, SymbolicCoordinate, q_power
 from .springer import (
     ComplexGroup,
-    ComponentGroup,
     CuspidalTriple,
     GroupFactor,
     SignCharacter,
@@ -368,32 +367,6 @@ def connected_centralizer(data: CentralizerData) -> ComplexGroup:
     return ComplexGroup(pieces, det1=False)
 
 
-def connected_component_group(data: CentralizerData) -> ComponentGroup:
-    """Component group of the unipotent inside the connected
-    centralizer: each orthogonal factor drops to its special subgroup,
-    so its generators are constrained factor by factor and eliminate to
-    consecutive products."""
-    gens, keys = [], []
-    prime_level = 0
-    for fi, (piece, f) in enumerate(zip(data.group.factors, data.factors)):
-        if piece.kind == "GL":
-            continue
-        suffix = "'" * prime_level
-        prime_level += 1
-        lam = f.parts
-        if piece.kind == "Sp":
-            for v in lam.distinct_parts():
-                if v % 2 == 0:
-                    gens.append(f"z{v}{suffix}")
-                    keys.append((fi, v))
-            continue
-        odds = [v for v in lam.distinct_parts() if v % 2]
-        for a, b in zip(odds, odds[1:]):
-            gens.append(f"z{a}{suffix}z{b}{suffix}")
-            keys.append((fi, (a, b)))
-    return ComponentGroup(tuple(gens), tuple(keys), (False,) * len(gens))
-
-
 @dataclass(frozen=True)
 class ComponentGroups:
     a_group: object
@@ -407,21 +380,18 @@ def _central_image_nontrivial(G: PadicGroup, A) -> bool:
     presentation contains it."""
     if G.dual_kind == "SO" and G.dual_dim % 2:
         return False  # trivial center
-    n = len(A.keys)
-    if n == 0:
+    if not A.generators:
         return False
-    if not any(A.constrained):
-        return True
-    # the product of all generators lies in the even-product subgroup
-    # exactly when the number of constrained generators is even
-    return sum(A.constrained) % 2 == 0
+    # the product of all generators satisfies every even-product
+    # constraint exactly when each class has an even number of generators
+    return all(len(c) % 2 == 0 for c in A.classes)
 
 
 def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
     data = centralizer_restriction(G, phi)
     u = data.unipotent
     A = component_group(data.group, u)
-    Ao = connected_component_group(data)
+    Ao = component_group(connected_centralizer(data), u)
     s_order = A.order // (2 if _central_image_nontrivial(G, A) else 1)
     return ComponentGroups(A, Ao, s_order)
 

@@ -1,7 +1,7 @@
 """The generalized Springer correspondence for complex classical groups.
 
-Groups are products of classical factors ``GL``, ``SL``, ``Sp``, ``SO``
-and ``O``, optionally coupled by a determinant-one condition across the
+Groups are products of classical factors ``GL``, ``Sp``, ``SO`` and
+``O``, optionally coupled by a determinant-one condition across the
 orthogonal factors.  For each such group the module enumerates unipotent
 classes, component groups of centralizers together with their sign
 characters, cuspidal (quasi-)support triples, and computes the
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial, gcd
+from math import factorial
 
 from .combicore import (
     Bipartition,
@@ -52,13 +52,13 @@ class UnrecognizedStructure(SpringerError):
 # groups
 
 
-_KINDS = ("GL", "SL", "Sp", "SO", "O")
+_KINDS = ("GL", "Sp", "SO", "O")
 
 
 @dataclass(frozen=True, order=True)
 class GroupFactor:
     kind: str
-    n: int  # GL(n)/SL(n)/SO(n)/O(n); for Sp, n is the (even) matrix size
+    n: int  # GL(n)/SO(n)/O(n); for Sp, n is the (even) matrix size
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -107,10 +107,6 @@ def GL(n: int) -> ComplexGroup:
     return ComplexGroup((GroupFactor("GL", n),))
 
 
-def SL(n: int) -> ComplexGroup:
-    return ComplexGroup((GroupFactor("SL", n),))
-
-
 def group_product(*factors: GroupFactor, det1: bool = False) -> ComplexGroup:
     return ComplexGroup(tuple(factors), det1=det1)
 
@@ -132,7 +128,7 @@ class UnipotentClass:
 
 
 def _factor_partitions(factor: GroupFactor):
-    if factor.kind in ("GL", "SL"):
+    if factor.kind == "GL":
         return [(p, "") for p in partitions(factor.n)]
     if factor.kind == "Sp":
         out = []
@@ -160,7 +156,7 @@ def unipotent_classes(group: ComplexGroup):
     presence of a determinant swap they fuse)."""
     per = [_factor_partitions(f) for f in group.factors]
     out = []
-    for combo in iproduct(*per) if per else [()]:
+    for combo in iproduct(*per):
         out.append(UnipotentClass(tuple(c[0] for c in combo), tuple(c[1] for c in combo)))
     return out
 
@@ -173,30 +169,21 @@ def unipotent_classes(group: ComplexGroup):
 class ComponentGroup:
     """The component group of a unipotent centralizer, presented by
     commuting involutive generators, one per qualifying Jordan block
-    size, with an optional even-product constraint over the generators
-    coming from orthogonal factors.  ``cyclic`` is used instead for
-    special linear factors."""
+    size.  ``classes`` holds one tuple of generator indices per
+    even-product constraint: the generators of each ``SO`` factor, and
+    those of the ``O`` factors of a determinant-one product; the other
+    generators are free."""
 
     generators: tuple[str, ...]
     keys: tuple[tuple[int, int], ...]  # (factor index, part value) per generator
-    constrained: tuple[bool, ...]
-    cyclic: int = 1
-
-    @property
-    def has_constraint(self) -> bool:
-        return any(self.constrained)
+    classes: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        if self.cyclic != 1:
-            return self.cyclic
-        n = 2 ** len(self.generators)
-        return n // 2 if self.has_constraint else n
+        return 2 ** (len(self.generators) - len(self.classes))
 
     def structure(self) -> str:
-        if self.cyclic != 1:
-            return f"Z/{self.cyclic}"
-        r = len(self.generators) - (1 if self.has_constraint else 0)
+        r = len(self.generators) - len(self.classes)
         if r <= 0:
             return "1"
         if r == 1:
@@ -204,31 +191,22 @@ class ComponentGroup:
         return f"(Z/2)^{r}"
 
     def subgroup_generators(self) -> tuple[str, ...]:
-        """Display generators of the actual subgroup (for constrained
-        presentations, products of consecutive constrained generators)."""
-        if not self.has_constraint:
-            return self.generators
-        cons = [g for g, c in zip(self.generators, self.constrained) if c]
-        free = [g for g, c in zip(self.generators, self.constrained) if not c]
-        pairs = [cons[i] + cons[i + 1] for i in range(len(cons) - 1)]
-        return tuple(pairs + free)
+        """Display generators of the actual subgroup: products of
+        consecutive generators of each constraint class, then the free
+        generators."""
+        gens = self.generators
+        pairs = [gens[i] + gens[j] for c in self.classes for i, j in zip(c, c[1:])]
+        bound = {i for c in self.classes for i in c}
+        return tuple(pairs + [g for i, g in enumerate(gens) if i not in bound])
 
     def characters(self):
         """All irreducible characters, in a fixed order (canonical sign
-        vectors; under the constraint, representatives are normalized to
-        value +1 on the last constrained generator)."""
-        if self.cyclic != 1:
-            raise UnrecognizedStructure("cyclic component groups carry no sign characters")
-        g = len(self.generators)
-        if g == 0:
-            return [SignCharacter((), self)]
-        last_con = max((i for i in range(g) if self.constrained[i]), default=None)
-        out = []
-        for vals in iproduct((1, -1), repeat=g):
-            if last_con is not None and vals[last_con] == -1:
-                continue
-            out.append(SignCharacter(vals, self))
-        return out
+        vectors: representatives take value +1 on the last generator of
+        each constraint class)."""
+        lasts = [c[-1] for c in self.classes]
+        return [SignCharacter(vals, self)
+                for vals in iproduct((1, -1), repeat=len(self.generators))
+                if all(vals[i] == 1 for i in lasts)]
 
 
 @dataclass(frozen=True)
@@ -247,12 +225,11 @@ class SignCharacter:
         raise KeyError(key)
 
     def canonical(self) -> "SignCharacter":
-        g = self.group
-        idx = [i for i in range(len(self.values)) if g.constrained[i]]
-        if idx and self.values[idx[-1]] == -1:
-            vals = tuple(-v if g.constrained[i] else v for i, v in enumerate(self.values))
-            return SignCharacter(vals, g)
-        return self
+        flip = {i for c in self.group.classes if self.values[c[-1]] == -1 for i in c}
+        if not flip:
+            return self
+        vals = tuple(-v if i in flip else v for i, v in enumerate(self.values))
+        return SignCharacter(vals, self.group)
 
     def __eq__(self, other):
         if not isinstance(other, SignCharacter):
@@ -273,26 +250,26 @@ class SignCharacter:
 def component_group(group: ComplexGroup, u: UnipotentClass) -> ComponentGroup:
     if len(u.partitions) != len(group.factors):
         raise SpringerError("class does not belong to this group")
-    if len(group.factors) == 1 and group.factors[0].kind == "SL":
-        return ComponentGroup((), (), (), cyclic=gcd(*u.partitions[0].parts) or 1)
-    gens, keys, cons = [], [], []
+    gens, keys, classes, coupled = [], [], [], []
     prime_level = 0
     for fi, (factor, lam) in enumerate(zip(group.factors, u.partitions)):
-        if factor.kind in ("GL", "SL"):
+        if factor.kind == "GL":
             continue
-        if factor.kind == "Sp":
-            vals = [v for v in lam.distinct_parts() if v % 2 == 0]
-            constrained = False
-        else:
-            vals = [v for v in lam.distinct_parts() if v % 2]
-            constrained = factor.kind == "SO" or group.det1
+        parity = 0 if factor.kind == "Sp" else 1
+        idx = []
         suffix = "'" * prime_level
-        for v in vals:
-            gens.append(f"z{v}{suffix}")
-            keys.append((fi, v))
-            cons.append(constrained)
+        for v in lam.distinct_parts():
+            if v % 2 == parity:
+                idx.append(len(gens))
+                gens.append(f"z{v}{suffix}")
+                keys.append((fi, v))
+        if factor.kind == "SO":
+            classes.append(idx)
+        elif factor.kind == "O" and group.det1:
+            coupled += idx
         prime_level += 1
-    return ComponentGroup(tuple(gens), tuple(keys), tuple(cons))
+    classes = tuple(sorted(tuple(c) for c in classes + [coupled] if c))
+    return ComponentGroup(tuple(gens), tuple(keys), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +387,13 @@ def _o_core_marks(d: int, sign: int):
 
 
 @lru_cache(maxsize=None)
-def _anchor_halves(kind: str, d: int, sign: int):
+def _anchor_halves(kind: str, d: int):
     if kind == "C":
         lam, marks = _sp_core_partition(d), _sp_core_marks(d)
         if d == 0:
             return (0,), ()  # the padded empty core
     else:
-        lam, marks = _so_core_partition(d), _o_core_marks(d, sign)
+        lam, marks = _so_core_partition(d), _o_core_marks(d, -1)
         if d == 0:
             return (), ()
     values = _displaced(lam, marks, kind)
@@ -465,7 +442,7 @@ def _factor_block_and_label(factor: GroupFactor, lam: Partition, tag: str, marke
         if len(a) - len(b) != -defect:
             raise SpringerError(
                 f"complementary markings of {lam} have inconsistent defects")
-    fa, fb = _anchor_halves(kind, d, -1)
+    fa, fb = _anchor_halves(kind, d)
     fa, fb = list(fa), list(fb)
     while len(fa) + len(fb) < len(a) + len(b):
         fa, fb = _shift_halves(fa, fb)
@@ -508,24 +485,20 @@ def ordinary_symplectic_label(lam: Partition) -> Bipartition:
 class CuspidalTriple:
     """A cuspidal support datum: per factor, the size parameter ``d`` of
     the cuspidal core inside the quasi-Levi ``GL(1)^k x core``, plus the
-    lifting sign for disconnected orthogonal cores.  ``order_char`` is
-    used for special linear factors (character order on the regular
-    class)."""
+    lifting sign for disconnected orthogonal cores."""
 
     group: ComplexGroup
     ds: tuple[int, ...]
     signs: tuple[int, ...]
-    order_char: int = 0
 
     @property
     def is_principal(self) -> bool:
         return all(d == 0 or (f.kind in ("SO", "O") and f.n % 2 and d == 1 and s == 0)
-                   for f, d, s in zip(self.group.factors, self.ds, self.signs)) \
-            and self.order_char == 0
+                   for f, d, s in zip(self.group.factors, self.ds, self.signs))
 
     def gl_rank(self, i: int) -> int:
         f, d = self.group.factors[i], self.ds[i]
-        if f.kind in ("GL", "SL"):
+        if f.kind == "GL":
             return f.n
         if f.kind == "Sp":
             return (f.n - d * (d + 1)) // 2
@@ -533,8 +506,8 @@ class CuspidalTriple:
 
     def core_partition(self, i: int) -> Partition:
         f, d = self.group.factors[i], self.ds[i]
-        if f.kind in ("GL", "SL"):
-            return Partition((f.n,)) if self.order_char else Partition()
+        if f.kind == "GL":
+            return Partition()
         if f.kind == "Sp":
             return _sp_core_partition(d)
         return _so_core_partition(d)
@@ -553,55 +526,45 @@ class CuspidalTriple:
             k = self.gl_rank(i)
             core = self.core_partition(i)
             s = f"GL1^{k}" if k else ""
-            if core or f.kind in ("SO", "O", "Sp"):
+            if f.kind != "GL":
                 d = self.ds[i]
                 size = d * (d + 1) if f.kind == "Sp" else d * d
                 corename = f"{'Sp' if f.kind == 'Sp' else f.kind}{size}"
                 sgn = {1: "+", -1: "-", 0: ""}[self.signs[i]]
                 s = (s + "x" if s else "") + f"{corename}{sgn}{core if core else ''}"
             bits.append(s or "1")
-        if self.order_char:
-            bits.append(f"ord{self.order_char}")
         return "[" + " | ".join(bits) + "]"
 
 
 def cuspidal_triples(group: ComplexGroup):
     """All cuspidal support triples of ``group``: choices of a cuspidal
     core in each factor (with both liftings for disconnected orthogonal
-    cores), plus the regular-class triples of special linear factors."""
+    cores)."""
     per = []
     for f in group.factors:
         opts = []
         if f.kind == "GL":
-            opts.append((0, 0, 0))
-        elif f.kind == "SL":
-            opts.append((0, 0, 0))
-            for e in range(2, f.n + 1):
-                if f.n == e:  # full-group cuspidal data: faithful characters
-                    opts.extend((0, 0, k) for k in range(1, e + 1) if gcd(k, e) == 1)
+            opts.append((0, 0))
         elif f.kind == "Sp":
             d = 0
             while d * (d + 1) <= f.n:
-                opts.append((d, 0, 0))
+                opts.append((d, 0))
                 d += 1
         else:  # SO / O
             d = f.n % 2
             while d * d <= f.n:
                 if f.kind == "SO" or d == 0:
-                    opts.append((d, 0, 0))
+                    opts.append((d, 0))
                 else:
-                    opts.append((d, 1, 0))
-                    opts.append((d, -1, 0))
+                    opts.append((d, 1))
+                    opts.append((d, -1))
                 d += 2
-            if f.n % 2 == 0 and f.n == 0:
-                opts = [(0, 0, 0)]
         per.append(opts)
     out = []
-    for combo in iproduct(*per) if per else [()]:
+    for combo in iproduct(*per):
         ds = tuple(c[0] for c in combo)
         signs = _canonical_signs(group, tuple(c[1] for c in combo))
-        oc = max((c[2] for c in combo), default=0)
-        triple = CuspidalTriple(group, ds, signs, order_char=oc)
+        triple = CuspidalTriple(group, ds, signs)
         if triple not in out:
             out.append(triple)
     return out
@@ -651,7 +614,7 @@ class RelativeWeylGroup:
                 per.append(bipartitions(k))
             else:
                 per.append(dlabels(k) if k else dlabels(k)[:1])
-        combos = [tuple(c) for c in iproduct(*per)] if per else [()]
+        combos = [tuple(c) for c in iproduct(*per)]
         if not self.coupled:
             return combos
         # joint even-sign condition: characters are orbits under the
@@ -675,9 +638,6 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
     group = triple.group
     pieces = []
     coupled = False
-    if triple.order_char:
-        # regular cuspidal datum on a special linear factor: trivial
-        return RelativeWeylGroup(())
     has_core_absorbing = any(
         f.kind in ("SO", "O") and d >= 1 and (f.kind == "O" or group.det1 or f.n % 2)
         for f, d in zip(group.factors, triple.ds)
@@ -685,7 +645,7 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
     for i, f in enumerate(group.factors):
         k = triple.gl_rank(i)
         d = triple.ds[i]
-        if f.kind in ("GL", "SL"):
+        if f.kind == "GL":
             pieces.append(("A", k - 1))
         elif f.kind == "Sp":
             pieces.append(("B", k))
@@ -724,12 +684,7 @@ def enumerate_pairs(group: ComplexGroup):
     """All pairs (unipotent class, component-group character)."""
     out = []
     for u in unipotent_classes(group):
-        A = component_group(group, u)
-        if A.cyclic != 1:
-            raise UnrecognizedStructure(
-                "pair enumeration over cyclic component groups is not supported"
-            )
-        for ch in A.characters():
+        for ch in component_group(group, u).characters():
             out.append((u, ch))
     return out
 
@@ -766,7 +721,7 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
     ds, signs, labels = [], [], []
     for i, f in enumerate(group.factors):
         lam, tag = u.partitions[i], u.tags[i]
-        if f.kind in ("GL", "SL"):
+        if f.kind == "GL":
             ds.append(0)
             signs.append(0)
             labels.append(lam.conjugate())
@@ -850,7 +805,7 @@ def is_distinguished(group: ComplexGroup, u: UnipotentClass) -> bool:
     """No central torus in the centralizer: every part of the right
     parity, multiplicity free."""
     for f, lam in zip(group.factors, u.partitions):
-        if f.kind in ("GL", "SL"):
+        if f.kind == "GL":
             if lam.parts != (f.n,) and f.n > 0:
                 return False
         elif f.kind == "Sp":

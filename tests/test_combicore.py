@@ -28,7 +28,29 @@ def B(a, b):
     return Bipartition(Partition(a), Partition(b))
 
 
+def partitions_oracle(n, max_part=None):
+    """The former recursion of ``partitions``, which builds a partition
+    at every node: kept as the oracle for the tuple recursion."""
+    if n < 0:
+        return
+    if n == 0:
+        yield Partition()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions_oracle(n - first, first):
+            yield Partition((first,) + rest.parts)
+
+
 class TestPartitions:
+    def test_agrees_with_the_former_recursion(self):
+        for n in range(-1, 15):
+            for max_part in [None] + list(range(-1, n + 2)):
+                got = list(partitions(n, max_part))
+                assert got == list(partitions_oracle(n, max_part))
+                assert all(type(p) is Partition for p in got)
+
     def test_counts(self):
         # partition numbers p(0)..p(10)
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

@@ -689,6 +689,26 @@ class TestCoordinates:
             assert other == c and hash(other) == hash(c)
         assert {c: 1}[routes[1]] == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_product_equals_the_plain_sum(self, data):
+        # the product reuses a torsion when the other one is 0; it must
+        # still equal, field by field and by hash, the coordinate built
+        # from the sum of the two torsions
+        def coordinate(label):
+            t = data.draw(st.one_of(st.just(Fraction(0)), fractions_to_12), label=label)
+            qexp = data.draw(st.integers(-3, 3), label=label + " qexp")
+            exps = data.draw(st.lists(st.integers(-2, 2), max_size=2), label=label + " exps")
+            return SymbolicCoordinate(t, qexp, tuple(zip("xy", exps)))
+
+        a, b = coordinate("a"), coordinate("b")
+        plain = SymbolicCoordinate(a.torsion + b.torsion, a.qexp + b.qexp,
+                                   a.monomial + b.monomial)
+        got = a * b
+        assert type(got.torsion) is Fraction and 0 <= got.torsion < 1
+        assert (got.torsion, got.qexp, got.monomial) == (plain.torsion, plain.qexp, plain.monomial)
+        assert got == plain and hash(got) == hash(plain)
+
     def test_empty_monomial_is_a_tuple(self):
         assert SymbolicCoordinate(monomial=[]).monomial == ()
         assert SymbolicCoordinate(monomial=[("x", 1), ("x", -1)]) == ONE
