@@ -563,9 +563,7 @@ def correcting_cocharacters(G: PadicGroup, triple: InertialTriple):
     seen = set()
     for e in data.entries:
         shift = SymbolicTorusPoint(tuple(q_power(c) for c in e.cochar))
-        orbit = frozenset(
-            act(w, shift) for w in data.inertial.action.elements
-        )
+        orbit = _orbit(data.inertial.action, shift)
         if orbit in seen:
             continue
         seen.add(orbit)

@@ -23,10 +23,12 @@ class MalformedSymbol(ValueError):
 
 
 def _normalize_parts(parts) -> tuple[int, ...]:
-    parts = tuple(sorted((int(p) for p in parts if int(p) != 0), reverse=True))
-    if any(p < 0 for p in parts):
+    parts = sorted(map(int, parts), reverse=True)
+    if parts and parts[-1] < 0:
         raise ValueError("partition parts must be nonnegative")
-    return parts
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts)
 
 
 @dataclass(frozen=True, order=True)
@@ -111,18 +113,15 @@ def _part_str(p: Partition) -> str:
     return ".".join(str(x) for x in p.parts)
 
 
-def bipartitions(n: int):
+@lru_cache(maxsize=None)
+def bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All bipartitions of ``n``, in a fixed deterministic order.
 
     The order is: size of the first component descending, then each
     component in the order produced by :func:`partitions`.
     """
-    out = []
-    for k in range(n, -1, -1):
-        for a in partitions(k):
-            for b in partitions(n - k):
-                out.append(Bipartition(a, b))
-    return out
+    return tuple(Bipartition(a, b) for k in range(n, -1, -1)
+                 for a in partitions(k) for b in partitions(n - k))
 
 
 @dataclass(frozen=True, order=True)
@@ -155,7 +154,8 @@ class DLabel:
         return s + ("'" if self.primed else "")
 
 
-def dlabels(n: int):
+@lru_cache(maxsize=None)
+def dlabels(n: int) -> tuple[DLabel, ...]:
     """All labels for rank-``n`` even-signed permutation group characters."""
     seen = set()
     out = []
@@ -169,7 +169,7 @@ def dlabels(n: int):
             out.append(DLabel(bp.alpha, bp.beta, primed=True))
         else:
             out.append(DLabel(bp.alpha, bp.beta))
-    return out
+    return tuple(out)
 
 
 def sign_twist(label):

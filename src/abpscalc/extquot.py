@@ -638,7 +638,9 @@ class Stratum:
         if H.order == 1:
             return [EQPoint(self.base, H, H.irreps()[0], "generic")]
         if self.dimension > 0:
-            connected = len(_pointwise_fix(H, self.coset.rank)) == 1
+            # the fixed torus is connected exactly when the stabilizer
+            # only permutes coordinates
+            connected = all(kind == "A" for kind, _ in H.pieces)
             trivial = H.irreps()[0]
             out = []
             for rho in H.irreps():
@@ -796,15 +798,6 @@ def _has_connected_hyperplane(w: SignedPermutation) -> bool:
         return False
     i, j = moved
     return w.images[i] == j + 1 and w.images[j] == i + 1 and w.signs[i] == w.signs[j]
-
-
-def _pointwise_fix(group: RecognizedSubgroup, rank: int):
-    """The full fixed locus of the subgroup, as cosets."""
-    A = []
-    for w in group.elements:
-        M = w.matrix()
-        A.extend([M[i][j] - (i == j) for j in range(rank)] for i in range(rank))
-    return _solve_torus(A, [0] * len(A), rank)
 
 
 def spectral_eq(action: MonomialAction):

@@ -13,13 +13,15 @@ blockwise: every pair lands in the block of a unique cuspidal triple,
 and within a block the pairs biject with the irreducible characters of
 the relative Weyl group of the triple.
 
-The combinatorial engine pads a partition to a canonical length, forms
-the strictly increasing shifted sequence ``xi_i = lam_i + i - 1``, and
-encodes the character as markings on the parts of one parity.  Each
-marked group of equal parts displaces an endpoint of its run of
-consecutive ``xi`` values; the surplus of even over odd entries of the
-displaced sequence determines the block, and subtracting the block's
-anchor staircases yields the character label.
+Each classical factor reads its pair off Lusztig's symbol of the class
+(Lusztig, *Intersection cohomology complexes on a reductive group*,
+Invent. Math. 75 (1984), sections 11-13).  The ascending parts, padded
+for ``Sp`` to odd length, give the shifted values ``xi_i = part_i + i``;
+the even ones fill the top row and the odd ones the bottom row.  Each
+markable part value owns an interval, a maximal run of consecutive
+integers lying in one row only, and a character moves the interval of
+every part value it marks to the other row.  The defect of the marked
+symbol gives the block, and the rows less a staircase give the label.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .combicore import (
     Bipartition,
     DLabel,
     Partition,
+    _partition_tuples,
     partitions,
     bipartitions,
     dlabels,
@@ -128,36 +131,44 @@ class UnipotentClass:
 
 
 def _factor_partitions(factor: GroupFactor):
+    """The partitions of one factor's unipotent classes, with their tags:
+    parts of the other parity than the markable ones (odd for ``Sp``,
+    even for ``SO`` and ``O``) have even multiplicity."""
+    raw = _partition_tuples(factor.n, factor.n)
     if factor.kind == "GL":
-        return [(p, "") for p in partitions(factor.n)]
-    if factor.kind == "Sp":
-        out = []
-        for p in partitions(factor.n):
-            if all(p.multiplicity(v) % 2 == 0 for v in p.distinct_parts() if v % 2):
-                out.append((p, ""))
-        return out
-    # SO / O
+        return [(Partition(p), "") for p in raw]
+    paired = 1 if factor.kind == "Sp" else 0
     out = []
-    for p in partitions(factor.n):
-        if any(p.multiplicity(v) % 2 for v in p.distinct_parts() if v % 2 == 0):
+    for p in raw:
+        if any(p.count(v) % 2 for v in set(p) if v % 2 == paired):
             continue
-        very_even = factor.n > 0 and all(v % 2 == 0 for v in p.parts)
-        if factor.kind == "SO" and very_even:
-            out.append((p, "I"))
-            out.append((p, "II"))
+        lam = Partition(p)
+        if factor.kind == "SO" and p and not any(v % 2 for v in p):
+            out.append((lam, "I"))
+            out.append((lam, "II"))
         else:
-            out.append((p, ""))
+            out.append((lam, ""))
     return out
 
 
 def unipotent_classes(group: ComplexGroup):
-    """All unipotent classes of ``group`` (very-even classes of a
-    connected even special orthogonal factor are split I/II; in the
-    presence of a determinant swap they fuse)."""
+    """All unipotent classes of ``group``.  Very even classes split I/II:
+    those of an ``SO`` factor, and under a determinant-one condition
+    those whose ``O`` partitions have only even parts, not all empty
+    (the tag goes on the first nonempty ``O`` factor)."""
     per = [_factor_partitions(f) for f in group.factors]
+    ofactors = [i for i, f in enumerate(group.factors) if f.kind == "O"] if group.det1 else []
     out = []
     for combo in iproduct(*per):
-        out.append(UnipotentClass(tuple(c[0] for c in combo), tuple(c[1] for c in combo)))
+        parts = tuple(c[0] for c in combo)
+        tags = tuple(c[1] for c in combo)
+        nonempty = [i for i in ofactors if parts[i]]
+        if nonempty and not any(v % 2 for i in nonempty for v in parts[i].parts):
+            i = nonempty[0]
+            for tag in ("I", "II"):
+                out.append(UnipotentClass(parts, tags[:i] + (tag,) + tags[i + 1:]))
+        else:
+            out.append(UnipotentClass(parts, tags))
     return out
 
 
@@ -273,95 +284,63 @@ def component_group(group: ComplexGroup, u: UnipotentClass) -> ComponentGroup:
 
 
 # ---------------------------------------------------------------------------
-# the xi-sequence engine
+# symbols
 
 
-def _xi_sequence(lam: Partition, kind: str):
-    """Ascending padded parts and their shifted values ``part + i - 1``.
+def _symbol(kind: str, lam: Partition):
+    """The symbol of ``lam`` at the trivial character, and the interval
+    of each markable part value.
 
-    For symplectic factors the padding length is odd; orthogonal
-    partitions already have the canonical length parity and are not
-    padded.
+    Returns ``(top, bottom, intervals)``: the two rows as sets, and a map
+    from each markable part value (even for ``Sp``, odd for ``SO`` and
+    ``O``) to its interval, a maximal run of consecutive integers lying
+    in exactly one row, paired in ascending order.  For ``Sp`` the run
+    containing 0 belongs to no part.
     """
-    parts = list(lam.ascending())
-    if kind == "C" and len(parts) % 2 == 0:
-        parts = [0] + parts
-    xi = [p + i for i, p in enumerate(parts)]
-    return parts, xi
+    parts = lam.ascending()
+    if kind == "Sp" and len(parts) % 2 == 0:
+        parts = (0,) + parts
+    c = 1 if kind == "Sp" else 0
+    top, bottom = [], []
+    for i, p in enumerate(parts):
+        x = p + i
+        if x % 2:
+            bottom.append(x // 2 + len(bottom) + c)
+        else:
+            top.append(x // 2 + len(top))
+    runs = []
+    for x in sorted(set(top).symmetric_difference(bottom)):
+        if runs and runs[-1][-1] == x - 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    if kind == "Sp" and runs and runs[0][0] == 0:
+        del runs[0]
+    parity = 0 if kind == "Sp" else 1
+    markable = sorted({v for v in parts if v and v % 2 == parity})
+    return set(top), set(bottom), dict(zip(markable, map(set, runs)))
 
 
-def _runs(parts, xi):
-    """Maximal runs of xi values belonging to each part value."""
-    runs = {}
-    for p, x in zip(parts, xi):
-        runs.setdefault(p, []).append(x)
-    return runs
+def _unstair(row, c: int = 0) -> Partition:
+    return Partition([x - 2 * i - c for i, x in enumerate(sorted(row))])
 
 
-def _displaced(lam: Partition, marked, kind: str):
-    """Apply the marking moves and return the displaced value set.
-
-    Marked runs of even multiplicity push both endpoints outward; marked
-    runs of odd multiplicity displace one endpoint, alternating downward
-    then upward.  Once an odd-multiplicity marked run has fired, every
-    higher unmarked run of the opposite parity class (these always have
-    even multiplicity) also spreads outward.
-    """
-    markable = 0 if kind == "C" else 1
-    for v in marked:
-        if v % 2 != markable or lam.multiplicity(v) == 0:
-            raise SpringerError(f"cannot mark part value {v} of {lam}")
-    parts, xi = _xi_sequence(lam, kind)
-    runs = _runs(parts, xi)
-    values = set(xi)
-    down = True
-    spreading = False
-    for v in sorted(runs):
-        run = runs[v]
-        lo, hi = run[0], run[-1]
-        if v in marked:
-            if len(run) % 2 == 0:
-                values.discard(lo)
-                values.discard(hi)
-                values.add(lo - 1)
-                values.add(hi + 1)
-            elif down:
-                values.discard(lo)
-                values.add(lo - 1)
-                down = False
-                spreading = True
-            else:
-                values.discard(hi)
-                values.add(hi + 1)
-                down = True
-                spreading = True
-        elif spreading and v != 0 and v % 2 != markable and len(run) % 2 == 0:
-            values.discard(lo)
-            values.discard(hi)
-            values.add(lo - 1)
-            values.add(hi + 1)
-    if len(values) != len(xi) or min(values, default=0) < 0:
-        raise SpringerError(f"marking moves collided for {lam} with marks {sorted(marked)}")
-    return sorted(values)
-
-
-def _split_halves(values):
-    evens = [x // 2 for x in values if x % 2 == 0]
-    odds = [(x - 1) // 2 for x in values if x % 2]
-    return evens, odds
-
-
-def _shift_halves(a, b):
-    return [0] + [x + 1 for x in a], [0] + [x + 1 for x in b]
-
-
-def _strip(seq, frame):
-    if len(seq) != len(frame):
-        raise SpringerError("frame length mismatch")
-    diffs = [s - f for s, f in zip(seq, frame)]
-    if any(d < 0 for d in diffs) or any(y < x for x, y in zip(diffs, diffs[1:])):
-        raise SpringerError(f"sequence {seq} does not fit frame {frame}")
-    return Partition(diffs)
+def _factor_block_and_label(kind: str, top, bottom, tag: str):
+    """Block data and character label read from the rows of a marked
+    symbol: ``(d, sign, label)``, where ``d`` is the core size parameter,
+    ``sign`` distinguishes the two cuspidal characters of a disconnected
+    orthogonal core (0 otherwise), and ``label`` is the relative Weyl
+    character label of the pair."""
+    D = len(top) - len(bottom)
+    if kind == "Sp":
+        d = D - 1 if D > 0 else -D
+        alpha, beta = _unstair(top), _unstair(bottom, 1)
+        return d, 0, Bipartition(beta, alpha) if d % 2 else Bipartition(alpha, beta)
+    longer, shorter = (top, bottom) if D > 0 else (bottom, top)
+    alpha, beta = _unstair(longer), _unstair(shorter)
+    if kind == "SO" and D == 0:
+        return 0, 0, DLabel(alpha, beta, primed=alpha == beta and tag == "II")
+    return abs(D), (D > 0) - (D < 0), Bipartition(alpha, beta)
 
 
 def _sp_core_partition(d: int) -> Partition:
@@ -379,102 +358,25 @@ def _sp_core_marks(d: int):
 
 def _o_core_marks(d: int, sign: int):
     """Markings of the two cuspidal characters of an orthogonal core
-    O(d^2); ``sign`` selects the lifting (it equals the sign of the
-    displaced-sequence defect)."""
+    O(d^2); ``sign`` selects the lifting (the sign of the defect of the
+    marked symbol)."""
     odds = list(range(1, 2 * d, 2))
     plus = {odds[i] for i in range(d) if i % 2 == 0}
     return plus if sign > 0 else set(odds) - plus
-
-
-@lru_cache(maxsize=None)
-def _anchor_halves(kind: str, d: int):
-    if kind == "C":
-        lam, marks = _sp_core_partition(d), _sp_core_marks(d)
-        if d == 0:
-            return (0,), ()  # the padded empty core
-    else:
-        lam, marks = _so_core_partition(d), _o_core_marks(d, -1)
-        if d == 0:
-            return (), ()
-    values = _displaced(lam, marks, kind)
-    a, b = _split_halves(values)
-    return tuple(a), tuple(b)
-
-
-def _defect_to_block(kind: str, defect: int):
-    """Block parameter and lifting sign from the displaced defect."""
-    if kind == "C":
-        if defect % 2 == 0:
-            raise SpringerError(f"even defect {defect} in a symplectic factor")
-        return (defect - 1, 0) if defect > 0 else (-defect, 0)
-    d = abs(defect)
-    return d, (1 if defect > 0 else (-1 if defect < 0 else 0))
-
-
-def _factor_defect(factor: GroupFactor, lam: Partition, marked):
-    kind = "C" if factor.kind == "Sp" else "BD"
-    values = _displaced(lam, marked, kind)
-    a, b = _split_halves(values)
-    return len(a) - len(b)
-
-
-def _factor_block_and_label(factor: GroupFactor, lam: Partition, tag: str, marked):
-    """Block data and character label for one classical factor.
-
-    Returns ``(d, sign, label)`` where ``d`` is the core size parameter,
-    ``sign`` distinguishes the two cuspidal characters of a
-    disconnected orthogonal core (0 otherwise), and ``label`` is the
-    relative Weyl character label of the pair.
-
-    For orthogonal factors in a positive-defect block the label is read
-    off the complementary marking (the one with negative defect); the
-    marking as given only fixes the sign.
-    """
-    kind = "C" if factor.kind == "Sp" else "BD"
-    values = _displaced(lam, marked, kind)
-    a, b = _split_halves(values)
-    defect = len(a) - len(b)
-    d, sign = _defect_to_block(kind, defect)
-    if kind == "BD" and defect > 0:
-        odds = {v for v in lam.distinct_parts() if v % 2}
-        values = _displaced(lam, odds - set(marked), kind)
-        a, b = _split_halves(values)
-        if len(a) - len(b) != -defect:
-            raise SpringerError(
-                f"complementary markings of {lam} have inconsistent defects")
-    fa, fb = _anchor_halves(kind, d)
-    fa, fb = list(fa), list(fb)
-    while len(fa) + len(fb) < len(a) + len(b):
-        fa, fb = _shift_halves(fa, fb)
-    while len(fa) + len(fb) > len(a) + len(b):
-        a, b = _shift_halves(a, b)
-    if kind == "C":
-        if d % 2 == 0:
-            label = Bipartition(_strip(a, fa), _strip(b, fb))
-        else:
-            label = Bipartition(_strip(b, fb), _strip(a, fa))
-    else:
-        alpha, beta = _strip(b, fb), _strip(a, fa)
-        if factor.kind == "SO":
-            if d == 0:
-                primed = alpha == beta and tag == "II"
-                label = DLabel(alpha, beta, primed=primed)
-            else:
-                label = Bipartition(alpha, beta)
-        else:
-            label = Bipartition(alpha, beta)
-    return d, sign, label
 
 
 def ordinary_symplectic_label(lam: Partition) -> Bipartition:
     """The staircase recipe for the principal block at the trivial
     character of a symplectic factor: split the shifted sequence by
     parity, halve, and unstaircase."""
-    parts, xi = _xi_sequence(lam, "C")
-    a, b = _split_halves(xi)
-    alpha = Partition([x - i for i, x in enumerate(a)])
-    beta = Partition([x - i for i, x in enumerate(b)])
-    return Bipartition(alpha, beta)
+    parts = lam.ascending()
+    if len(parts) % 2 == 0:
+        parts = (0,) + parts
+    xi = [p + i for i, p in enumerate(parts)]
+    evens = [x // 2 for x in xi if x % 2 == 0]
+    odds = [x // 2 for x in xi if x % 2]
+    return Bipartition(Partition([x - i for i, x in enumerate(evens)]),
+                       Partition([x - i for i, x in enumerate(odds)]))
 
 
 # ---------------------------------------------------------------------------
@@ -689,49 +591,56 @@ def enumerate_pairs(group: ComplexGroup):
     return out
 
 
+def _class_symbols(group: ComplexGroup, u: UnipotentClass):
+    """Per factor, the symbol of the class (``None`` for ``GL``)."""
+    return [None if f.kind == "GL" else _symbol(f.kind, lam)
+            for f, lam in zip(group.factors, u.partitions)]
+
+
+def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, char: SignCharacter):
+    """Block key ``(ds, signs)`` and labels of one pair, from the
+    symbols of its class."""
+    moved = [set() for _ in symbols]
+    for (fi, v), val in zip(char.group.keys, char.values):
+        if val == -1:
+            if v not in symbols[fi][2]:
+                raise SpringerError(f"cannot mark part value {v} of {u.partitions[fi]}")
+            moved[fi] |= symbols[fi][2][v]
+    rows = [None if s is None else (s[0] ^ m, s[1] ^ m) for s, m in zip(symbols, moved)]
+    if group.det1:
+        first = next((len(r[0]) - len(r[1]) for f, r in zip(group.factors, rows)
+                      if f.kind == "O" and len(r[0]) != len(r[1])), 0)
+        if first < 0:
+            rows = [r[::-1] if f.kind == "O" else r for f, r in zip(group.factors, rows)]
+    ds, signs, labels = [], [], []
+    for f, lam, tag, r in zip(group.factors, u.partitions, u.tags, rows):
+        if f.kind == "GL":
+            d, sign, label = 0, 0, lam.conjugate()
+        else:
+            d, sign, label = _factor_block_and_label(f.kind, r[0], r[1], tag)
+        ds.append(d)
+        signs.append(sign)
+        labels.append(label)
+    return (tuple(ds), _canonical_signs(group, signs)), tuple(labels)
+
+
 def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignCharacter):
     """The correspondence on one pair: returns ``(triple, label)``.
 
     ``label`` is a tuple of per-factor character labels of the relative
     Weyl group of ``triple``.
 
-    Orthogonal factor labels never depend on the choice of lifting of a
-    constrained character, because positive-defect markings delegate to
-    their complement inside the factor.  Only the ``O``-factor signs
-    (and the zero-defect orthogonal labels) see the marking itself, and
-    under a joint determinant constraint those are first normalized by
-    the global flip.
+    Each classical factor reads its pair off the symbol of the class:
+    every marked part value (a ``-1`` of ``char``) moves its interval
+    to the other row, the defect of the marked symbol gives the core
+    size and, for ``O`` factors, the lifting sign, and the rows less a
+    staircase give the label.  Under a joint determinant condition the
+    ``O`` factors are first normalized by the global flip: their rows
+    swap when the first ``O`` factor of nonzero defect has more entries
+    in the bottom row.
     """
-    marks = [set() for _ in group.factors]
-    for (fi, v), val in zip(char.group.keys, char.values):
-        if val == -1:
-            marks[fi].add(v)
-    if group.det1:
-        raw = 0
-        for i, f in enumerate(group.factors):
-            if f.kind == "O":
-                raw = _factor_defect(f, u.partitions[i], marks[i])
-                if raw:
-                    break
-        if raw < 0:
-            for i, f in enumerate(group.factors):
-                if f.kind == "O":
-                    odds = {v for v in u.partitions[i].distinct_parts() if v % 2}
-                    marks[i] = odds - marks[i]
-    ds, signs, labels = [], [], []
-    for i, f in enumerate(group.factors):
-        lam, tag = u.partitions[i], u.tags[i]
-        if f.kind == "GL":
-            ds.append(0)
-            signs.append(0)
-            labels.append(lam.conjugate())
-            continue
-        d, sign, label = _factor_block_and_label(f, lam, tag, marks[i])
-        ds.append(d)
-        signs.append(sign)
-        labels.append(label)
-    triple = CuspidalTriple(group, tuple(ds), _canonical_signs(group, signs))
-    return triple, tuple(labels)
+    (ds, signs), labels = _correspond(group, u, _class_symbols(group, u), char)
+    return CuspidalTriple(group, ds, signs), labels
 
 
 @lru_cache(maxsize=None)
@@ -739,13 +648,13 @@ def springer_blocks(group: ComplexGroup):
     """The full correspondence: maps each block (cuspidal triple) to the
     list of its pairs with their labels.  Raises if any block fails to
     biject with the characters of its relative Weyl group."""
-    blocks = {}
-    for u, ch in enumerate_pairs(group):
-        try:
-            triple, label = generalized_springer(group, u, ch)
-        except SpringerError as exc:
-            raise type(exc)(f"{group}: class {u}, character {ch}: {exc}") from exc
-        blocks.setdefault(triple, []).append((u, ch, label))
+    keyed = {}
+    for u in unipotent_classes(group):
+        symbols = _class_symbols(group, u)
+        for ch in component_group(group, u).characters():
+            key, labels = _correspond(group, u, symbols, ch)
+            keyed.setdefault(key, []).append((u, ch, labels))
+    blocks = {CuspidalTriple(group, ds, signs): rows for (ds, signs), rows in keyed.items()}
     for triple, rows in blocks.items():
         W = relative_weyl_group(triple)
         got = [lab for _, _, lab in rows]
@@ -756,7 +665,9 @@ def springer_blocks(group: ComplexGroup):
             got = [_fold(lab) for lab in got]
             want = [combo for combo, _ in want]
         got, want = Counter(got), Counter(want)
-        if got != want:
+        # every count is positive, so plain dict equality agrees with
+        # Counter's, and it compares in C on the stored hashes
+        if dict(got) != dict(want):
             raise SpringerError(
                 f"{group}: block {triple} does not biject with Irr {W.structure()}: "
                 f"labels in excess {_label_list(got - want)}, "

@@ -236,10 +236,16 @@ class TestExitCodes:
         assert len(rows) == 1
         assert rows[0]["label"] == rows[0]["label_times_sign"] == "{-,-}"
 
-    def test_springer_runs_the_bijectivity_check(self, capsys):
-        assert cli.run(["springer", "--group", "Sp10", "--generalized"]) == 1
+    def test_springer_runs_the_bijectivity_check(self, wrong_sp6_label, capsys):
+        assert cli.run(["springer", "--group", "Sp6", "--generalized"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "SpringerError" in captured.err
+        assert captured.out == ""
+        assert captured.err == f"SpringerError: {wrong_sp6_label}\n"
+
+    def test_springer_sp10_generalized_table(self, capsys):
+        assert cli.run(["--format", "json", "springer", "--group", "Sp10", "--generalized"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 61
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_cuspidal_refuses_max_below_one(self, bound, capsys):

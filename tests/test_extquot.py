@@ -601,6 +601,51 @@ class TestSpectralQuotient:
         assert covered == bases
 
 
+def _fixed_torus_is_connected(group, rank):
+    """Whether the pointwise fixed locus of the subgroup is one coset,
+    solved as one system: (w - 1) x = 0 for every element w."""
+    A = []
+    for w in group.elements:
+        M = w.matrix()
+        A.extend([M[i][j] - (i == j) for j in range(rank)] for i in range(rank))
+    return len(_solve_torus(A, [0] * len(A), rank)) == 1
+
+
+KLEIN_FOUR = MonomialAction(tuple(SignedPermutation((1, 2), s)
+                                  for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+CONNECTIVITY_ACTIONS = [
+    ("B1", hyperoctahedral_action(1)),
+    ("B2", B2),
+    ("B3", B3),
+    ("S2", permutation_action(2)),
+    ("S3", permutation_action(3)),
+    ("T3", trivial_action(3)),
+    ("V4", KLEIN_FOUR),
+] + [
+    (f"{family}{size}{names}",
+     _inertial_action(inertial_triple(PadicGroup(family, size), tuple(
+         line(n, catalogue=FREE_CATALOGUE if "chi" in names else None) for n in names))))
+    for family, size, names in [
+        ("Sp", 4, ("zeta", "zeta")), ("Sp", 4, ("zeta", "eta")), ("Sp", 4, ("1", "1")),
+        ("Sp", 6, ("zeta",) * 3), ("Sp", 6, ("zeta", "zeta", "eta")),
+        ("Sp", 6, ("zeta", "eta", "1")), ("SO", 5, ("zeta", "zeta")),
+        ("SO", 4, ("zeta", "zeta")), ("SO", 7, ("zeta",) * 3),
+        ("GL", 2, ("zeta",) * 2), ("GL", 3, ("zeta",) * 3), ("GL", 2, ("chi", "psi")),
+    ]
+]
+
+
+@pytest.mark.parametrize("name, action", CONNECTIVITY_ACTIONS, ids=[n for n, _ in CONNECTIVITY_ACTIONS])
+def test_families_read_connectivity_from_the_stabilizer_pieces(name, action):
+    # on a positive-dimensional stratum with a nontrivial stabilizer the
+    # families are "special" exactly when the fixed torus is disconnected
+    for st in strata(action):
+        if st.dimension == 0 or st.group.order == 1:
+            continue
+        special = {f.kind == "special" for f in st.families()}
+        assert special == {not _fixed_torus_is_connected(st.group, action.rank)}, str(st)
+
+
 class TestGeometricQuotient:
     def test_b2_count(self):
         assert len(geometric_eq(B2)) == 9

@@ -88,6 +88,13 @@ def test_sp6_cuspidal_row():
     assert not is_cuspidal_pair(g, u, char_from_marks(g, u, {4}))
 
 
+def test_character_of_another_class_is_refused():
+    g = Sp(6)
+    ch = char_from_marks(g, cls(g, 6), {6})
+    with pytest.raises(SpringerError, match=r"cannot mark part value 6 of \(4,2\)"):
+        generalized_springer(g, cls(g, 4, 2), ch)
+
+
 def test_sp6_inverse_roundtrip():
     g = Sp(6)
     for parts, marks, d, label in SP6_ORACLE:
@@ -145,6 +152,15 @@ CORPUS = (
                      det1=True)]
     + [group_product(GroupFactor("GL", 1), GroupFactor("O", 2), GroupFactor("O", 1),
                      det1=True)]
+    # every kind up to Sp24, SO24 and O24, and det-one products whose O
+    # partitions can be all even (each such class splits I/II)
+    + [Sp(2 * n) for n in range(5, 13)]
+    + [SO(m) for m in (0, *range(10, 25))]
+    + [Orth(m) for m in (0, *range(9, 25))]
+    + [group_product(*(GroupFactor("O", n) for n in ns), det1=True)
+       for ns in [(4,), (8,), (12,), (0, 4), (4, 4), (4, 8), (8, 8), (0, 4, 4), (4, 4, 4)]]
+    + [group_product(GroupFactor("GL", k), GroupFactor("O", 4), GroupFactor("O", 4), det1=True)
+       for k in (1, 2, 3)]
 )
 
 
@@ -199,24 +215,47 @@ def test_trivial_group_has_one_pair(g, label):
     assert rows[0][2] == (label,)
 
 
-def test_block_error_names_group_and_labels():
+def test_block_error_names_group_and_labels(wrong_sp6_label):
     with pytest.raises(SpringerError) as exc:
-        springer_blocks(Sp(10))
-    message = str(exc.value)
-    assert "Sp10" in message and "Partition(" not in message
-    assert "labels in excess" in message and "missing" in message
+        springer_blocks(Sp(6))
+    assert str(exc.value) == wrong_sp6_label
 
 
-@pytest.mark.parametrize("group, name, engine_message", [
-    (Sp(14), "Sp14", "does not fit frame"),
-    (Orth(11), "O11", "marking moves collided"),
-])
-def test_engine_error_names_group_class_and_character(group, name, engine_message):
-    with pytest.raises(SpringerError) as exc:
-        springer_blocks(group)
-    message = str(exc.value)
-    assert message.startswith(f"{name}: class (") and ", character " in message
-    assert engine_message in message
+def test_det_one_all_even_classes_split():
+    # the tag goes on the first nonempty O factor, here the first O4
+    g = group_product(GroupFactor("GL", 1), GroupFactor("O", 0), GroupFactor("O", 4),
+                      GroupFactor("O", 4), det1=True)
+    tags = {}
+    for u in unipotent_classes(g):
+        tags.setdefault(tuple(p.parts for p in u.partitions), []).append(u.tags)
+    assert tags[(1,), (), (2, 2), (2, 2)] == [("", "", "I", ""), ("", "", "II", "")]
+    assert tags[(1,), (), (2, 2), (3, 1)] == [("", "", "", "")]
+    assert tags[(1,), (), (1, 1, 1, 1), (2, 2)] == [("", "", "", "")]
+    assert sum(len(t) for t in tags.values()) == len(unipotent_classes(g))
+
+
+@pytest.mark.parametrize("g, d", [(Sp(d * (d + 1)), d) for d in range(1, 6)]
+                         + [(Orth(d * d), d) for d in range(1, 7)], ids=str)
+def test_core_marks_land_in_their_own_block(g, d):
+    # the cuspidal character of each core, and for O both liftings
+    for sign in ((0,) if g.factors[0].kind == "Sp" else (1, -1)):
+        triple = next(t for t in cuspidal_triples(g) if t.ds == (d,) and t.signs == (sign,))
+        u = cls(g, *triple.core_partition(0).parts)
+        assert generalized_springer(g, u, char_from_marks(g, u, triple.core_marks(0)))[0] == triple
+
+
+@pytest.mark.parametrize("family", ["Sp", "SO"])
+def test_cuspidal_rows_are_cuspidal_pairs(family):
+    from abpscalc.cli import cuspidal_rows
+    rows = cuspidal_rows(family, 10)
+    assert rows
+    for row in rows:
+        n = int(row["group"][len(family):])
+        g = Sp(n) if family == "Sp" else SO(n)
+        u = cls(g, *map(int, row["partition"].strip("()").split(",")))
+        marks = {int(bit[1:bit.index("-")]) for bit in row["character"].strip("[]").split()
+                 if bit.endswith("-")}
+        assert is_cuspidal_pair(g, u, char_from_marks(g, u, marks)), row
 
 
 def test_sp8_depth_two_block_contents():
@@ -326,11 +365,9 @@ def _centralizer_group(*factors, det1=False):
 
 
 # Centralizer groups that langlands.centralizer_restriction builds for the
-# parameters of perfbench/params_pool.txt and on which the block check
-# fails today; cuspidal_support and is_cuspidal answer those parameters
-# through generalized_springer alone.  Each entry flips once the engine
-# handles its group.
-UNCHECKED_CENTRALIZERS = [
+# parameters of perfbench/params_pool.txt; cuspidal_support and is_cuspidal
+# answer those parameters through generalized_springer.
+POOL_CENTRALIZERS = [
     _centralizer_group(("Sp", 10)),
     _centralizer_group(("O", 11), det1=True),
     _centralizer_group(("O", 4), det1=True),
@@ -348,9 +385,7 @@ UNCHECKED_CENTRALIZERS = [
 ]
 
 
-@pytest.mark.parametrize("group", UNCHECKED_CENTRALIZERS, ids=str)
-@pytest.mark.xfail(strict=True, raises=SpringerError,
-                   reason="the block check fails on this centralizer group")
+@pytest.mark.parametrize("group", POOL_CENTRALIZERS, ids=str)
 def test_pool_centralizer_blocks_biject(group):
     springer_blocks(group)
 
