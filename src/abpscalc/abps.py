@@ -31,9 +31,11 @@ from .extquot import (
     strata,
 )
 from .langlands import (
+    DimensionMismatch,
     EnhancedParameter,
     FormalParameter,
     PadicGroup,
+    TypeMismatch,
     cuspidal_support,
     enhancements,
     is_cuspidal,
@@ -51,6 +53,12 @@ from .springer import (
 class MatchingError(ValueError):
     """The spectral families and the enhanced parameters of a triple
     could not be paired off."""
+
+
+class InvalidCore(ValueError):
+    """The core of an inertial triple is not a cuspidal parameter of the
+    core group, or with the torus coordinates does not make a parameter
+    of the target group."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +130,31 @@ class InertialData:
         return self.triple.rank
 
 
+def _core_group(triple: InertialTriple) -> PadicGroup:
+    """The group of the core factor: each torus coordinate takes two
+    from the size of ``Sp`` and ``SO``, one from that of ``GL``."""
+    G = triple.group
+    return PadicGroup(G.family, G.size - triple.rank * (1 if G.family == "GL" else 2))
+
+
+def _check_core(triple: InertialTriple):
+    """Refuse a non-empty core whose base restriction parameter fails
+    :func:`validate` or that is not cuspidal for the core group."""
+    G, core = triple.group, triple.core
+    try:
+        validate(G, _restriction_parameter(triple, triple.coordinates))
+    except (DimensionMismatch, TypeMismatch) as exc:
+        raise InvalidCore(f"core {core} does not fit {G}: {exc}") from exc
+    H = _core_group(triple)
+    if not is_cuspidal(H, core)[0]:
+        raise InvalidCore(f"core {core} is not cuspidal for {H}")
+
+
 def build_inertial(G: PadicGroup, triple: InertialTriple) -> InertialData:
     if G != triple.group:
         raise ValueError("triple was declared for a different target group")
+    if triple.core.summands:
+        _check_core(triple)
     action = _inertial_action(triple)
     periods = tuple(l.base.period for l in triple.coordinates)
     return InertialData(triple, periods, action, tuple(strata(action)))

@@ -305,6 +305,16 @@ class SignedPermutation:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "signs", signs)
 
+    @classmethod
+    def from_valid(cls, images: tuple, signs: tuple) -> "SignedPermutation":
+        """The element with these ``images`` and ``signs``, tuples of
+        ints already known to form a signed permutation: nothing is
+        converted or checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "images", images)
+        object.__setattr__(w, "signs", signs)
+        return w
+
     @property
     def rank(self) -> int:
         return len(self.images)

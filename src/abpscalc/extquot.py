@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -670,28 +670,188 @@ def _coset_orbit(action: MonomialAction, c: TorusCoset):
     return sorted(orbit, key=_coset_key)
 
 
-# the largest rank that strata accepts, its measured reach: strata(B5)
-# answers in seconds, strata(B6) takes minutes
-MAX_RANK = 5
+# the largest rank that strata accepts, its measured reach: extquot
+# --rank 6 answers in 8-9 s in a fresh process (2-CPU VM), 6-7 s of
+# it building the 46,080 elements of W(B6); W(B7) has 645,120
+MAX_RANK = 6
 
 
-def strata(action: MonomialAction):
-    """Canonical representatives of the stabilizer strata of the action,
-    one per orbit, ordered by decreasing dimension.
+def _product_blocks(action: MonomialAction):
+    """The coordinate blocks of the action, as ``(signed, coords)`` with
+    the coordinates ascending, when the action is the full product over
+    them of symmetric groups (``signed`` false) and hyperoctahedral
+    groups; ``None`` otherwise.
 
-    The strata come from the pool of the full torus and every fixed
-    locus, closed under intersection.  The pool is W-stable, because
-    ``v Fix(w) = Fix(v w v^-1)``, and so is every intersection of its
-    members.  So when ``c1 = v r`` for an orbit representative ``r``,
-    the intersection ``c1 & c2 = v (r & v^-1 c2)`` is known up to W from
-    representatives alone: each new orbit's representative meets the
-    pool, whatever the meeting adds joins with its whole orbit, and
-    this repeats until nothing new appears.  Two new representatives
-    need to meet only one of the two orbits, for the same reason.
+    The blocks are the orbits of the generators on coordinates, and a
+    block is signed when some generator inverts one of its coordinates.
+    The action lies in the product of the full groups on its blocks, so
+    it is that product exactly when its order is ``prod k!`` over the
+    unsigned blocks times ``prod 2^k k!`` over the signed ones.
     """
     n = action.rank
-    if n > MAX_RANK:
-        raise ValueError(f"stratification limited to rank {MAX_RANK}")
+    parent = list(range(n))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    signed = set()
+    for w in action.generators:
+        for c in range(n):
+            parent[find(c)] = find(w.images[c] - 1)
+            if w.signs[c] == -1:
+                signed.add(c)
+    blocks = {}
+    for c in range(n):
+        blocks.setdefault(find(c), []).append(c)
+    out, order = [], 1
+    for coords in blocks.values():
+        sign = any(c in signed for c in coords)
+        order *= factorial(len(coords)) << (len(coords) if sign else 0)
+        out.append((sign, tuple(coords)))
+    return out if order == action.order else None
+
+
+def _block_patterns(signed, k):
+    """The coordinate patterns of one block of size ``k``: how many
+    coordinates are 1, how many are -1, and the sizes of the classes of
+    equal generic coordinates (equal up to inversion on a signed
+    block).  A symmetric group fixes no value, so its coordinates are
+    all generic."""
+    if not signed:
+        return [(0, 0, lam.parts) for lam in partitions(k)]
+    return [(a, m - a, lam.parts)
+            for m in range(k + 1) for a in range(m + 1) for lam in partitions(k - m)]
+
+
+def _place(coords, parts, least):
+    """Classes of sizes ``parts`` on the generic coordinates ``coords``,
+    as lists of ``(coordinate, sign)``, placed the way the least member
+    of their orbit places them (see :func:`_pattern_strata`).  With
+    ``least`` false, every class keeps sign +1, which is the least
+    member whose stabilizer only permutes each class."""
+    free = list(coords)
+    classes = []
+    if least:
+        # each pivot takes the largest class on the coordinates after it,
+        # every one inverted
+        for s in sorted(parts, reverse=True):
+            classes.append([(free[0], 1)] + [(c, -1) for c in free[1:s]])
+            del free[:s]
+    else:
+        # each pivot takes the smallest class, on the last coordinates
+        for s in sorted(parts):
+            members = [free.pop(0)] + free[len(free) - s + 1:]
+            del free[len(free) - s + 1:]
+            classes.append([(c, 1) for c in members])
+    return classes
+
+
+def _pattern_coset(n, classes, minus):
+    """The canonical coset whose generic coordinates form ``classes``
+    and whose other coordinates are 1, or -1 on ``minus``.  Rows with
+    disjoint supports and pivot entry 1, sorted by pivot, are already in
+    Hermite form, and the translation vanishes on every pivot."""
+    rows = []
+    for cls in sorted(classes):
+        row = [0] * n
+        for c, s in cls:
+            row[c] = s
+        rows.append(tuple(row))
+    half = Fraction(1, 2)
+    return TorusCoset(n, tuple(rows),
+                      tuple(half if c in minus else Fraction(0) for c in range(n)))
+
+
+def _local_group(coords, signed):
+    """All elements of ``W(B(coords))``, or of ``S(coords)`` when not
+    ``signed``, as the images (1-based) and signs of ``coords``."""
+    k = len(coords)
+    if signed:
+        return [(tuple(coords[j - 1] + 1 for j in w.images), w.signs)
+                for w in all_signed_permutations(k)]
+    return [(tuple(coords[j] + 1 for j in p), (1,) * k) for p in permutations(range(k))]
+
+
+def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
+    """The stabilizer of a generic point whose ``classes`` are uniform
+    and whose other coordinates are 1 or -1: the symmetric group of each
+    class times the hyperoctahedral group of each tuple in ``fixed``
+    (the 1 or the -1 coordinates of one block), with the pieces
+    :func:`recognize_subgroup` gives it."""
+    factors = [(tuple(c for c, _ in cls), False) for cls in classes if len(cls) > 1]
+    factors += [(fix, True) for fix in fixed if fix]
+    pieces = sorted((("B" if sign else "A", fix) for fix, sign in factors if len(fix) > 1),
+                    key=lambda piece: piece[1])
+    diag = sorted(fix[0] + 1 for fix, _ in factors if len(fix) == 1)
+    if diag:
+        # the sorted flip vectors of the diagonal sign group are greedily
+        # independent exactly along the prefixes of its coordinates
+        pieces.append(("E2", tuple(tuple(diag[:i + 1]) for i in range(len(diag)))))
+    pairs = []
+    for maps in product(*(_local_group(fix, sign) for fix, sign in factors)):
+        images, signs = list(range(1, n + 1)), [1] * n
+        for (fix, _), (ims, sgs) in zip(factors, maps):
+            for c, d, s in zip(fix, ims, sgs):
+                images[c], signs[c] = d, s
+        pairs.append((tuple(images), tuple(signs)))
+    pairs.sort()
+    elements = tuple(SignedPermutation.from_valid(*pair) for pair in pairs)
+    return RecognizedSubgroup(elements, tuple(pieces))
+
+
+def _pattern_strata(action: MonomialAction, blocks):
+    """The strata of a full product of symmetric and hyperoctahedral
+    groups, one per choice of a coordinate pattern on every block.
+
+    The stabilizer of a point is the product over the blocks of the
+    stabilizers of its coordinates there, so the strata are the
+    products of per-block patterns.  Cosets compare by ``_coset_key``:
+    Hermite rows, one per class, in pivot order, then the translation.
+    Row by row, the least member of a pattern's orbit puts the fixed
+    coordinates of each block first, because a later pivot makes its
+    row smaller, and 1 before -1.  Each pivot of a signed block then
+    takes the largest class left, on the coordinates right after it and
+    inverted, so that its row goes on with entries -1; each pivot of a
+    symmetric block takes the smallest class left, on the last free
+    coordinates, so that its row goes on with zeros.  That member orders
+    the strata.  The representative is the least member whose
+    stabilizer has recognized structure, that is, whose classes are not
+    inverted: the symmetric placement on every block.
+    """
+    n = action.rank
+    out = []
+    for choice in product(*(_block_patterns(sign, len(c)) for sign, c in blocks)):
+        fixed, minus, least, uniform = [], set(), [], []
+        for (sign, coords), (a, b, parts) in zip(blocks, choice):
+            fixed += [coords[:a], coords[a:a + b]]
+            minus.update(coords[a:a + b])
+            least += _place(coords[a + b:], parts, sign)
+            uniform += _place(coords[a + b:], parts, False)
+        coset = _pattern_coset(n, uniform, minus)
+        group = _pattern_group(n, fixed, uniform)
+        key = _coset_key(_pattern_coset(n, least, minus))
+        out.append((key, Stratum(coset, coset.generic_point(), group)))
+    out.sort(key=lambda ks: ks[0])
+    return [st for _, st in out]
+
+
+def _closure_strata(action: MonomialAction):
+    """The strata of any action, from the pool of the full torus and
+    every fixed locus, closed under intersection.
+
+    The pool is W-stable, because ``v Fix(w) = Fix(v w v^-1)``, and so
+    is every intersection of its members.  So when ``c1 = v r`` for an
+    orbit representative ``r``, the intersection ``c1 & c2 = v (r &
+    v^-1 c2)`` is known up to W from representatives alone: each new
+    orbit's representative meets the pool, whatever the meeting adds
+    joins with its whole orbit, and this repeats until nothing new
+    appears.  Two new representatives need to meet only one of the two
+    orbits, for the same reason.
+    """
+    n = action.rank
     pool = {full_torus(n)}
     for w in action.elements:
         if w != action.identity():
@@ -737,6 +897,29 @@ def strata(action: MonomialAction):
         else:
             raise last
     return out
+
+
+def strata(action: MonomialAction):
+    """Canonical representatives of the stabilizer strata of the action,
+    one per orbit, ordered by the least coset of each orbit (decreasing
+    dimension first).  Each representative is the least coset of its
+    orbit whose stabilizer has recognized Coxeter structure (conjugates
+    may act by twisted reflections).
+
+    An action that is the full product of symmetric and hyperoctahedral
+    groups over its coordinate blocks (every action ``abps`` builds,
+    ``hyperoctahedral_action``, ``permutation_action``,
+    ``trivial_action``) is stratified from coordinate patterns, with no
+    fixed locus, intersection or stabilizer scan.  Any other action
+    (``even_sign_action``, coupled sign groups) goes through the closure
+    of its fixed loci under intersection.  Both give the same strata.
+    """
+    if action.rank > MAX_RANK:
+        raise ValueError(f"stratification limited to rank {MAX_RANK}")
+    blocks = _product_blocks(action)
+    if blocks is None:
+        return _closure_strata(action)
+    return _pattern_strata(action, blocks)
 
 
 # ---------------------------------------------------------------------------

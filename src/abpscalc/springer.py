@@ -365,20 +365,6 @@ def _o_core_marks(d: int, sign: int):
     return plus if sign > 0 else set(odds) - plus
 
 
-def ordinary_symplectic_label(lam: Partition) -> Bipartition:
-    """The staircase recipe for the principal block at the trivial
-    character of a symplectic factor: split the shifted sequence by
-    parity, halve, and unstaircase."""
-    parts = lam.ascending()
-    if len(parts) % 2 == 0:
-        parts = (0,) + parts
-    xi = [p + i for i, p in enumerate(parts)]
-    evens = [x // 2 for x in xi if x % 2 == 0]
-    odds = [x // 2 for x in xi if x % 2]
-    return Bipartition(Partition([x - i for i, x in enumerate(evens)]),
-                       Partition([x - i for i, x in enumerate(odds)]))
-
-
 # ---------------------------------------------------------------------------
 # cuspidal triples and relative Weyl groups
 

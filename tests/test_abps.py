@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from abpscalc.abps import (
+    InvalidCore,
     MatchingError,
     Packet,
     action_table,
@@ -80,6 +81,23 @@ class TestInertialData:
     def test_wrong_group_rejected(self):
         with pytest.raises(ValueError):
             build_inertial(PadicGroup("SO", 5), J)
+
+    def test_non_cuspidal_core_refused(self):
+        # 1 + 1 + 1 is not discrete for Sp2; the matching used to end in
+        # a label collision at (z)
+        core = FormalParameter(((line("1"), 1),) * 3)
+        with pytest.raises(InvalidCore, match=r"not cuspidal for Sp2\(F\)"):
+            mu(SP4, inertial_triple(SP4, (line("zeta"),), core))
+
+    def test_core_of_wrong_size_refused(self):
+        core = FormalParameter(((line("zeta"), 1),))
+        with pytest.raises(InvalidCore, match="does not fit Sp4"):
+            build_inertial(SP4, inertial_triple(SP4, (line("zeta"),), core))
+
+    def test_empty_core_accepted(self):
+        G = PadicGroup("SO", 5)
+        data = build_inertial(G, inertial_triple(G, (line("zeta"),) * 2))
+        assert len(data.strata) == 7
 
 
 class TestMatching:

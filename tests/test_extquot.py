@@ -18,6 +18,7 @@ from abpscalc.combicore import (
     SignedPermutation,
     all_signed_permutations,
 )
+from abpscalc import extquot
 from abpscalc.extquot import (
     MINUS_ONE,
     ONE,
@@ -25,6 +26,8 @@ from abpscalc.extquot import (
     RankMismatch,
     SymbolicCoordinate,
     _canonical_coset,
+    _closure_strata,
+    _product_blocks,
     _has_connected_hyperplane,
     _solve_torus,
     act,
@@ -546,17 +549,36 @@ class TestStrata:
         orbits = {act_coset(w, s.coset) for s in strata(action) for w in action.elements}
         assert orbits == set(closure_pool(action))
 
-    def test_b4_in_bounded_time(self):
-        # in a subprocess, so that a slow closure cannot hang the suite
+    @pytest.mark.parametrize("n, count", [(4, 26), (5, 45)])
+    def test_b4_in_bounded_time(self, n, count):
+        # in a subprocess, so that a slow stratification cannot hang the
+        # suite
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-c",
              "from abpscalc.extquot import hyperoctahedral_action, strata; "
-             "print(len(strata(hyperoctahedral_action(4))))"],
+             f"print(len(strata(hyperoctahedral_action({n}))))"],
             capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0 and done.stdout.split() == ["26"]
+        assert done.returncode == 0 and done.stdout.split() == [str(count)]
+
+    def test_product_actions_skip_the_closure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closure step on a product action")
+
+        for name in ("fixed_locus", "intersect_cosets", "stabilizer"):
+            monkeypatch.setattr(extquot, name, refuse)
+        assert len(strata(B3)) == 14
+        with pytest.raises(AssertionError, match="closure step"):
+            strata(KLEIN_FOUR)
+
+    @pytest.mark.parametrize("action", [
+        even_sign_action(2), even_sign_action(3), KLEIN_FOUR,
+        MonomialAction((SignedPermutation.identity(3), SignedPermutation((2, 1, 3), (1, 1, -1)))),
+    ], ids=["D2", "D3", "klein_four", "swap_with_flip"])
+    def test_other_actions_are_not_products(self, action):
+        assert _product_blocks(action) is None
 
 
 class TestSpectralQuotient:
@@ -611,17 +633,12 @@ def _fixed_torus_is_connected(group, rank):
     return len(_solve_torus(A, [0] * len(A), rank)) == 1
 
 
-KLEIN_FOUR = MonomialAction(tuple(SignedPermutation((1, 2), s)
-                                  for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]))
-CONNECTIVITY_ACTIONS = [
-    ("B1", hyperoctahedral_action(1)),
-    ("B2", B2),
-    ("B3", B3),
-    ("S2", permutation_action(2)),
-    ("S3", permutation_action(3)),
-    ("T3", trivial_action(3)),
-    ("V4", KLEIN_FOUR),
-] + [
+# all four sign flips on rank 2: W(B1) x W(B1), unlike the coupled
+# KLEIN_FOUR on rank 3
+DIAGONAL_V4 = MonomialAction(tuple(SignedPermutation((1, 2), s)
+                                   for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+# the actions of the matching corpus
+INERTIAL_ACTIONS = [
     (f"{family}{size}{names}",
      _inertial_action(inertial_triple(PadicGroup(family, size), tuple(
          line(n, catalogue=FREE_CATALOGUE if "chi" in names else None) for n in names))))
@@ -633,6 +650,15 @@ CONNECTIVITY_ACTIONS = [
         ("GL", 2, ("zeta",) * 2), ("GL", 3, ("zeta",) * 3), ("GL", 2, ("chi", "psi")),
     ]
 ]
+CONNECTIVITY_ACTIONS = [
+    ("B1", hyperoctahedral_action(1)),
+    ("B2", B2),
+    ("B3", B3),
+    ("S2", permutation_action(2)),
+    ("S3", permutation_action(3)),
+    ("T3", trivial_action(3)),
+    ("V4", DIAGONAL_V4),
+] + INERTIAL_ACTIONS
 
 
 @pytest.mark.parametrize("name, action", CONNECTIVITY_ACTIONS, ids=[n for n, _ in CONNECTIVITY_ACTIONS])
@@ -644,6 +670,46 @@ def test_families_read_connectivity_from_the_stabilizer_pieces(name, action):
             continue
         special = {f.kind == "special" for f in st.families()}
         assert special == {not _fixed_torus_is_connected(st.group, action.rank)}, str(st)
+
+
+def product_action(rank, blocks):
+    """The full product of ``S(coords)``, or ``W(B(coords))`` when
+    ``signed``, over the ``(coords, signed)`` blocks (0-based)."""
+    factors = [[(coords, w) for w in all_signed_permutations(len(coords))
+                if signed or -1 not in w.signs] for coords, signed in blocks]
+    elements = []
+    for combo in product(*factors):
+        images, signs = list(range(1, rank + 1)), [1] * rank
+        for coords, w in combo:
+            for c, j, s in zip(coords, w.images, w.signs):
+                images[c], signs[c] = coords[j - 1] + 1, s
+        elements.append(SignedPermutation(images, signs))
+    return MonomialAction(tuple(elements))
+
+
+PATTERN_ACTIONS = (
+    [(f"B{n}", hyperoctahedral_action(n)) for n in range(1, 5)]
+    + [(f"S{n}", permutation_action(n)) for n in range(1, 5)]
+    + [(f"T{n}", trivial_action(n)) for n in range(1, 4)]
+    + INERTIAL_ACTIONS
+    + [
+        ("B2xB1", product_action(3, [((0, 1), True), ((2,), True)])),
+        ("S2xB1", product_action(3, [((0, 1), False), ((2,), True)])),
+        ("B1^3", product_action(3, [((0,), True), ((1,), True), ((2,), True)])),
+        # blocks that interleave: B2 on coordinates 1, 3 and S2 on 2, 4
+        ("B2xS2_interleaved", product_action(4, [((0, 2), True), ((1, 3), False)])),
+    ]
+)
+
+
+@pytest.mark.parametrize("name, action", PATTERN_ACTIONS, ids=[n for n, _ in PATTERN_ACTIONS])
+def test_patterns_agree_with_the_closure(name, action):
+    # the closure is the oracle: same strata in the same order, with the
+    # same coset, base point, stabilizer elements and pieces
+    assert _product_blocks(action) is not None
+    got, want = strata(action), _closure_strata(action)
+    assert [(s.coset, s.base, s.group.elements, s.group.pieces) for s in got] == \
+        [(s.coset, s.base, s.group.elements, s.group.pieces) for s in want]
 
 
 class TestGeometricQuotient:

@@ -15,7 +15,6 @@ from abpscalc.springer import (
     group_product,
     is_cuspidal_pair,
     is_distinguished,
-    ordinary_symplectic_label,
     relative_weyl_group,
     springer_blocks,
     unipotent_classes,
@@ -277,6 +276,20 @@ def test_o4_principal_block_is_rank_two_signed_permutation_type():
 
 # ---------------------------------------------------------------------------
 # the principal-block staircase recipe
+
+
+def ordinary_symplectic_label(lam: Partition) -> Bipartition:
+    """The staircase recipe for the principal block at the trivial
+    character of a symplectic factor: split the shifted sequence by
+    parity, halve, and unstaircase."""
+    parts = lam.ascending()
+    if len(parts) % 2 == 0:
+        parts = (0,) + parts
+    xi = [p + i for i, p in enumerate(parts)]
+    evens = [x // 2 for x in xi if x % 2 == 0]
+    odds = [x // 2 for x in xi if x % 2]
+    return Bipartition(Partition([x - i for i, x in enumerate(evens)]),
+                       Partition([x - i for i, x in enumerate(odds)]))
 
 
 def test_ordinary_recipe_agrees_with_principal_block():
