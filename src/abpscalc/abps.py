@@ -31,9 +31,11 @@ from .extquot import (
     strata,
 )
 from .langlands import (
+    CentralizerData,
     DimensionMismatch,
     EnhancedParameter,
     FormalParameter,
+    IsotypicFactor,
     PadicGroup,
     TypeMismatch,
     cuspidal_support,
@@ -192,16 +194,19 @@ def _restriction_parameter(triple, slot_lines) -> FormalParameter:
     return FormalParameter(tuple(summands))
 
 
-def _rebuild(data, u) -> FormalParameter:
+def _rebuild(data, u):
     """The parameter with the same Weil restriction and the given
-    Jordan structure on each isotypic factor."""
-    summands = []
+    Jordan structure on each isotypic factor, with its centralizer:
+    ``data`` with each factor's parts replaced by the class's partition
+    (the lines, their order and the group do not change)."""
+    summands, factors = [], []
     for f, lam in zip(data.factors, u.partitions):
         for a in lam.parts:
             summands.append((f.line, a))
             if f.partner is not None:
                 summands.append((f.partner, a))
-    return FormalParameter(tuple(summands))
+        factors.append(IsotypicFactor(f.line, f.partner, f.kind, lam))
+    return FormalParameter(tuple(summands)), CentralizerData(data.group, tuple(factors))
 
 
 def _support_signature(tri, factors):
@@ -401,8 +406,8 @@ def mu(G: PadicGroup, triple: InertialTriple,
                     f"no enhanced parameter for ({st.base}, {irrep})"
                 )
             u, eta = found.pop(key)
-            phi = _rebuild(cdata, u)
-            res = cuspidal_support(G, phi, eta)
+            phi, pdata = _rebuild(cdata, u)
+            res = cuspidal_support(G, phi, eta, pdata)
             entries.append(MuEntry(
                 st, irrep, families.get(irrep),
                 phi, eta, u, res,
@@ -512,8 +517,8 @@ def bernstein_blocks(G: PadicGroup, triple: InertialTriple):
         restriction = _restriction_parameter(triple, slot_lines)
         cdata, _ = enhancements(G, restriction)
         for u in unipotent_classes(cdata.group):
-            phi = _rebuild(cdata, u)
-            cusp, chars = is_cuspidal(G, phi)
+            phi, pdata = _rebuild(cdata, u)
+            cusp, chars = is_cuspidal(G, phi, pdata)
             if not cusp:
                 continue
             for eta in chars:

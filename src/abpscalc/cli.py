@@ -256,8 +256,8 @@ def extquot_rows(rank):
 def param_record(group, phi):
     validate(group, phi)
     data = centralizer_restriction(group, phi)
-    groups = component_groups(group, phi)
-    cusp, cusp_chars = is_cuspidal(group, phi)
+    groups = component_groups(group, phi, data)
+    cusp, cusp_chars = is_cuspidal(group, phi, data)
     inf = infinitesimal_character(group, phi)
     return {
         "group": str(group),
@@ -284,7 +284,7 @@ def support_rows(group, phi):
     data, chars = enhancements(group, phi)
     rows = []
     for eta in chars:
-        res = cuspidal_support(group, phi, eta)
+        res = cuspidal_support(group, phi, eta, data)
         rows.append({
             "character": str(eta),
             "levi": str(res.levi_dual),

@@ -324,13 +324,16 @@ class SignedPermutation:
         return cls(tuple(range(1, k + 1)), (1,) * k)
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition: ``(self * other)`` acts as ``self`` after ``other``."""
-        k = self.rank
-        if other.rank != k:
+        """Composition: ``(self * other)`` acts as ``self`` after ``other``.
+        The images and signs of a product form a signed permutation, so it
+        is built without the checks of the constructor."""
+        images, signs = self.images, self.signs
+        if len(other.images) != len(images):
             raise ValueError("rank mismatch")
-        images = tuple(self.images[other.images[i] - 1] for i in range(k))
-        signs = tuple(other.signs[i] * self.signs[other.images[i] - 1] for i in range(k))
-        return SignedPermutation(images, signs)
+        return SignedPermutation.from_valid(
+            tuple(images[j - 1] for j in other.images),
+            tuple(s * signs[j - 1] for j, s in zip(other.images, other.signs)),
+        )
 
     def inverse(self) -> "SignedPermutation":
         k = self.rank

@@ -98,7 +98,15 @@ class SymbolicCoordinate:
         )
 
     def inverse(self) -> "SymbolicCoordinate":
-        return self ** -1
+        # the negated fields are canonical already: 1 - t lies in (0, 1)
+        # in lowest terms, and negating the exponents keeps the monomial
+        # sorted and free of zeros, so nothing is reduced or renormalised
+        t = self.torsion
+        inv = object.__new__(SymbolicCoordinate)
+        object.__setattr__(inv, "torsion", 1 - t if t else t)
+        object.__setattr__(inv, "qexp", -self.qexp)
+        object.__setattr__(inv, "monomial", tuple((n, -e) for n, e in self.monomial))
+        return inv
 
     @property
     def is_unitary(self) -> bool:

@@ -11,7 +11,7 @@ data with exact arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combicore import Partition
@@ -101,10 +101,29 @@ DEFAULT_CATALOGUE = parse_catalogue(
 
 @dataclass(frozen=True)
 class WFLine:
-    """A catalogue character with a symbolic unramified twist."""
+    """A catalogue character with a symbolic unramified twist.
+
+    ``name`` is the rendered line, stored at construction: printing,
+    hashing and the summand orders read it instead of rendering the
+    twist again.  Equal lines have equal names, so hashing the name
+    agrees with the field-wise ``__eq__``."""
 
     base: CharacterClass
     twist: SymbolicCoordinate = ONE
+    name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = str(self.twist)
+        if t == "1":
+            name = self.base.name
+        elif self.base.order == 1 and self.base.name == "1":
+            name = t
+        else:
+            name = f"{t}*{self.base.name}" if t != "-1" else f"{self.base.name}*xi"
+        object.__setattr__(self, "name", name)
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     @property
     def dim(self) -> int:
@@ -132,12 +151,7 @@ class WFLine:
         )
 
     def __str__(self) -> str:
-        t = str(self.twist)
-        if t == "1":
-            return self.base.name
-        if self.base.order == 1 and self.base.name == "1":
-            return t
-        return f"{t}*{self.base.name}" if t != "-1" else f"{self.base.name}*xi"
+        return self.name
 
 
 def line(name: str, twist: SymbolicCoordinate = ONE, catalogue=None) -> WFLine:
@@ -197,7 +211,7 @@ class FormalParameter:
 
     def __post_init__(self):
         canon = tuple(
-            sorted(self.summands, key=lambda s: (str(s[0]), s[1]))
+            sorted(self.summands, key=lambda s: (s[0].name, s[1]))
         )
         object.__setattr__(self, "summands", canon)
 
@@ -326,14 +340,14 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
         if l in paired:
             continue
         parts = Partition(sorted(mult, reverse=True))
-        name = str(l)
+        name = l.name
         if G.family == "GL" or l.base.selfdual == "none":
             gl.append((name, IsotypicFactor(l, None, "GL", parts)))
         elif l.is_selfdual:
             selfdual.append(((-sum(parts.parts), name), IsotypicFactor(l, None, kind, parts)))
         else:
             d = l.dual()
-            dname = str(d)
+            dname = d.name
             if per_line.get(d) and sorted(per_line[d]) != sorted(mult):
                 raise TypeMismatch(f"dual pair {l}, {d} has mismatched parts")
             rep, other = (l, d) if name <= dname else (d, l)
@@ -387,8 +401,12 @@ def _central_image_nontrivial(G: PadicGroup, A) -> bool:
     return all(len(c) % 2 == 0 for c in A.classes)
 
 
-def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
-    data = centralizer_restriction(G, phi)
+def component_groups(G: PadicGroup, phi: FormalParameter,
+                     data: CentralizerData = None) -> ComponentGroups:
+    """The component groups of the parameter.  ``data``, when given, must
+    be ``centralizer_restriction(G, phi)`` of this same ``phi``; it is
+    computed when absent."""
+    data = data or centralizer_restriction(G, phi)
     u = data.unipotent
     A = component_group(data.group, u)
     Ao = component_group(connected_centralizer(data), u)
@@ -400,15 +418,18 @@ def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
 # cuspidality
 
 
-def is_cuspidal(G: PadicGroup, phi: FormalParameter):
+def is_cuspidal(G: PadicGroup, phi: FormalParameter,
+                data: CentralizerData = None):
     """Whether the parameter is cuspidal, with the list of cuspidal
-    enhancements (empty when not)."""
+    enhancements (empty when not).  ``data``, when given, must be
+    ``centralizer_restriction(G, phi)`` of this same ``phi``; it is
+    computed when absent and needed."""
     if G.family == "GL":
         ok = len(phi.summands) == 1 and phi.summands[0][1] == 1
         return ok, []
     if not is_discrete(G, phi):
         return False, []
-    data = centralizer_restriction(G, phi)
+    data = data or centralizer_restriction(G, phi)
     for f in data.factors:
         d = len(f.parts.parts)
         start = 1 if _summand_type(f.line, 1) == (
@@ -478,12 +499,14 @@ class CuspidalSupportResult:
         return f"[{self.levi_dual}; ({coords}); {self.core}]"
 
 
-def cuspidal_support(G: PadicGroup, phi: FormalParameter,
-                     eta: SignCharacter) -> CuspidalSupportResult:
+def cuspidal_support(G: PadicGroup, phi: FormalParameter, eta: SignCharacter,
+                     data: CentralizerData = None) -> CuspidalSupportResult:
     """The cuspidal support of an enhanced parameter: the block of the
     generalized Springer correspondence determines the dual Levi, the
-    cuspidal core, and the correcting exponents on the GL coordinates."""
-    data = centralizer_restriction(G, phi)
+    cuspidal core, and the correcting exponents on the GL coordinates.
+    ``data``, when given, must be ``centralizer_restriction(G, phi)`` of
+    this same ``phi``; it is computed when absent."""
+    data = data or centralizer_restriction(G, phi)
     u = data.unipotent
     try:
         triple, labels = generalized_springer(data.group, u, eta)
@@ -491,7 +514,7 @@ def cuspidal_support(G: PadicGroup, phi: FormalParameter,
         raise InvalidEnhancement(str(exc)) from exc
     coords, core_summands = [], []  # coords: ((-e, name of the line), (line, e))
     for i, f in enumerate(data.factors):
-        name = str(f.line)
+        name = f.line.name
         if f.kind == "GL":
             for e in sorted(_weight_expansion(f.parts.parts), reverse=True):
                 coords.append(((-e, name), (f.line, e)))
@@ -537,6 +560,9 @@ def centralizer_display(data: CentralizerData) -> str:
 
 
 def enhancements(G: PadicGroup, phi: FormalParameter):
-    """All sign characters of the component group of the parameter."""
+    """All sign characters of the component group of the parameter, with
+    the centralizer they are read from: ``component_groups``,
+    ``is_cuspidal`` and ``cuspidal_support`` take it for this same
+    ``phi`` instead of computing it again."""
     data = centralizer_restriction(G, phi)
     return data, list(component_group(data.group, data.unipotent).characters())

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from abpscalc import springer
@@ -25,3 +27,26 @@ def wrong_sp6_label(monkeypatch):
     springer.springer_blocks.cache_clear()
     yield WRONG_SP6_MESSAGE
     springer.springer_blocks.cache_clear()
+
+
+@pytest.fixture
+def centralizer_calls(monkeypatch):
+    """Count the calls of ``langlands.centralizer_restriction``: a wrapper
+    is bound under every name the package looks the function up by, so a
+    module that imported it directly is counted too.  The fixture value
+    is the list of ``(group, parameter)`` arguments, one per call."""
+    from abpscalc import langlands
+
+    original = langlands.centralizer_restriction
+    calls = []
+
+    def counted(G, phi):
+        calls.append((G, phi))
+        return original(G, phi)
+
+    for name, module in list(sys.modules.items()):
+        if name == "abpscalc" or name.startswith("abpscalc."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

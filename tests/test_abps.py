@@ -1,6 +1,7 @@
 """Tests for the inertial-family pipeline on the rank-2 symplectic target."""
 
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -22,19 +23,23 @@ from abpscalc.abps import (
     theta,
     weyl_order,
     weyl_structure,
+    _rebuild,
+    _restriction_parameter,
+    _slot_lines,
 )
 from abpscalc.combicore import Bipartition, Partition
 from abpscalc.extquot import ONE, act, q_power
 from abpscalc.langlands import (
     FormalParameter,
     PadicGroup,
+    centralizer_restriction,
     cuspidal_support,
     is_cuspidal,
     line,
     parameter,
     parse_catalogue,
 )
-from abpscalc.springer import relative_weyl_group
+from abpscalc.springer import relative_weyl_group, unipotent_classes
 
 SP4 = PadicGroup("Sp", 4)
 J = inertial_triple(
@@ -318,3 +323,62 @@ class TestLargestCorpusTriple:
         assert len(md.entries) == 226
         assert len(md.entries) == sum(len(st.group.irreps()) for st in data.strata)
         assert len({(e.param, e.eta) for e in md.entries}) == 226
+
+
+# The triples of the benchmark's matching corpus on which ``mu`` answers,
+# and the largest corpus triple, Sp8 zeta^4.
+_ONE_CORE = FormalParameter(((line("1"), 1),))
+_FREE = parse_catalogue("chi kind=ramified order=5 dim=1 selfdual=none period=1\n"
+                        "psi kind=ramified order=7 dim=1 selfdual=none period=1")
+ANSWERING = [
+    ("Sp", 4, ["zeta", "zeta"], _ONE_CORE, None),
+    ("Sp", 4, ["zeta", "eta"], _ONE_CORE, None),
+    ("Sp", 6, ["zeta"] * 3, _ONE_CORE, None),
+    ("Sp", 6, ["zeta", "zeta", "eta"], _ONE_CORE, None),
+    ("Sp", 6, ["zeta", "eta", "1"], _ONE_CORE, None),
+    ("SO", 5, ["zeta", "zeta"], FormalParameter(()), None),
+    ("SO", 7, ["zeta"] * 3, FormalParameter(()), None),
+    ("GL", 2, ["zeta"] * 2, FormalParameter(()), None),
+    ("GL", 3, ["zeta"] * 3, FormalParameter(()), None),
+    ("GL", 2, ["chi", "psi"], FormalParameter(()), _FREE),
+    ("Sp", 8, ["zeta"] * 4, _ONE_CORE, None),
+]
+
+
+def _answering_triple(family, size, names, core, catalogue):
+    G = PadicGroup(family, size)
+    return G, inertial_triple(G, [line(n, catalogue=catalogue) for n in names], core)
+
+
+def _triple_id(spec):
+    family, size, names = spec[:3]
+    return f"{family}{size}({','.join(names)})"
+
+
+class TestOneCentralizerPerParameter:
+    @pytest.mark.parametrize("spec", ANSWERING, ids=_triple_id)
+    def test_rebuilt_centralizer_is_the_centralizer(self, spec):
+        # the centralizer _rebuild hands on is the one centralizer_restriction
+        # computes for the rebuilt parameter, at every class of every stratum
+        G, j = _answering_triple(*spec)
+        for st in build_inertial(G, j).strata:
+            restriction = _restriction_parameter(j, _slot_lines(j, st.base))
+            cdata = centralizer_restriction(G, restriction)
+            for u in unipotent_classes(cdata.group):
+                phi, pdata = _rebuild(cdata, u)
+                fresh = centralizer_restriction(G, phi)
+                assert pdata.group == fresh.group, (st.base, u)
+                assert len(pdata.factors) == len(fresh.factors), (st.base, u)
+                for mine, theirs in zip(pdata.factors, fresh.factors):
+                    for f in fields(mine):
+                        assert getattr(mine, f.name) == getattr(theirs, f.name), (
+                            st.base, u, f.name)
+
+    @pytest.mark.parametrize("spec", ANSWERING[:-1], ids=_triple_id)
+    def test_mu_computes_one_centralizer_per_stratum(self, spec, centralizer_calls):
+        G, j = _answering_triple(*spec)
+        data = build_inertial(G, j)
+        del centralizer_calls[:]  # the core check of build_inertial
+        md = mu(G, j, data)
+        assert len(md.entries) >= len(data.strata)
+        assert len(centralizer_calls) == len(data.strata)

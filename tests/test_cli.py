@@ -90,6 +90,21 @@ class TestParamCommand:
         assert {k: record[k] for k in expected} == expected
         assert cli.validate_record(record)
 
+    @pytest.mark.parametrize("group, expr", [
+        (("Sp", 4), "zeta*(S[3]+S[1])+1"),
+        (("Sp", 4), "1 + x*zeta*S[2] + x^-1*zeta*S[2]"),
+        (("SO", 6), "zeta*S[3]+1*S[3]"),
+        (("SO", 5), "zeta*S[2]+1*S[2]"),
+    ])
+    def test_one_centralizer_per_parameter(self, group, expr, centralizer_calls):
+        # the record and the support table each compute the centralizer
+        # once and hand it to every function that needs it
+        G, phi = PadicGroup(*group), cli.parse_parameter(expr)
+        cli.param_record(G, phi)
+        assert centralizer_calls == [(G, phi)]
+        cli.support_rows(G, phi)
+        assert centralizer_calls == [(G, phi)] * 2
+
     def test_schema_keys_are_stable(self, capsys):
         cli.run(["param", "--group", "Sp4", "--expr", "zeta*(S[3]+S[1])+1"])
         record = json.loads(capsys.readouterr().out)

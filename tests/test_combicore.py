@@ -151,6 +151,13 @@ class TestSignTwist:
         assert sign_twist(sign_twist(lab)) == lab
 
 
+def signed_permutations(k):
+    return st.tuples(
+        st.permutations(range(1, k + 1)),
+        st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k),
+    ).map(lambda p: SignedPermutation(p[0], p[1]))
+
+
 class TestSignedPermutation:
     def test_group_order(self):
         assert len(all_signed_permutations(2)) == 8
@@ -166,6 +173,21 @@ class TestSignedPermutation:
         for a in elems:
             for b in elems:
                 assert (a * b).matrix() == mat_mul(a.matrix(), b.matrix())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        signed_permutations(k), signed_permutations(k))))
+    def test_product(self, pair):
+        a, b = pair
+        ab = a * b
+        # the product is the element the validating constructor builds
+        # from its images and signs
+        checked = SignedPermutation(ab.images, ab.signs)
+        assert (ab.images, ab.signs) == (checked.images, checked.signs)
+        assert all(type(x) is int for x in ab.images + ab.signs)
+        assert ab.matrix() == mat_mul(a.matrix(), b.matrix())
+        with pytest.raises(ValueError, match="rank mismatch"):
+            a * SignedPermutation.identity(a.rank + 1)
 
     def test_matrix_action_convention(self):
         # w: 1 -> 2 with sign -1, 2 -> 1: row for coordinate 2 reads off

@@ -799,6 +799,14 @@ class TestCoordinates:
         for other in routes:
             assert other == c and hash(other) == hash(c)
         assert {c: 1}[routes[1]] == 1
+        # inverse() negates the canonical fields directly: it must agree
+        # field by field with the normalising constructor
+        inv, expected = c.inverse(), SymbolicCoordinate(-t, -qexp, tuple((n, -e) for n, e in mono))
+        assert type(inv.torsion) is Fraction and type(inv.qexp) is int
+        assert (inv.torsion, inv.qexp, inv.monomial) == (
+            expected.torsion, expected.qexp, expected.monomial)
+        assert hash(inv) == hash(expected)
+        assert c * c.inverse() == ONE
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -8,6 +8,7 @@ from abpscalc.extquot import MINUS_ONE, SymbolicCoordinate, free, q_power
 from abpscalc.langlands import (
     CharacterClass,
     DimensionMismatch,
+    FormalParameter,
     PadicGroup,
     TypeMismatch,
     WFLine,
@@ -87,6 +88,43 @@ class TestSelfDuality:
             expected = GL(G.size)
         assert G.dual() == expected
         assert (G.dual_kind, G.dual_dim) == (expected.factors[0].kind, expected.factors[0].n)
+
+
+def rendered_line(l):
+    """The rendering ``WFLine.__str__`` computed on every call before
+    lines stored their name: the oracle for the stored name."""
+    t = str(l.twist)
+    if t == "1":
+        return l.base.name
+    if l.base.order == 1 and l.base.name == "1":
+        return t
+    return f"{t}*{l.base.name}" if t != "-1" else f"{l.base.name}*xi"
+
+
+_BASES = [ONEL.base, ZETA.base, line("eta").base,
+          CharacterClass("chi", order=5, selfdual="none"),
+          CharacterClass("1", order=3)]
+
+twisted_lines = st.builds(
+    lambda base, den, num, qexp, exps: WFLine(
+        base, SymbolicCoordinate(Fraction(num % den, den), qexp, tuple(zip("xy", exps)))),
+    st.sampled_from(_BASES), st.integers(1, 6), st.integers(0, 5),
+    st.integers(-3, 3), st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+class TestLineNames:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(twisted_lines, st.integers(1, 4)), max_size=6))
+    def test_stored_name_and_summand_order(self, summands):
+        for l, _ in summands:
+            assert l.name == str(l) == rendered_line(l)
+            if l.base.selfdual != "none":
+                back = l.dual().dual()
+                assert back == l and hash(back) == hash(l)
+        phi = FormalParameter(tuple(summands))
+        assert phi.summands == tuple(
+            sorted(summands, key=lambda s: (rendered_line(s[0]), s[1])))
 
 
 class TestValidation:
