@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .combicore import (
-    Bipartition,
-    DLabel,
-    Partition,
-    all_signed_permutations,
-)
+from .combicore import Bipartition, DLabel, Partition
 from .extquot import (
     MonomialAction,
     SymbolicCoordinate,
@@ -28,7 +23,9 @@ from .extquot import (
     act,
     full_torus,
     q_power,
+    sign_flip,
     strata,
+    transposition,
 )
 from .langlands import (
     CentralizerData,
@@ -98,23 +95,22 @@ def inertial_triple(group, coordinates, core=FormalParameter(())) -> InertialTri
 def _inertial_action(triple: InertialTriple) -> MonomialAction:
     """Signed permutations preserving the coordinate classes: a slot may
     move to a slot of the same class, and inversion needs a self-dual
-    class (for GL targets no dual is available at all)."""
+    class (for GL targets no dual is available at all).  Per class that
+    is a symmetric or hyperoctahedral group, generated by the swaps of
+    consecutive members and, when inversion is allowed, the flip of the
+    first member."""
     coords = triple.coordinates
+    n = len(coords)
     invertible = triple.group.family != "GL"
-    kept = []
-    for w in all_signed_permutations(len(coords)):
-        ok = True
-        for i in range(len(coords)):
-            src, dst = coords[i], coords[w.images[i] - 1]
-            if src.base.name != dst.base.name:
-                ok = False
-                break
-            if w.signs[i] == -1 and not (invertible and src.base.selfdual != "none"):
-                ok = False
-                break
-        if ok:
-            kept.append(w)
-    return MonomialAction(tuple(kept))
+    classes = {}
+    for i, l in enumerate(coords):
+        classes.setdefault(l.base.name, []).append(i)
+    gens = []
+    for members in classes.values():
+        gens += [transposition(n, i, j) for i, j in zip(members, members[1:])]
+        if invertible and coords[members[0]].base.selfdual != "none":
+            gens.append(sign_flip(n, (members[0],)))
+    return MonomialAction(n, gens)
 
 
 @dataclass(frozen=True)

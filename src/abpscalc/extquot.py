@@ -23,7 +23,6 @@ from .combicore import (
     DLabel,
     Partition,
     SignedPermutation,
-    all_signed_permutations,
     bipartitions,
     dlabels,
     hermite_reduce,
@@ -389,56 +388,42 @@ def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
 # group actions
 
 
-@dataclass(frozen=True)
 class MonomialAction:
-    """A finite group of signed permutations, listed in full.
+    """The finite group of signed permutations of a rank-``rank`` torus
+    generated by ``generators``.
 
-    The list must contain the identity and be closed under composition.
-    Closure is checked from generators rather than on all pairs: walking
-    the sorted elements, each one not yet reached becomes a generator,
-    and the reached set is extended breadth first by left multiplication
-    with the generators, every product being looked up in the list.  A
-    finite set that contains the identity and is closed under left
-    multiplication by a generating subset is the group they generate, so
-    about ``order * len(generators)`` products decide closure.  The
-    generators found are kept as :attr:`generators`.
+    The group is generated breadth first from the identity by left
+    multiplication with the generators, about ``order * len(generators)``
+    products, and :attr:`elements` lists it sorted by images, then
+    signs.  Two actions are equal when their groups are, whatever
+    generators they were given.
     """
 
-    elements: tuple
+    def __init__(self, rank: int, generators=()):
+        gens = tuple(generators)
+        for g in gens:
+            if g.rank != rank:
+                raise ValueError(f"generator {g} of rank {g.rank} for a rank {rank} action")
+        group = {SignedPermutation.identity(rank)}
+        frontier = list(group)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g in gens:
+                    y = g * x
+                    if y not in group:
+                        group.add(y)
+                        fresh.append(y)
+            frontier = fresh
+        self.rank = rank
+        self.generators = gens
+        self.elements = tuple(sorted(group, key=lambda w: (w.images, w.signs)))
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements), key=lambda w: (w.images, w.signs)))
-        object.__setattr__(self, "elements", elems)
-        group = set(elems)
-        identity = SignedPermutation.identity(elems[0].rank) if elems else None
-        if identity not in group:
-            raise ValueError("element list is not closed under composition")
-        reached = {identity}
-        gens = []
-        for g in elems:
-            if g in reached:
-                continue
-            # old elements need only the new generator; what that adds
-            # needs every generator
-            frontier = list(reached)
-            gens.append(g)
-            todo = [g]
-            while frontier:
-                fresh = []
-                for x in frontier:
-                    for s in todo:
-                        y = s * x
-                        if y not in group:
-                            raise ValueError("element list is not closed under composition")
-                        if y not in reached:
-                            reached.add(y)
-                            fresh.append(y)
-                frontier, todo = fresh, gens
-        object.__setattr__(self, "generators", tuple(gens))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MonomialAction) and self.elements == other.elements
 
-    @property
-    def rank(self) -> int:
-        return self.elements[0].rank
+    def __hash__(self) -> int:
+        return hash(self.elements)
 
     @property
     def order(self) -> int:
@@ -448,28 +433,41 @@ class MonomialAction:
         return SignedPermutation.identity(self.rank)
 
 
+def transposition(n: int, i: int, j: int) -> SignedPermutation:
+    """The swap of the coordinates ``i`` and ``j`` (0-based) of rank ``n``."""
+    images = list(range(1, n + 1))
+    images[i], images[j] = j + 1, i + 1
+    return SignedPermutation(images, (1,) * n)
+
+
+def sign_flip(n: int, coords) -> SignedPermutation:
+    """The inversion of the coordinates ``coords`` (0-based) of rank ``n``."""
+    return SignedPermutation(range(1, n + 1), [-1 if c in coords else 1 for c in range(n)])
+
+
+def _adjacent_transpositions(n: int):
+    return [transposition(n, i, i + 1) for i in range(n - 1)]
+
+
 def hyperoctahedral_action(n: int) -> MonomialAction:
-    return MonomialAction(all_signed_permutations(n))
+    """W(B_n): the adjacent transpositions and the flip of coordinate 1."""
+    flips = [sign_flip(n, (0,))] if n else []
+    return MonomialAction(n, _adjacent_transpositions(n) + flips)
 
 
 def even_sign_action(n: int) -> MonomialAction:
-    return MonomialAction(
-        tuple(
-            w
-            for w in all_signed_permutations(n)
-            if w.signs.count(-1) % 2 == 0
-        )
-    )
+    """W(D_n): the adjacent transpositions and the flip of coordinates 1
+    and 2."""
+    flips = [sign_flip(n, (0, 1))] if n > 1 else []
+    return MonomialAction(n, _adjacent_transpositions(n) + flips)
 
 
 def permutation_action(n: int) -> MonomialAction:
-    return MonomialAction(
-        tuple(w for w in all_signed_permutations(n) if w.signs == (1,) * n)
-    )
+    return MonomialAction(n, _adjacent_transpositions(n))
 
 
 def trivial_action(n: int) -> MonomialAction:
-    return MonomialAction((SignedPermutation.identity(n),))
+    return MonomialAction(n)
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +656,16 @@ class Stratum:
                     kind = "special"
                 out.append(EQPoint(self.base, H, rho, kind))
             return out
-        refl = [w for w in H.elements if _has_connected_hyperplane(w)]
-        return [
-            EQPoint(self.base, H, rho, "special")
-            for rho in H.irreps()
-            if all(_acts_by_minus_one(H, rho, w) for w in refl)
-        ]
+        # the reflections with a connected fixed hyperplane are the swaps
+        # (with equal signs) inside the A, B and D pieces; a character
+        # sends all of them to -1 exactly when it is sign-like on each
+        sign_like = [_sign_like(kind, len(data)) for kind, data in H.pieces]
+
+        def starts_a_family(rho):
+            labels = rho if len(H.pieces) > 1 else (rho,)
+            return all(ok is None or label in ok for ok, label in zip(sign_like, labels))
+
+        return [EQPoint(self.base, H, rho, "special") for rho in H.irreps() if starts_a_family(rho)]
 
     def __str__(self) -> str:
         return f"{self.base} : {self.group.structure()}"
@@ -679,8 +681,9 @@ def _coset_orbit(action: MonomialAction, c: TorusCoset):
 
 
 # the largest rank that strata accepts, its measured reach: extquot
-# --rank 6 answers in 8-9 s in a fresh process (2-CPU VM), 6-7 s of
-# it building the 46,080 elements of W(B6); W(B7) has 645,120
+# --rank 6 answers in about 3 s in a fresh process (2-CPU VM, Python
+# 3.11), 1.8 s of it generating the 46,080 elements of W(B6) from its
+# six Coxeter generators; W(B7) has 645,120
 MAX_RANK = 6
 
 
@@ -777,10 +780,9 @@ def _local_group(coords, signed):
     """All elements of ``W(B(coords))``, or of ``S(coords)`` when not
     ``signed``, as the images (1-based) and signs of ``coords``."""
     k = len(coords)
-    if signed:
-        return [(tuple(coords[j - 1] + 1 for j in w.images), w.signs)
-                for w in all_signed_permutations(k)]
-    return [(tuple(coords[j] + 1 for j in p), (1,) * k) for p in permutations(range(k))]
+    signs = list(product((1, -1), repeat=k)) if signed else [(1,) * k]
+    return [(tuple(coords[j] + 1 for j in p), s)
+            for p in permutations(range(k)) for s in signs]
 
 
 def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
@@ -915,10 +917,11 @@ def strata(action: MonomialAction):
     may act by twisted reflections).
 
     An action that is the full product of symmetric and hyperoctahedral
-    groups over its coordinate blocks (every action ``abps`` builds,
-    ``hyperoctahedral_action``, ``permutation_action``,
+    groups over the coordinate blocks its generators move (every action
+    ``abps`` builds, ``hyperoctahedral_action``, ``permutation_action``,
     ``trivial_action``) is stratified from coordinate patterns, with no
-    fixed locus, intersection or stabilizer scan.  Any other action
+    fixed locus, intersection or stabilizer scan; only the order of the
+    group is read, to tell the full product apart.  Any other action
     (``even_sign_action``, coupled sign groups) goes through the closure
     of its fixed loci under intersection.  Both give the same strata.
     """
@@ -948,47 +951,17 @@ class EQPoint:
         return f"({self.base}, {self.irrep}) [{self.kind}]"
 
 
-def _acts_by_minus_one(group: RecognizedSubgroup, irrep, w: SignedPermutation) -> bool:
-    """Whether the irrep sends the reflection ``w`` to minus the identity."""
-    labels = irrep if len(group.pieces) > 1 else (irrep,)
-    for (kind, data), label in zip(group.pieces, labels):
-        if kind == "E2":
-            # diagonal reflections never have a connected fixed torus,
-            # so an E2 piece is never the support of a queried element
-            continue
-        coords = set(data)
-        if all(w.images[c] == c + 1 and w.signs[c] == 1 for c in coords):
-            continue
-        k = len(data)
-        if kind == "A":
-            if label != Partition((1,) * k):
-                return False
-        elif kind == "B":
-            sign_like = (
-                Bipartition(Partition((1,) * k), Partition(())),
-                Bipartition(Partition(()), Partition((1,) * k)),
-            )
-            if label not in sign_like:
-                return False
-        else:
-            if label != DLabel(Partition((1,) * k), Partition(())):
-                return False
-    return True
-
-
-def _has_connected_hyperplane(w: SignedPermutation) -> bool:
-    """Whether the fixed locus of ``w`` is one coset of codimension 1.
-
-    That happens exactly when ``w`` swaps two coordinates with equal
-    signs (fixing ``x_i = x_j`` or ``x_i x_j = 1``) and fixes every other
-    coordinate with sign +1; a lone sign flip fixes the two cosets
-    ``x_i = 1`` and ``x_i = -1``.
-    """
-    moved = [i for i in range(w.rank) if w.images[i] != i + 1 or w.signs[i] != 1]
-    if len(moved) != 2:
-        return False
-    i, j = moved
-    return w.images[i] == j + 1 and w.images[j] == i + 1 and w.signs[i] == w.signs[j]
+def _sign_like(kind: str, k: int):
+    """The characters of an A, B or D piece on ``k`` coordinates that
+    send its swaps to -1; ``None`` for an E2 piece, which has no swap."""
+    if kind == "E2":
+        return None
+    ones = Partition((1,) * k)
+    if kind == "A":
+        return (ones,)
+    if kind == "B":
+        return (Bipartition(ones, Partition(())), Bipartition(Partition(()), ones))
+    return (DLabel(ones, Partition(())),)
 
 
 def spectral_eq(action: MonomialAction):

@@ -361,7 +361,7 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
         pieces.append(GroupFactor("GL", sum(f.parts.parts)))
     det1 = False
     for f in selfdual:
-        m = sum(f.parts.parts) * f.line.dim
+        m = sum(f.parts.parts)
         factors.append(f)
         if f.kind == "Sp":
             pieces.append(GroupFactor("Sp", m))

@@ -9,10 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from abpscalc import abps, cli
-from abpscalc.combicore import SignedPermutation
+from abpscalc.combicore import SignedPermutation, all_signed_permutations
 from abpscalc.extquot import (
     ONE,
-    all_signed_permutations,
     fixed_locus,
     hyperoctahedral_action,
     q_power,

@@ -90,6 +90,19 @@ class TestParamCommand:
         assert {k: record[k] for k in expected} == expected
         assert cli.validate_record(record)
 
+    def test_multiplicity_sizes_the_factor_of_a_two_dimensional_line(self, tmp_path, capsys):
+        # tau + tau: the multiplicity space of tau is 2-dimensional, so
+        # its factor is O2 whatever the dimension of tau itself
+        chars = tmp_path / "chars.txt"
+        chars.write_text("1 kind=unramified order=1 dim=1 selfdual=orthogonal\n"
+                         "tau kind=ramified order=2 dim=2 selfdual=orthogonal\n")
+        code = cli.run(["param", "--group", "Sp4", "--expr", "tau + tau + 1",
+                        "--chars", str(chars)])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["centralizer"] == "S(O2xO1)"
+        assert record["unipotent"] == "(1,1)x(1)"
+
     @pytest.mark.parametrize("group, expr", [
         (("Sp", 4), "zeta*(S[3]+S[1])+1"),
         (("Sp", 4), "1 + x*zeta*S[2] + x^-1*zeta*S[2]"),
