@@ -35,7 +35,8 @@ from .langlands import (
     IsotypicFactor,
     PadicGroup,
     TypeMismatch,
-    cuspidal_support,
+    block_support,
+    centralizer_restriction,
     enhancements,
     is_cuspidal,
     is_discrete,
@@ -373,7 +374,8 @@ def mu(G: PadicGroup, triple: InertialTriple,
     """Match every stabilizer character of every stratum with an
     enhanced parameter whose cuspidal support lies in the triple.  At
     each stratum the candidates are the pairs of the one Springer block
-    of the centralizer whose cuspidal core is that of the open stratum."""
+    of the centralizer whose cuspidal core is that of the open stratum,
+    and the support of a matched pair is read off that block."""
     data = inertial or build_inertial(G, triple)
     reference = None
     entries = []
@@ -381,11 +383,13 @@ def mu(G: PadicGroup, triple: InertialTriple,
         families = {f.irrep: f for f in st.families()}
         slot_lines = _slot_lines(triple, st.base)
         restriction = validate(G, _restriction_parameter(triple, slot_lines))
-        cdata, chars = enhancements(G, restriction)
-        fslots = _factor_slots(cdata, slot_lines)
         if reference is None:  # the open stratum comes first
+            cdata, chars = enhancements(G, restriction)
             tri, _ = generalized_springer(cdata.group, cdata.unipotent, chars[0])
             reference = _support_signature(tri, cdata.factors)
+        else:
+            cdata = centralizer_restriction(G, restriction)
+        fslots = _factor_slots(cdata, slot_lines)
         found = {}
         for tri, rows in springer_blocks(cdata.group).items():
             if _support_signature(tri, cdata.factors) != reference:
@@ -394,16 +398,16 @@ def mu(G: PadicGroup, triple: InertialTriple,
                 key = _block_key(cdata, labels, fslots)
                 if key in found:
                     raise MatchingError(f"label collision at {st.base}: {key}")
-                found[key] = (u, eta)
+                found[key] = (u, eta, tri, labels)
         for irrep in st.group.irreps():
             key = _spectral_key(st.group, irrep)
             if key not in found:
                 raise MatchingError(
                     f"no enhanced parameter for ({st.base}, {irrep})"
                 )
-            u, eta = found.pop(key)
+            u, eta, tri, labels = found.pop(key)
             phi, pdata = _rebuild(cdata, u)
-            res = cuspidal_support(G, phi, eta, pdata)
+            res = block_support(G, pdata, tri, labels)
             entries.append(MuEntry(
                 st, irrep, families.get(irrep),
                 phi, eta, u, res,

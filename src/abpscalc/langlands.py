@@ -499,40 +499,49 @@ class CuspidalSupportResult:
         return f"[{self.levi_dual}; ({coords}); {self.core}]"
 
 
-def cuspidal_support(G: PadicGroup, phi: FormalParameter, eta: SignCharacter,
-                     data: CentralizerData = None) -> CuspidalSupportResult:
-    """The cuspidal support of an enhanced parameter: the block of the
-    generalized Springer correspondence determines the dual Levi, the
-    cuspidal core, and the correcting exponents on the GL coordinates.
-    ``data``, when given, must be ``centralizer_restriction(G, phi)`` of
-    this same ``phi``; it is computed when absent."""
-    data = data or centralizer_restriction(G, phi)
-    u = data.unipotent
-    try:
-        triple, labels = generalized_springer(data.group, u, eta)
-    except ValueError as exc:
-        raise InvalidEnhancement(str(exc)) from exc
+def _positive_weights(parts):
+    """The positive weights ``a-1, a-3, ... > 0`` of each part ``a``."""
+    return [e for a in parts for e in range(a - 1, 0, -2)]
+
+
+def _correcting_weights(parts, core_parts, where):
+    """The correcting exponents of a classical factor with Jordan parts
+    ``parts`` around the cuspidal core ``core_parts``, as a multiset:
+    the positive weights of the parts less those of the core, and a 0
+    for every two odd parts beyond the core's (each odd part has one
+    weight 0, and the weights pair off as ``e, -e``).  A core weight
+    the parts lack, or an odd number of zero weights, is refused, with
+    the largest unpaired weight in the message; ``where`` names the
+    factor."""
+    rest = _positive_weights(parts)
+    for e in sorted(_positive_weights(core_parts), reverse=True):
+        try:
+            rest.remove(e)
+        except ValueError:
+            raise InvalidEnhancement(f"unpaired weight {e} in factor {where}") from None
+    zeros = sum(a % 2 for a in parts) - sum(a % 2 for a in core_parts)
+    if zeros < 0 or zeros % 2:
+        raise InvalidEnhancement(f"unpaired weight 0 in factor {where}")
+    return rest + [0] * (zeros // 2)
+
+
+def block_support(G: PadicGroup, data: CentralizerData, triple: CuspidalTriple,
+                  labels) -> CuspidalSupportResult:
+    """The cuspidal support of a pair of the class ``data.unipotent`` in
+    the generalized Springer block ``triple`` of the centralizer
+    ``data``, with the pair's relative-Weyl ``labels``: the block
+    determines the dual Levi, the cuspidal core, and the correcting
+    exponents on the GL coordinates."""
     coords, core_summands = [], []  # coords: ((-e, name of the line), (line, e))
     for i, f in enumerate(data.factors):
-        name = f.line.name
         if f.kind == "GL":
-            for e in sorted(_weight_expansion(f.parts.parts), reverse=True):
-                coords.append(((-e, name), (f.line, e)))
-            continue
-        E = Counter(_weight_expansion(f.parts.parts))
-        core_parts = triple.core_partition(i).parts
-        for a in core_parts:
-            core_summands.append((f.line, a))
-        E.subtract(Counter(_weight_expansion(core_parts)))
-        while any(v for v in E.values()):
-            e = max(x for x, v in E.items() if v)
-            E[e] -= 1
-            E[-e] -= 1
-            if E[e] < 0 or E[-e] < 0:
-                raise InvalidEnhancement(
-                    f"unpaired weight {e} in factor {f.line}"
-                )
-            coords.append(((-e, name), (f.line, e)))
+            weights = _weight_expansion(f.parts.parts)
+        else:
+            core_parts = triple.core_partition(i).parts
+            core_summands.extend((f.line, a) for a in core_parts)
+            weights = _correcting_weights(f.parts.parts, core_parts, f.line)
+        name = f.line.name
+        coords.extend(((-e, name), (f.line, e)) for e in weights)
     coords = [c for _, c in sorted(coords, key=lambda kc: kc[0])]
     core_dim = sum(l.dim * a for l, a in core_summands)
     pieces = [GroupFactor("GL", 1)] * len(coords)
@@ -547,6 +556,22 @@ def cuspidal_support(G: PadicGroup, phi: FormalParameter, eta: SignCharacter,
         labels,
         data.factors,
     )
+
+
+def cuspidal_support(G: PadicGroup, phi: FormalParameter, eta: SignCharacter,
+                     data: CentralizerData = None) -> CuspidalSupportResult:
+    """The cuspidal support of an enhanced parameter: the generalized
+    Springer correspondence finds the block of the pair, and
+    :func:`block_support` reads the support off it.  ``data``, when
+    given, must be ``centralizer_restriction(G, phi)`` of this same
+    ``phi``; it is computed when absent.  An ``eta`` that is not a
+    character of the component group of the parameter is refused."""
+    data = data or centralizer_restriction(G, phi)
+    try:
+        triple, labels = generalized_springer(data.group, data.unipotent, eta)
+    except ValueError as exc:
+        raise InvalidEnhancement(str(exc)) from exc
+    return block_support(G, data, triple, labels)
 
 
 def centralizer_display(data: CentralizerData) -> str:

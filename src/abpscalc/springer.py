@@ -589,8 +589,8 @@ def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, char: SignChara
     moved = [set() for _ in symbols]
     for (fi, v), val in zip(char.group.keys, char.values):
         if val == -1:
-            if v not in symbols[fi][2]:
-                raise SpringerError(f"cannot mark part value {v} of {u.partitions[fi]}")
+            if fi >= len(symbols) or symbols[fi] is None or v not in symbols[fi][2]:
+                raise SpringerError(f"cannot mark part value {v} of {u}")
             moved[fi] |= symbols[fi][2][v]
     rows = [None if s is None else (s[0] ^ m, s[1] ^ m) for s, m in zip(symbols, moved)]
     if group.det1:
@@ -625,7 +625,14 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
     swap when the first ``O`` factor of nonzero defect has more entries
     in the bottom row.
     """
-    (ds, signs), labels = _correspond(group, u, _class_symbols(group, u), char)
+    symbols = _class_symbols(group, u)
+    (ds, signs), labels = _correspond(group, u, symbols, char)
+    # the markable part values of the symbols are the generators of the
+    # component group of u: a character on other generators belongs to
+    # another class
+    keys = tuple((fi, v) for fi, s in enumerate(symbols) if s is not None for v in s[2])
+    if char.group.keys != keys:
+        raise SpringerError(f"{char} is not a character of the component group of {u}")
     return CuspidalTriple(group, ds, signs), labels
 
 

@@ -29,24 +29,43 @@ def wrong_sp6_label(monkeypatch):
     springer.springer_blocks.cache_clear()
 
 
-@pytest.fixture
-def centralizer_calls(monkeypatch):
-    """Count the calls of ``langlands.centralizer_restriction``: a wrapper
-    is bound under every name the package looks the function up by, so a
-    module that imported it directly is counted too.  The fixture value
-    is the list of ``(group, parameter)`` arguments, one per call."""
-    from abpscalc import langlands
-
-    original = langlands.centralizer_restriction
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name``: a wrapper is bound under every
+    name the package looks the function up by, so a module that imported
+    it directly is counted too.  Returns the list of positional argument
+    tuples, one per call."""
+    original = getattr(module, name)
     calls = []
 
-    def counted(G, phi):
-        calls.append((G, phi))
-        return original(G, phi)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "abpscalc" or name.startswith("abpscalc."):
-            for attr, value in list(vars(module).items()):
+    for modname, mod in list(sys.modules.items()):
+        if modname == "abpscalc" or modname.startswith("abpscalc."):
+            for attr, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+@pytest.fixture
+def centralizer_calls(monkeypatch):
+    """The ``(group, parameter)`` arguments of every call of
+    ``langlands.centralizer_restriction``."""
+    from abpscalc import langlands
+
+    return _count_calls(monkeypatch, langlands, "centralizer_restriction")
+
+
+@pytest.fixture
+def springer_calls(monkeypatch):
+    """The positional arguments of every call of
+    ``springer.generalized_springer`` and of
+    ``langlands.cuspidal_support``, by function name."""
+    from abpscalc import langlands
+
+    return {
+        "generalized_springer": _count_calls(monkeypatch, springer, "generalized_springer"),
+        "cuspidal_support": _count_calls(monkeypatch, langlands, "cuspidal_support"),
+    }

@@ -39,7 +39,11 @@ from abpscalc.langlands import (
     parameter,
     parse_catalogue,
 )
-from abpscalc.springer import relative_weyl_group, unipotent_classes
+from abpscalc.springer import (
+    generalized_springer,
+    relative_weyl_group,
+    unipotent_classes,
+)
 
 SP4 = PadicGroup("Sp", 4)
 J = inertial_triple(
@@ -311,8 +315,8 @@ class TestFreeAction:
 
 
 class TestLargestCorpusTriple:
-    """Sp8 zeta^4: the largest triple of the corpus, every entry through
-    ``cuspidal_support``."""
+    """Sp8 zeta^4: the largest triple of the corpus, every stabilizer
+    character matched with one enhanced parameter."""
 
     def test_sp8_zeta4(self):
         G = PadicGroup("Sp", 8)
@@ -382,3 +386,31 @@ class TestOneCentralizerPerParameter:
         md = mu(G, j, data)
         assert len(md.entries) >= len(data.strata)
         assert len(centralizer_calls) == len(data.strata)
+
+
+class TestSupportsFromTheBlockTable:
+    @pytest.mark.parametrize("spec", ANSWERING, ids=_triple_id)
+    def test_support_is_the_cuspidal_support(self, spec):
+        # mu reads each support off the Springer block of its table; the
+        # same support comes out of cuspidal_support on a fresh centralizer
+        G, j = _answering_triple(*spec)
+        for e in mu(G, j).entries:
+            want = cuspidal_support(G, e.param, e.eta)
+            for f in fields(want):
+                assert getattr(e.support, f.name) == getattr(want, f.name), (
+                    str(e), f.name)
+            fresh = centralizer_restriction(G, e.param)
+            assert generalized_springer(fresh.group, fresh.unipotent, e.eta) == (
+                e.support.core_triple, e.support.labels), str(e)
+
+    @pytest.mark.parametrize("spec", ANSWERING[:-1], ids=_triple_id)
+    def test_mu_makes_one_springer_lookup(self, spec, springer_calls):
+        # the open stratum's reference block is the only lookup; every
+        # support comes from the block table
+        G, j = _answering_triple(*spec)
+        data = build_inertial(G, j)
+        for calls in springer_calls.values():
+            del calls[:]  # the core check of build_inertial
+        mu(G, j, data)
+        assert len(springer_calls["generalized_springer"]) == 1
+        assert springer_calls["cuspidal_support"] == []

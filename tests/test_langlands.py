@@ -1,14 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abpscalc.extquot import MINUS_ONE, SymbolicCoordinate, free, q_power
 from abpscalc.langlands import (
     CharacterClass,
     DimensionMismatch,
     FormalParameter,
+    InvalidEnhancement,
     PadicGroup,
     TypeMismatch,
     WFLine,
@@ -25,6 +27,7 @@ from abpscalc.langlands import (
     parameter,
     parse_catalogue,
     validate,
+    _correcting_weights,
 )
 from abpscalc.springer import GL, SO, Sp
 
@@ -276,6 +279,104 @@ class TestCuspidalSupport:
         got = sorted(str(l) for l in infinitesimal_character(SP4, res.embedded()))
         want = sorted(str(l) for l in infinitesimal_character(SP4, PHI_GREEN))
         assert got == want
+
+    def test_enhancement_of_another_parameter_is_refused(self):
+        # the characters of zeta*S[3] + eta*S[1] + 1 live on the generators
+        # ((0,3), (1,1), (2,1)), those of PHI_RED on ((0,1), (0,3), (1,1));
+        # none of them marks a part value PHI_RED lacks
+        data, _ = enhancements(SP4, PHI_RED)
+        _, chars = enhancements(SP4, parameter((ZETA, 3), line("eta"), ONEL))
+        for ch in chars:
+            with pytest.raises(InvalidEnhancement,
+                               match=r"not a character of the component group of \(3,1\)x\(1\)"):
+                cuspidal_support(SP4, PHI_RED, ch, data)
+            with pytest.raises(InvalidEnhancement):
+                cuspidal_support(SP4, PHI_RED, ch)
+
+    def test_mark_on_a_factor_the_class_lacks_is_refused(self):
+        # Sp2xSp2 characters read on the one Sp4 factor of zeta*S[4]: a
+        # sign on the second factor has nothing to mark
+        G = PadicGroup("SO", 5)
+        _, chars = enhancements(G, parameter((ZETA, 2), (ONEL, 2)))
+        messages = set()
+        for ch in chars:
+            with pytest.raises(InvalidEnhancement) as info:
+                cuspidal_support(G, parameter((ZETA, 4)), ch)
+            messages.add(str(info.value))
+        assert messages == {
+            f"{chars[0]} is not a character of the component group of (4)",
+            "cannot mark part value 2 of (4)",
+        }
+
+
+# ---------------------------------------------------------------------------
+# the pairing of weights around a cuspidal core
+
+
+def weights_by_loop(parts, core_parts, where):
+    """The pairing of correcting weights that ``cuspidal_support`` made
+    before the closed form: subtract the core's weights from the parts'
+    and pair the largest remaining weight with its negative until none
+    is left."""
+    def expansion(ps):
+        return [w for a in ps for w in range(a - 1, -a, -2)]
+
+    E = Counter(expansion(parts))
+    E.subtract(Counter(expansion(core_parts)))
+    out = []
+    while any(v for v in E.values()):
+        e = max(x for x, v in E.items() if v)
+        E[e] -= 1
+        E[-e] -= 1
+        if E[e] < 0 or E[-e] < 0:
+            raise InvalidEnhancement(f"unpaired weight {e} in factor {where}")
+        out.append(e)
+    return out
+
+
+def _descending(parts):
+    return tuple(sorted(parts, reverse=True))
+
+
+_PARTS = st.lists(st.integers(1, 9), max_size=8).map(_descending)
+
+
+@st.composite
+def factor_and_core(draw):
+    """A partition and a core: a sub-multiset of its parts, a cuspidal
+    staircase (``2, 4, ..., 2d`` or ``1, 3, ..., 2d-1``), or any
+    partition, contained in it or not."""
+    lam = draw(_PARTS)
+    kind = draw(st.sampled_from(["sub", "staircase", "any"]))
+    if kind == "sub":
+        keep = draw(st.lists(st.booleans(), min_size=len(lam), max_size=len(lam)))
+        core = tuple(a for a, k in zip(lam, keep) if k)
+    elif kind == "staircase":
+        d, start = draw(st.integers(0, 4)), draw(st.sampled_from([1, 2]))
+        core = _descending(range(start, 2 * d + start - 1, 2))
+    else:
+        core = draw(_PARTS)
+    return lam, core
+
+
+@settings(max_examples=400, deadline=None)
+@given(factor_and_core())
+@example(((3, 1), (5,)))  # the core is not contained
+@example(((3, 1), (1,)))  # an odd number of zero weights
+@example(((3,), ()))  # one zero weight, no core
+@example(((3, 1, 1), (1,)))  # one zero coordinate
+@example(((4, 2), (2,)))  # an even core inside
+@example(((5, 3, 1), (3, 1)))  # an odd staircase inside
+def test_correcting_weights_match_the_pairing_loop(case):
+    lam, core = case
+    try:
+        want = weights_by_loop(lam, core, ZETA)
+    except InvalidEnhancement as exc:
+        with pytest.raises(InvalidEnhancement) as info:
+            _correcting_weights(lam, core, ZETA)
+        assert str(info.value) == str(exc)
+    else:
+        assert sorted(_correcting_weights(lam, core, ZETA), reverse=True) == want
 
 
 # ---------------------------------------------------------------------------
