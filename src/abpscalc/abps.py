@@ -12,7 +12,6 @@ packet grouping, and the block decomposition of an inertial packet.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
 
 from .combicore import Bipartition, DLabel, Partition
@@ -43,7 +42,6 @@ from .langlands import (
     validate,
 )
 from .springer import (
-    UnrecognizedStructure,
     generalized_springer,
     springer_blocks,
     unipotent_classes,
@@ -261,22 +259,6 @@ def _factor_slots(data, slot_lines):
     return out
 
 
-def _block_key(data, labels, factor_slots):
-    entries = []
-    for i, f in enumerate(data.factors):
-        slots = factor_slots[i]
-        if not slots:
-            continue
-        label = labels[i]
-        if f.kind == "GL":
-            if len(slots) >= 2:
-                entries.append((min(slots), "A", label))
-        else:
-            entries.append((min(slots), "B", label))
-    entries.sort()
-    return tuple((kind, label) for _, kind, label in entries)
-
-
 def _conjugate_label(label):
     if isinstance(label, Bipartition):
         return Bipartition(label.alpha.conjugate(), label.beta.conjugate())
@@ -285,54 +267,40 @@ def _conjugate_label(label):
     return label
 
 
-_PLUS = Bipartition(Partition((1,)), Partition(()))
-_MINUS = Bipartition(Partition(()), Partition((1,)))
+def _row_character(st, labels, owner):
+    """The character of the stabilizer of ``st`` that a Springer row
+    with per-factor ``labels`` stands for; ``owner`` maps each torus
+    coordinate (0-based) to the centralizer factor on it.  An A piece
+    takes the label of its factor, a B or D piece the conjugate label,
+    and each E2 generator the product of the signs of the one-box labels
+    on the coordinates it flips: +1 for ``((1),())``, -1 for
+    ``((),(1))``."""
 
+    def label_at(c):
+        if c not in owner:
+            raise MatchingError(f"no centralizer factor on coordinate {c + 1} at {st.base}")
+        return labels[owner[c]]
 
-def _slot_signs(gens, label):
-    """Rewrite a character of a diagonal sign group, given on arbitrary
-    generators, as one sign per flipped slot (0-based)."""
-    vecs = [frozenset(g) for g in gens]
-    out = {}
-    for s in sorted(set().union(*vecs)):
-        value = None
-        for r in range(len(vecs) + 1):
-            for combo in combinations(range(len(vecs)), r):
-                acc = frozenset()
-                for i in combo:
-                    acc = acc ^ vecs[i]
-                if acc == {s}:
-                    value = 1
-                    for i in combo:
-                        value *= label[i]
-                    break
-            if value is not None:
-                break
-        if value is None:
-            raise UnrecognizedStructure(
-                f"slot {s} carries no individual sign flip"
-            )
-        out[s - 1] = value
-    return out
-
-
-def _spectral_key(group, irrep):
-    """The stabilizer character written in the same alphabet as the
-    Springer labels of the centralizer: permutation pieces keep their
-    partition, reflection pieces transpose, and each diagonal sign slot
-    becomes a one-box bipartition."""
-    labels = irrep if len(group.pieces) > 1 else (irrep,)
-    entries = []
-    for (kind, data), label in zip(group.pieces, labels):
+    out = []
+    for kind, data in st.group.pieces:
         if kind == "A":
-            entries.append((min(data), "A", label))
+            out.append(label_at(data[0]))
         elif kind in ("B", "D"):
-            entries.append((min(data), "B", _conjugate_label(label)))
-        else:  # E2: one sign per generator, generators are 1-based
-            for slot, e in _slot_signs(data, label).items():
-                entries.append((slot, "B", _PLUS if e == 1 else _MINUS))
-    entries.sort()
-    return tuple((kind, label) for _, kind, label in entries)
+            out.append(_conjugate_label(label_at(data[0])))
+        else:  # E2: each generator lists its flipped coordinates, 1-based
+            values = []
+            for gen in data:
+                value = 1
+                for c in gen:
+                    label = label_at(c - 1)
+                    if not isinstance(label, Bipartition) or label.size != 1:
+                        raise MatchingError(
+                            f"label {label} on flipped coordinate {c} at {st.base} "
+                            f"is not a one-box bipartition")
+                    value *= 1 if label.alpha else -1
+                values.append(value)
+            out.append(tuple(values))
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def _component_label(triple, data, u) -> Partition:
@@ -390,22 +358,22 @@ def mu(G: PadicGroup, triple: InertialTriple,
         else:
             cdata = centralizer_restriction(G, restriction)
         fslots = _factor_slots(cdata, slot_lines)
+        owner = {c: i for i, slots in enumerate(fslots) for c in slots}
         found = {}
         for tri, rows in springer_blocks(cdata.group).items():
             if _support_signature(tri, cdata.factors) != reference:
                 continue
             for u, eta, labels in rows:
-                key = _block_key(cdata, labels, fslots)
+                key = _row_character(st, labels, owner)
                 if key in found:
                     raise MatchingError(f"label collision at {st.base}: {key}")
                 found[key] = (u, eta, tri, labels)
         for irrep in st.group.irreps():
-            key = _spectral_key(st.group, irrep)
-            if key not in found:
+            if irrep not in found:
                 raise MatchingError(
                     f"no enhanced parameter for ({st.base}, {irrep})"
                 )
-            u, eta, tri, labels = found.pop(key)
+            u, eta, tri, labels = found.pop(irrep)
             phi, pdata = _rebuild(cdata, u)
             res = block_support(G, pdata, tri, labels)
             entries.append(MuEntry(
@@ -416,7 +384,7 @@ def mu(G: PadicGroup, triple: InertialTriple,
             ))
         if found:
             raise MatchingError(
-                f"unmatched enhanced parameters at {st.base}: {sorted(found)}"
+                f"unmatched enhanced parameters at {st.base}: {sorted(found, key=str)}"
             )
     return MuData(data, tuple(entries))
 

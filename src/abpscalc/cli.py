@@ -165,7 +165,7 @@ def _parse_group(token):
 def _block_letter(triple):
     if triple.is_principal:
         return "T"
-    if all(triple.gl_rank(i) == 0 for i in range(len(triple.group.factors))):
+    if triple.is_cuspidal:
         return "H"
     return "M"
 
@@ -224,9 +224,7 @@ def cuspidal_rows(family, bound):
     rows = []
     for size in range(1, bound + 1):
         group = Sp(2 * size) if family == "Sp" else SO(size)
-        full = [t for t in cuspidal_triples(group)
-                if all(t.gl_rank(i) == 0 for i in range(len(group.factors)))]
-        for t in full:
+        for t in [t for t in cuspidal_triples(group) if t.is_cuspidal]:
             marks = t.core_marks(0)
             char = " ".join(f"z{p}->{'-' if p in marks else '+'}"
                             for p in sorted(set(t.core_partition(0).parts)))

@@ -533,6 +533,27 @@ def _restrict(w: SignedPermutation, coords):
     return images, signs
 
 
+def _coordinate_blocks(coords, elements):
+    """The orbits on ``coords`` (0-based, ascending, mapped into
+    themselves by every element) of the group the ``elements``
+    generate: each ascending, in the order of their least coordinates."""
+    parent = {c: c for c in coords}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for w in elements:
+        for c in coords:
+            parent[find(c)] = find(w.images[c] - 1)
+    blocks = {}
+    for c in coords:
+        blocks.setdefault(find(c), []).append(c)
+    return [tuple(block) for block in blocks.values()]
+
+
 def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
     elems = tuple(sorted(set(elements), key=lambda w: (w.images, w.signs)))
     moved = [
@@ -542,27 +563,10 @@ def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
     ]
     if not moved:
         return RecognizedSubgroup(elems, ())
-    # coordinate blocks: join c and w(c)
-    parent = {c: c for c in moved}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for w in elems:
-        for c in moved:
-            d = w.images[c] - 1
-            if d in parent:
-                parent[find(c)] = find(d)
-    blocks = {}
-    for c in moved:
-        blocks.setdefault(find(c), []).append(c)
     pieces = []
     diag_coords = []
     size = 1
-    for block in sorted(map(tuple, blocks.values())):
+    for block in _coordinate_blocks(moved, elems):
         restricted = {_restrict(w, block) for w in elems}
         k = len(block)
         identity = (tuple(range(1, k + 1)), (1,) * k)
@@ -700,28 +704,12 @@ def _product_blocks(action: MonomialAction):
     unsigned blocks times ``prod 2^k k!`` over the signed ones.
     """
     n = action.rank
-    parent = list(range(n))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    signed = set()
-    for w in action.generators:
-        for c in range(n):
-            parent[find(c)] = find(w.images[c] - 1)
-            if w.signs[c] == -1:
-                signed.add(c)
-    blocks = {}
-    for c in range(n):
-        blocks.setdefault(find(c), []).append(c)
+    signed = {c for w in action.generators for c in range(n) if w.signs[c] == -1}
     out, order = [], 1
-    for coords in blocks.values():
+    for coords in _coordinate_blocks(range(n), action.generators):
         sign = any(c in signed for c in coords)
         order *= factorial(len(coords)) << (len(coords) if sign else 0)
-        out.append((sign, tuple(coords)))
+        out.append((sign, coords))
     return out if order == action.order else None
 
 

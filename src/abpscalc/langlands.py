@@ -60,7 +60,23 @@ class CharacterClass:
     period: int = 1
 
 
-_ALLOWED_KEYS = {"kind", "order", "dim", "selfdual", "period"}
+_CHOICES = {"kind": ("ramified", "unramified"),
+            "selfdual": ("orthogonal", "symplectic", "none")}
+_ALLOWED_KEYS = {"order", "dim", "period", *_CHOICES}
+
+
+def _catalogue_value(name, key, val):
+    """The value of field ``key`` of character ``name``: one of the
+    words of ``_CHOICES``, or else a positive integer."""
+    if key in _CHOICES:
+        if val in _CHOICES[key]:
+            return val
+        expected = "one of " + ", ".join(_CHOICES[key])
+    elif val.isdecimal() and int(val) > 0:
+        return int(val)
+    else:
+        expected = "a positive integer"
+    raise ValueError(f"bad catalogue value {key}={val} for {name!r}: expected {expected}")
 
 
 def parse_catalogue(text: str):
@@ -78,14 +94,14 @@ def parse_catalogue(text: str):
             key, _, val = f.partition("=")
             if key not in _ALLOWED_KEYS or not val:
                 raise ValueError(f"bad catalogue field {f!r} for {name!r}")
-            kw[key] = val
+            kw[key] = _catalogue_value(name, key, val)
         out[name] = CharacterClass(
             name=name,
             ramified=kw.get("kind", "ramified") == "ramified",
-            order=int(kw.get("order", 2)),
-            dim=int(kw.get("dim", 1)),
+            order=kw.get("order", 2),
+            dim=kw.get("dim", 1),
             selfdual=kw.get("selfdual", "orthogonal"),
-            period=int(kw.get("period", 1)),
+            period=kw.get("period", 1),
         )
     return out
 
@@ -578,10 +594,11 @@ def centralizer_display(data: CentralizerData) -> str:
     """Display name of the centralizer, absorbing a lone ``S(O1)``
     coupling into the other factors (the determinant of an O1 block is
     forced by the rest)."""
-    s = str(data.group)
-    if s.endswith("xS(O1)"):
-        return s[: -len("xS(O1)")]
-    return s
+    group = data.group
+    ofactors = [f for f in group.factors if f.kind == "O"]
+    if group.det1 and ofactors == [GroupFactor("O", 1)] and len(group.factors) > 1:
+        return str(ComplexGroup(tuple(f for f in group.factors if f.kind != "O")))
+    return str(group)
 
 
 def enhancements(G: PadicGroup, phi: FormalParameter):

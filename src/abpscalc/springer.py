@@ -384,6 +384,12 @@ class CuspidalTriple:
         return all(d == 0 or (f.kind in ("SO", "O") and f.n % 2 and d == 1 and s == 0)
                    for f, d, s in zip(self.group.factors, self.ds, self.signs))
 
+    @property
+    def is_cuspidal(self) -> bool:
+        """Whether the cuspidal core is the whole group: no factor keeps
+        a GL(1) coordinate."""
+        return all(self.gl_rank(i) == 0 for i in range(len(self.group.factors)))
+
     def gl_rank(self, i: int) -> int:
         f, d = self.group.factors[i], self.ds[i]
         if f.kind == "GL":
@@ -702,7 +708,7 @@ def is_cuspidal_pair(group: ComplexGroup, u: UnipotentClass, char: SignCharacter
     """Whether the pair is its own support (quasi-Levi equal to the
     whole group)."""
     triple, _ = generalized_springer(group, u, char)
-    return all(triple.gl_rank(i) == 0 for i in range(len(group.factors)))
+    return triple.is_cuspidal
 
 
 def is_distinguished(group: ComplexGroup, u: UnipotentClass) -> bool:

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import fields
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -25,6 +26,7 @@ from abpscalc.abps import (
     weyl_structure,
     _rebuild,
     _restriction_parameter,
+    _row_character,
     _slot_lines,
 )
 from abpscalc.combicore import Bipartition, Partition
@@ -34,7 +36,9 @@ from abpscalc.langlands import (
     PadicGroup,
     centralizer_restriction,
     cuspidal_support,
+    enhancements,
     is_cuspidal,
+    is_tempered,
     line,
     parameter,
     parse_catalogue,
@@ -153,6 +157,26 @@ class TestMatching:
 
     def test_fiber_matches_entries(self):
         assert len(fiber(SP4, J)) == 21
+
+    def test_row_character_of_the_quadrant(self):
+        # the generators flip coordinates (1) and (1, 2): their values are
+        # the sign at 1 and the product of the signs at 1 and 2
+        st = entry("(1, -1)", (1, 1)).stratum
+        plus, minus = BP(P((1,)), P(())), BP(P(()), P((1,)))
+        owner = {0: 0, 1: 1}
+        assert _row_character(st, (minus, plus, BP()), owner) == (-1, -1)
+        assert _row_character(st, (plus, minus, BP()), owner) == (1, -1)
+
+    @pytest.mark.parametrize("labels, owner, message", [
+        ((BP(P((1,)), P(())), BP(P((1,)), P(())), BP()), {0: 0},
+         r"no centralizer factor on coordinate 2 at \(1, -1\)"),
+        ((BP(P((1, 1)), P(())), BP(P((1,)), P(())), BP()), {0: 0, 1: 1},
+         r"label \(1.1,-\) on flipped coordinate 1 at \(1, -1\) is not a one-box"),
+    ])
+    def test_unreadable_row_is_a_matching_error(self, labels, owner, message):
+        st = entry("(1, -1)", (1, 1)).stratum
+        with pytest.raises(MatchingError, match=message):
+            _row_character(st, labels, owner)
 
 
 class TestTwistingMaps:
@@ -414,3 +438,83 @@ class TestSupportsFromTheBlockTable:
         mu(G, j, data)
         assert len(springer_calls["generalized_springer"]) == 1
         assert springer_calls["cuspidal_support"] == []
+
+
+# ---------------------------------------------------------------------------
+# the ABPS statement as an oracle over a corpus of triples
+
+# the benchmark's matching corpus, each Sp target with the core 1
+MATCHING_TRIPLES = [
+    ("Sp", 4, ("zeta", "zeta")), ("Sp", 4, ("zeta", "eta")), ("Sp", 4, ("1", "1")),
+    ("Sp", 6, ("zeta",) * 3), ("Sp", 6, ("zeta", "zeta", "eta")),
+    ("Sp", 6, ("zeta", "eta", "1")), ("SO", 5, ("zeta", "zeta")),
+    ("SO", 4, ("zeta", "zeta")), ("SO", 7, ("zeta",) * 3),
+    ("GL", 2, ("zeta",) * 2), ("GL", 3, ("zeta",) * 3), ("GL", 2, ("chi", "psi")),
+]
+
+# _component_label removes the core's Jordan blocks from the parts of
+# every factor, and list.remove fails when no factor has such a part
+SP_CORE_CRASH = {
+    ("Sp", 2, ("1",)), ("Sp", 4, ("1", "1")), ("Sp", 6, ("1", "1", "1")),
+    ("Sp", 6, ("1", "zeta", "zeta")), ("Sp", 6, ("1", "eta", "eta")),
+}
+
+
+def _oracle_corpus():
+    """The matching triples, then for k = 1..3 every multiset of k lines
+    from {1, zeta, eta} on Sp(2k) with the core 1 and on SO(2k+1) and
+    SO(2k) with an empty core, without repeats; the known failures are
+    strict xfails naming their ROADMAP item."""
+    specs = list(MATCHING_TRIPLES)
+    for k in (1, 2, 3):
+        for names in combinations_with_replacement(("1", "zeta", "eta"), k):
+            specs += [("Sp", 2 * k, names), ("SO", 2 * k + 1, names), ("SO", 2 * k, names)]
+    out = []
+    for spec in dict.fromkeys(specs):
+        family, size, _ = spec
+        marks = []
+        if spec in SP_CORE_CRASH:
+            marks.append(pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+                "ROADMAP item 1: _component_label removes the core's parts "
+                "from a factor that lacks them")))
+        elif family == "SO" and size % 2 == 0:
+            marks.append(pytest.mark.xfail(strict=True, raises=MatchingError, reason=(
+                "ROADMAP item 3: SO(2n) acts by W(B) instead of W(D)")))
+        out.append(pytest.param(spec, True, marks=marks, id=_triple_id(spec)))
+    # the largest triple: its theta checks alone take about 11 s
+    sp8 = ("Sp", 8, ("zeta",) * 4)
+    return out + [pytest.param(sp8, False, id=_triple_id(sp8))]
+
+
+ORACLE_CORPUS = _oracle_corpus()
+
+
+@pytest.mark.parametrize("spec, twisting", ORACLE_CORPUS)
+def test_abps_oracle(spec, twisting):
+    family, size, names = spec
+    G, j = _answering_triple(family, size, names,
+                             _ONE_CORE if family == "Sp" else FormalParameter(()),
+                             _FREE if "chi" in names else None)
+    md = mu(G, j)
+    entries = md.entries
+    # mu is a bijection from T//W onto the enhanced parameters it reaches
+    assert len(entries) == sum(len(st.group.irreps()) for st in md.inertial.strata)
+    assert len({(e.param, e.eta) for e in entries}) == len(entries)
+    # the packets partition the entries, one per parameter, each as large
+    # as the parameter's enhancement count
+    ps = packets(md)
+    assert sorted(id(e) for p in ps for e in p.members) == sorted(map(id, entries))
+    assert len({p.members[0].param for p in ps}) == len(ps)
+    for p in ps:
+        assert {e.param for e in p.members} == {p.members[0].param}
+        assert p.size == len(enhancements(G, p.members[0].param)[1]) >= len(p.members)
+    if not twisting:
+        return
+    # theta at 1 is the projection; theta at q^{1/2} is the support
+    elements = md.inertial.action.elements
+    for e in entries:
+        assert theta(ONE, e, md) == frozenset(act(w, e.stratum.base) for w in elements), str(e)
+        assert theta(q_power(1), e, md) == support_orbit(e, md), str(e)
+    tempered = tempered_points(md)
+    assert tempered == tuple(e for e in entries if is_tempered(G, e.param))
+    assert {id(e) for e in discrete_points(md)} <= {id(e) for e in tempered}

@@ -103,6 +103,18 @@ class TestParamCommand:
         assert record["centralizer"] == "S(O2xO1)"
         assert record["unipotent"] == "(1,1)x(1)"
 
+    @pytest.mark.parametrize("selfdual, code", [("orthogonal", 0), ("orthagonal", 1)])
+    def test_misspelt_catalogue_value_is_refused(self, tmp_path, capsys, selfdual, code):
+        # the misspelt word used to read as symplectic and end in a
+        # TypeMismatch on the summand
+        chars = tmp_path / "chars.txt"
+        chars.write_text("1 kind=unramified order=1 dim=1 selfdual=orthogonal\n"
+                         f"tau kind=ramified order=2 dim=1 selfdual={selfdual}\n")
+        assert cli.run(["param", "--group", "Sp2", "--expr", "tau*S[3]",
+                        "--chars", str(chars)]) == code
+        err = capsys.readouterr().err
+        assert ("selfdual=orthagonal for 'tau'" in err) == bool(code)
+
     @pytest.mark.parametrize("group, expr", [
         (("Sp", 4), "zeta*(S[3]+S[1])+1"),
         (("Sp", 4), "1 + x*zeta*S[2] + x^-1*zeta*S[2]"),

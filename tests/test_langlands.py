@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abpscalc.extquot import MINUS_ONE, SymbolicCoordinate, free, q_power
 from abpscalc.langlands import (
+    CentralizerData,
     CharacterClass,
     DimensionMismatch,
     FormalParameter,
@@ -29,7 +30,7 @@ from abpscalc.langlands import (
     validate,
     _correcting_weights,
 )
-from abpscalc.springer import GL, SO, Sp
+from abpscalc.springer import GL, SO, ComplexGroup, GroupFactor, Sp
 
 SP4 = PadicGroup("Sp", 4)
 ZETA = line("zeta")
@@ -55,6 +56,16 @@ class TestCatalogue:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_catalogue("mu kind=ramified conductor=3")
+
+    @pytest.mark.parametrize("field", [
+        "kind=ramifed", "selfdual=orthagonal", "order=0", "dim=0", "period=-3",
+    ])
+    def test_bad_value_rejected(self, field):
+        # a misspelt word used to read as the default, a non-positive
+        # size was taken as it stood
+        key = field.split("=")[0]
+        with pytest.raises(ValueError, match=rf"{key}=.* for 'tau'"):
+            parse_catalogue(f"tau {field}")
 
     def test_xi_is_a_twist_of_the_trivial_class(self):
         assert XI.base.name == "1"
@@ -189,6 +200,18 @@ class TestCentralizers:
     def test_line(self):
         d = centralizer_restriction(SP4, PHI_LINE)
         assert str(d.group) == "GL1xS(O2xO1)"
+
+    @pytest.mark.parametrize("factors, det1, shown", [
+        ((("GL", 2), ("O", 1)), True, "GL2"),
+        ((("GL", 1), ("Sp", 2), ("O", 1)), True, "GL1xSp2"),
+        ((("O", 1),), True, "S(O1)"),
+        ((("GL", 1), ("O", 2), ("O", 1)), True, "GL1xS(O2xO1)"),
+        ((("GL", 1), ("O", 3)), True, "GL1xS(O3)"),
+        ((("GL", 1), ("O", 1)), False, "GL1xO1"),
+    ])
+    def test_display_absorbs_a_lone_o1(self, factors, det1, shown):
+        group = ComplexGroup(tuple(GroupFactor(*f) for f in factors), det1=det1)
+        assert centralizer_display(CentralizerData(group, ())) == shown
 
     def test_deep(self):
         d = centralizer_restriction(SP4, PHI_DEEP)

@@ -318,6 +318,18 @@ def test_orthogonal_cuspidal_triple_counts():
     assert len(cuspidal_triples(Orth(4))) == 3
 
 
+@pytest.mark.parametrize("g, sizes", [
+    (Sp(12), [12]),  # of the cores of sizes 0, 2, 6 and 12
+    (SO(9), [9]),
+    (Orth(4), [4, 4]),  # the size-4 core with either lifting sign
+    (group_product(GroupFactor("GL", 2), GroupFactor("Sp", 2)), []),
+], ids=str)
+def test_cuspidal_triples_are_the_whole_group_cores(g, sizes):
+    # a triple is cuspidal when its core fills every factor
+    full = [t for t in cuspidal_triples(g) if t.is_cuspidal]
+    assert [sum(t.core_partition(0).parts) for t in full] == sizes
+
+
 # ---------------------------------------------------------------------------
 # component groups and distinguished classes
 
