@@ -11,7 +11,7 @@ support map as an orbit map, temperedness and discreteness filters,
 packet grouping, and the block decomposition of an inertial packet.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 from .combicore import Bipartition, DLabel, Partition
@@ -128,10 +128,12 @@ class InertialData:
 
 
 def _core_group(triple: InertialTriple) -> PadicGroup:
-    """The group of the core factor: each torus coordinate takes two
-    from the size of ``Sp`` and ``SO``, one from that of ``GL``."""
+    """The group of the core factor: a torus coordinate on a line of
+    dimension d takes 2d from the size of ``Sp`` and ``SO`` (the line
+    and its dual), d from that of ``GL``."""
     G = triple.group
-    return PadicGroup(G.family, G.size - triple.rank * (1 if G.family == "GL" else 2))
+    per_dim = 1 if G.family == "GL" else 2
+    return PadicGroup(G.family, G.size - per_dim * sum(l.dim for l in triple.coordinates))
 
 
 def _check_core(triple: InertialTriple):
@@ -343,7 +345,12 @@ def mu(G: PadicGroup, triple: InertialTriple,
     enhanced parameter whose cuspidal support lies in the triple.  At
     each stratum the candidates are the pairs of the one Springer block
     of the centralizer whose cuspidal core is that of the open stratum,
-    and the support of a matched pair is read off that block."""
+    and the support of a matched pair is read off that block.  Pairs of
+    one unipotent class in one block differ only in their relative-Weyl
+    labels, so each stratum rebuilds the parameter and builds the
+    support, cocharacter and component once per class and block, the
+    first time a pair of them is matched; every entry carries its own
+    labels."""
     data = inertial or build_inertial(G, triple)
     reference = None
     entries = []
@@ -359,7 +366,7 @@ def mu(G: PadicGroup, triple: InertialTriple,
             cdata = centralizer_restriction(G, restriction)
         fslots = _factor_slots(cdata, slot_lines)
         owner = {c: i for i, slots in enumerate(fslots) for c in slots}
-        found = {}
+        found, per_class = {}, {}
         for tri, rows in springer_blocks(cdata.group).items():
             if _support_signature(tri, cdata.factors) != reference:
                 continue
@@ -374,13 +381,21 @@ def mu(G: PadicGroup, triple: InertialTriple,
                     f"no enhanced parameter for ({st.base}, {irrep})"
                 )
             u, eta, tri, labels = found.pop(irrep)
-            phi, pdata = _rebuild(cdata, u)
-            res = block_support(G, pdata, tri, labels)
+            built = per_class.get((u, tri))
+            if built is None:
+                phi, pdata = _rebuild(cdata, u)
+                res = block_support(G, pdata, tri, labels)
+                built = per_class[u, tri] = (
+                    phi, res,
+                    _cochar(res, cdata, fslots, slot_lines, triple.rank),
+                    _component_label(triple, cdata, u),
+                )
+            phi, res, cochar, component = built
+            if res.labels != labels:
+                res = replace(res, labels=labels)
             entries.append(MuEntry(
                 st, irrep, families.get(irrep),
-                phi, eta, u, res,
-                _cochar(res, cdata, fslots, slot_lines, triple.rank),
-                _component_label(triple, cdata, u),
+                phi, eta, u, res, cochar, component,
             ))
         if found:
             raise MatchingError(

@@ -69,3 +69,12 @@ def springer_calls(monkeypatch):
         "generalized_springer": _count_calls(monkeypatch, springer, "generalized_springer"),
         "cuspidal_support": _count_calls(monkeypatch, langlands, "cuspidal_support"),
     }
+
+
+@pytest.fixture
+def block_support_calls(monkeypatch):
+    """The positional arguments of every call of
+    ``langlands.block_support``."""
+    from abpscalc import langlands
+
+    return _count_calls(monkeypatch, langlands, "block_support")

@@ -24,12 +24,14 @@ from abpscalc.abps import (
     theta,
     weyl_order,
     weyl_structure,
+    _core_group,
     _rebuild,
     _restriction_parameter,
     _row_character,
     _slot_lines,
 )
 from abpscalc.combicore import Bipartition, Partition
+from abpscalc import extquot
 from abpscalc.extquot import ONE, act, q_power
 from abpscalc.langlands import (
     FormalParameter,
@@ -111,6 +113,20 @@ class TestInertialData:
         G = PadicGroup("SO", 5)
         data = build_inertial(G, inertial_triple(G, (line("zeta"),) * 2))
         assert len(data.strata) == 7
+
+    @pytest.mark.parametrize("size, names, entries", [
+        (4, ("tau",), 5),
+        (8, ("tau", "tau"), 21),
+        (6, ("tau", "zeta"), 25),
+    ])
+    def test_core_group_of_lines_of_dimension_two(self, size, names, entries):
+        # each coordinate on the dim-2 line tau takes 4 from the size of
+        # Sp: tau and its dual; the core 1 is a parameter of Sp0
+        G = PadicGroup("Sp", size)
+        coords = [line(n, catalogue=_TAU if n == "tau" else None) for n in names]
+        j = inertial_triple(G, coords, _ONE_CORE)
+        assert _core_group(j) == PadicGroup("Sp", 0)
+        assert len(mu(G, j).entries) == entries
 
 
 class TestMatching:
@@ -358,6 +374,7 @@ class TestLargestCorpusTriple:
 _ONE_CORE = FormalParameter(((line("1"), 1),))
 _FREE = parse_catalogue("chi kind=ramified order=5 dim=1 selfdual=none period=1\n"
                         "psi kind=ramified order=7 dim=1 selfdual=none period=1")
+_TAU = parse_catalogue("tau kind=ramified order=2 dim=2 selfdual=orthogonal")
 ANSWERING = [
     ("Sp", 4, ["zeta", "zeta"], _ONE_CORE, None),
     ("Sp", 4, ["zeta", "eta"], _ONE_CORE, None),
@@ -438,6 +455,30 @@ class TestSupportsFromTheBlockTable:
         mu(G, j, data)
         assert len(springer_calls["generalized_springer"]) == 1
         assert springer_calls["cuspidal_support"] == []
+
+    @pytest.mark.parametrize("spec", ANSWERING, ids=_triple_id)
+    def test_one_support_per_class_and_block(self, spec, block_support_calls):
+        # rows of one unipotent class in one block differ only in their
+        # labels, so each stratum builds one support per class and block
+        G, j = _answering_triple(*spec)
+        data = build_inertial(G, j)
+        md = mu(G, j, data)
+        distinct = {(str(e.stratum.base), e.u, e.support.core_triple) for e in md.entries}
+        assert len(block_support_calls) == len(distinct)
+
+    @pytest.mark.parametrize("spec", ANSWERING, ids=_triple_id)
+    def test_cold_strata_give_the_same_matching(self, spec):
+        G, j = _answering_triple(*spec)
+        warm = _rendered(mu(G, j))
+        extquot._pattern_strata.cache_clear()
+        assert _rendered(mu(G, j)) == warm
+
+
+def _rendered(md):
+    """Every field of every entry, as text."""
+    return [(str(e.stratum), str(e.irrep), str(e.family), str(e.param), str(e.eta),
+             str(e.u), str(e.support), str(e.support.labels), e.cochar, str(e.component))
+            for e in md.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from abpscalc.extquot import (
     trivial_action,
 )
 from abpscalc.langlands import PadicGroup, line, parse_catalogue
+from abpscalc.springer import UnrecognizedStructure
 
 S1 = SignedPermutation((2, 1), (1, 1))
 S2 = SignedPermutation((1, 2), (1, -1))
@@ -620,6 +621,44 @@ class TestStrata:
     ], ids=["D2", "D3", "klein_four", "swap_with_flip"])
     def test_other_actions_are_not_products(self, action):
         assert _product_blocks(action) is None
+
+
+class TestStrataMemo:
+    """Pattern strata are stratified once per rank and coordinate blocks."""
+
+    def test_equal_actions_get_equal_strata(self):
+        a = hyperoctahedral_action(3)
+        b = MonomialAction(3, reversed(a.generators))
+        assert a is not b and a == b
+        assert strata(a) == strata(b)
+
+    def test_one_pattern_group_per_stratum(self, monkeypatch):
+        real, calls = extquot._pattern_group, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(extquot, "_pattern_group", counted)
+        extquot._pattern_strata.cache_clear()
+        first = strata(hyperoctahedral_action(3))
+        second = strata(hyperoctahedral_action(3))
+        assert first == second
+        assert len(calls) == len(first) == 14
+
+    def test_mutating_the_result_leaves_the_memo(self):
+        sts = strata(B3)
+        want = list(sts)
+        sts.reverse()
+        sts.pop()
+        assert strata(B3) == want
+
+    def test_unrecognized_structure_reads_as_signed_permutations(self):
+        with pytest.raises(UnrecognizedStructure) as exc:
+            strata(even_sign_action(3))
+        message = str(exc.value)
+        assert "->" in message and "SignedPermutation(" not in message
+        assert "order 8" in message and "(2, 3)" in message
 
 
 class TestSpectralQuotient:
