@@ -500,8 +500,8 @@ def bernstein_blocks(G: PadicGroup, triple: InertialTriple):
         restriction = _restriction_parameter(triple, slot_lines)
         cdata, _ = enhancements(G, restriction)
         for u in unipotent_classes(cdata.group):
-            phi, pdata = _rebuild(cdata, u)
-            cusp, chars = is_cuspidal(G, phi, pdata)
+            phi, _ = _rebuild(cdata, u)
+            cusp, chars = is_cuspidal(G, phi)
             if not cusp:
                 continue
             for eta in chars:

@@ -254,8 +254,8 @@ def extquot_rows(rank):
 def param_record(group, phi):
     validate(group, phi)
     data = centralizer_restriction(group, phi)
-    groups = component_groups(group, phi, data)
-    cusp, cusp_chars = is_cuspidal(group, phi, data)
+    groups = component_groups(group, phi)
+    cusp, cusp_chars = is_cuspidal(group, phi)
     inf = infinitesimal_character(group, phi)
     return {
         "group": str(group),
@@ -279,10 +279,10 @@ def param_record(group, phi):
 
 def support_rows(group, phi):
     validate(group, phi)
-    data, chars = enhancements(group, phi)
+    _, chars = enhancements(group, phi)
     rows = []
     for eta in chars:
-        res = cuspidal_support(group, phi, eta, data)
+        res = cuspidal_support(group, phi, eta)
         rows.append({
             "character": str(eta),
             "levi": str(res.levi_dual),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .combicore import Partition
 from .extquot import ONE, SymbolicCoordinate, q_power
@@ -274,13 +275,17 @@ def _summand_type(l: WFLine, a: int):
     return "orthogonal" if flip else "symplectic"
 
 
-def validate(G: PadicGroup, phi: FormalParameter) -> FormalParameter:
-    """Dimension, self-duality closure and type checks; returns the
-    canonical form."""
+def _check_dimension(G: PadicGroup, phi: FormalParameter):
     if phi.dim != G.dual_dim:
         raise DimensionMismatch(
             f"parameter of dimension {phi.dim} for {G} (need {G.dual_dim})"
         )
+
+
+def validate(G: PadicGroup, phi: FormalParameter) -> FormalParameter:
+    """Dimension, self-duality closure and type checks; returns the
+    canonical form."""
+    _check_dimension(G, phi)
     if G.family == "GL":
         return phi
     want = "Sp" if G.dual_kind == "Sp" else "SO"
@@ -342,10 +347,17 @@ class CentralizerData:
         )
 
 
+@lru_cache
 def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerData:
     """Centralizer of the Weil-restriction in the dual group, as a
     product of GL factors and a determinant-one product of orthogonal
-    (or symplectic) factors, with the S-multiplicity partitions."""
+    (or symplectic) factors, with the S-multiplicity partitions.
+
+    Memoised by value on ``(G, phi)``, with the default 128 entries, for
+    the life of the process: every function of this module that needs
+    the centralizer of a parameter looks it up here, so the calls made
+    for one parameter compute it once.  The result is frozen and shared
+    between callers; a refused input is not stored."""
     per_line = {}
     for l, a in phi.summands:
         per_line.setdefault(l, []).append(a)
@@ -417,12 +429,10 @@ def _central_image_nontrivial(G: PadicGroup, A) -> bool:
     return all(len(c) % 2 == 0 for c in A.classes)
 
 
-def component_groups(G: PadicGroup, phi: FormalParameter,
-                     data: CentralizerData = None) -> ComponentGroups:
-    """The component groups of the parameter.  ``data``, when given, must
-    be ``centralizer_restriction(G, phi)`` of this same ``phi``; it is
-    computed when absent."""
-    data = data or centralizer_restriction(G, phi)
+def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
+    """The component groups of the parameter, read from its memoised
+    centralizer."""
+    data = centralizer_restriction(G, phi)
     u = data.unipotent
     A = component_group(data.group, u)
     Ao = component_group(connected_centralizer(data), u)
@@ -434,18 +444,19 @@ def component_groups(G: PadicGroup, phi: FormalParameter,
 # cuspidality
 
 
-def is_cuspidal(G: PadicGroup, phi: FormalParameter,
-                data: CentralizerData = None):
+def is_cuspidal(G: PadicGroup, phi: FormalParameter):
     """Whether the parameter is cuspidal, with the list of cuspidal
-    enhancements (empty when not).  ``data``, when given, must be
-    ``centralizer_restriction(G, phi)`` of this same ``phi``; it is
-    computed when absent and needed."""
+    enhancements (empty when not).  A parameter whose dimension is not
+    that of the dual group is refused with ``DimensionMismatch``; the
+    rest of :func:`validate` is not run.  The centralizer is looked up
+    only for a discrete parameter."""
+    _check_dimension(G, phi)
     if G.family == "GL":
         ok = len(phi.summands) == 1 and phi.summands[0][1] == 1
         return ok, []
     if not is_discrete(G, phi):
         return False, []
-    data = data or centralizer_restriction(G, phi)
+    data = centralizer_restriction(G, phi)
     for f in data.factors:
         d = len(f.parts.parts)
         start = 1 if _summand_type(f.line, 1) == (
@@ -574,15 +585,14 @@ def block_support(G: PadicGroup, data: CentralizerData, triple: CuspidalTriple,
     )
 
 
-def cuspidal_support(G: PadicGroup, phi: FormalParameter, eta: SignCharacter,
-                     data: CentralizerData = None) -> CuspidalSupportResult:
+def cuspidal_support(G: PadicGroup, phi: FormalParameter,
+                     eta: SignCharacter) -> CuspidalSupportResult:
     """The cuspidal support of an enhanced parameter: the generalized
-    Springer correspondence finds the block of the pair, and
-    :func:`block_support` reads the support off it.  ``data``, when
-    given, must be ``centralizer_restriction(G, phi)`` of this same
-    ``phi``; it is computed when absent.  An ``eta`` that is not a
-    character of the component group of the parameter is refused."""
-    data = data or centralizer_restriction(G, phi)
+    Springer correspondence finds the block of the pair in the memoised
+    centralizer, and :func:`block_support` reads the support off it.
+    An ``eta`` that is not a character of the component group of the
+    parameter is refused."""
+    data = centralizer_restriction(G, phi)
     try:
         triple, labels = generalized_springer(data.group, data.unipotent, eta)
     except ValueError as exc:
@@ -603,8 +613,6 @@ def centralizer_display(data: CentralizerData) -> str:
 
 def enhancements(G: PadicGroup, phi: FormalParameter):
     """All sign characters of the component group of the parameter, with
-    the centralizer they are read from: ``component_groups``,
-    ``is_cuspidal`` and ``cuspidal_support`` take it for this same
-    ``phi`` instead of computing it again."""
+    the (memoised) centralizer they are read from."""
     data = centralizer_restriction(G, phi)
     return data, list(component_group(data.group, data.unipotent).characters())

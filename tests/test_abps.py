@@ -109,6 +109,23 @@ class TestInertialData:
         with pytest.raises(InvalidCore, match="does not fit Sp4"):
             build_inertial(SP4, inertial_triple(SP4, (line("zeta"),), core))
 
+    @pytest.mark.parametrize("group, coords, core", [
+        (("Sp", 4), ("zeta",), ("zeta", "1", "1", "1")),
+        (("Sp", 6), ("zeta", "zeta"), ("1",)),
+        (("SO", 5), ("zeta",), ("1",)),
+        (("SO", 7), ("zeta",), ("1", "zeta", "eta")),
+        (("GL", 3), ("zeta",), ("1",)),
+    ])
+    def test_core_of_wrong_size_is_an_invalid_core(self, group, coords, core):
+        # is_cuspidal refuses a core of the wrong size for the core group
+        # with DimensionMismatch, but the whole restriction is validated
+        # first, so the triple is refused as an invalid core
+        G = PadicGroup(*group)
+        j = inertial_triple(G, [line(n) for n in coords],
+                            FormalParameter(tuple((line(n), 1) for n in core)))
+        with pytest.raises(InvalidCore, match=f"does not fit {group[0]}{group[1]}"):
+            build_inertial(G, j)
+
     def test_empty_core_accepted(self):
         G = PadicGroup("SO", 5)
         data = build_inertial(G, inertial_triple(G, (line("zeta"),) * 2))

@@ -14,8 +14,6 @@ from abpscalc.combicore import (
     dlabels,
     hermite_reduce,
     identity_matrix,
-    mat_det,
-    mat_mul,
     partitions,
     sign_twist,
     smith_normal_form,
@@ -26,6 +24,36 @@ from abpscalc.combicore import (
 
 def B(a, b):
     return Bipartition(Partition(a), Partition(b))
+
+
+# Matrix helpers the tests check the lattice kernel with; the library
+# itself never multiplies matrices or takes determinants.
+
+
+def mat_mul(A, B):
+    n, k = len(A), len(B)
+    m = len(B[0]) if k else 0
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+def mat_det(A):
+    """Determinant of an integer matrix, by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    M = [[int(x) for x in row] for row in A]
+    n = len(M)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for t in range(c + 1, n):
+                M[r][t] = (M[r][t] * M[c][c] - M[r][c] * M[c][t]) // prev
+        prev = M[c][c]
+    return sign * M[n - 1][n - 1] if n else 1
 
 
 def partitions_oracle(n, max_part=None):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -254,6 +255,20 @@ class TestCuspidality:
         # symplectic p-adic groups: cuspidal shapes need triangular size
         assert is_cuspidal(PadicGroup("Sp", 2), parameter((ZETA, 1), (ONEL, 1), (XI, 1)))[0]
 
+    @pytest.mark.parametrize("group, phi, dim, need", [
+        (("Sp", 2), parameter(ONEL), 1, 3),
+        (("SO", 5), PHI_RED, 5, 4),
+        (("SO", 4), PHI_RED, 5, 4),
+        (("GL", 2), parameter(ZETA), 1, 2),
+    ])
+    def test_parameter_of_the_wrong_size_is_refused(self, group, phi, dim, need):
+        # 1 alone used to be a cuspidal parameter of Sp2, whose dual
+        # group is SO3; the refusal names the group and both dimensions
+        G = PadicGroup(*group)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                f"parameter of dimension {dim} for {G} (need {need})")):
+            is_cuspidal(G, phi)
+
 
 class TestInfinitesimalCharacter:
     def test_red(self):
@@ -307,13 +322,10 @@ class TestCuspidalSupport:
         # the characters of zeta*S[3] + eta*S[1] + 1 live on the generators
         # ((0,3), (1,1), (2,1)), those of PHI_RED on ((0,1), (0,3), (1,1));
         # none of them marks a part value PHI_RED lacks
-        data, _ = enhancements(SP4, PHI_RED)
         _, chars = enhancements(SP4, parameter((ZETA, 3), line("eta"), ONEL))
         for ch in chars:
             with pytest.raises(InvalidEnhancement,
                                match=r"not a character of the component group of \(3,1\)x\(1\)"):
-                cuspidal_support(SP4, PHI_RED, ch, data)
-            with pytest.raises(InvalidEnhancement):
                 cuspidal_support(SP4, PHI_RED, ch)
 
     def test_mark_on_a_factor_the_class_lacks_is_refused(self):
@@ -477,3 +489,36 @@ def test_conservation_corpus():
         for ch in chars:
             res = cuspidal_support(SP4, phi, ch)
             assert infinitesimal_character(SP4, res.embedded()) == lam
+
+
+class TestCentralizerMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(group=st.sampled_from([("Sp", 4), ("Sp", 6), ("SO", 5), ("SO", 6), ("SO", 7)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_memo_is_the_computation_and_is_keyed_by_value(self, group, seed):
+        G = PadicGroup(*group)
+        phi = validate(G, random_parameter(random.Random(seed), G))
+        data = centralizer_restriction(G, phi)
+        assert data == centralizer_restriction.__wrapped__(G, phi)
+        # the same parameter built again from fresh lines
+        twin = FormalParameter(tuple(
+            (WFLine(l.base, l.twist), a) for l, a in reversed(phi.summands)))
+        assert twin == phi and twin is not phi
+        before = centralizer_restriction.cache_info()
+        assert centralizer_restriction(PadicGroup(*group), twin) is data
+        after = centralizer_restriction.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_refused_input_is_not_stored(self):
+        # zeta*x with one part 2 against its dual with parts 1, 1
+        l = ZETA.twisted(CHI)
+        phi = parameter((l, 2), (l.dual(), 1), (l.dual(), 1), ONEL)
+        centralizer_restriction.cache_clear()
+        for _ in range(2):
+            with pytest.raises(TypeMismatch, match="mismatched parts"):
+                centralizer_restriction(SP4, phi)
+        info = centralizer_restriction.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_memo_keeps_the_default_size(self):
+        assert centralizer_restriction.cache_info().maxsize == 128
