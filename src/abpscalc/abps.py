@@ -41,11 +41,7 @@ from .langlands import (
     is_discrete,
     validate,
 )
-from .springer import (
-    generalized_springer,
-    springer_blocks,
-    unipotent_classes,
-)
+from .springer import springer_blocks
 
 
 class MatchingError(ValueError):
@@ -57,6 +53,12 @@ class InvalidCore(ValueError):
     """The core of an inertial triple is not a cuspidal parameter of the
     core group, or with the torus coordinates does not make a parameter
     of the target group."""
+
+
+class UnsupportedPeriod(ValueError):
+    """A torus coordinate carries a line of period other than 1: the
+    twists z and -z of such a line agree, which the torus of a triple
+    does not model."""
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +116,10 @@ def _inertial_action(triple: InertialTriple) -> MonomialAction:
 
 @dataclass(frozen=True)
 class InertialData:
-    """The torus with identification data, the acting group, and the
-    stabilizer strata of an inertial triple."""
+    """A checked inertial triple with the group acting on its torus and
+    the stabilizer strata of that action, open stratum first."""
 
     triple: InertialTriple
-    periods: tuple  # finite identification order per coordinate
     action: MonomialAction
     strata: tuple
 
@@ -150,13 +151,26 @@ def _check_core(triple: InertialTriple):
 
 
 def build_inertial(G: PadicGroup, triple: InertialTriple) -> InertialData:
+    """Check the triple once and stratify its action.  A coordinate
+    line of period other than 1 raises :class:`UnsupportedPeriod`.  The
+    restriction parameter at the base point is validated, and that
+    check holds at every point: moving t keeps the dimension, and a
+    self-dual twisted line enters twice.  A failure, or a core that is
+    not cuspidal for the core group, is an :class:`InvalidCore`; with
+    an empty core the error of :func:`validate` is raised as it is."""
     if G != triple.group:
         raise ValueError("triple was declared for a different target group")
+    for i, l in enumerate(triple.coordinates):
+        if l.base.period != 1:
+            raise UnsupportedPeriod(
+                f"coordinate {i + 1} of {triple} carries {l.base.name} of period "
+                f"{l.base.period}; only period 1 is supported")
     if triple.core.summands:
         _check_core(triple)
+    else:
+        validate(G, _restriction_parameter(triple, triple.coordinates))
     action = _inertial_action(triple)
-    periods = tuple(l.base.period for l in triple.coordinates)
-    return InertialData(triple, periods, action, tuple(strata(action)))
+    return InertialData(triple, action, tuple(strata(action)))
 
 
 def action_table(data: InertialData):
@@ -339,35 +353,41 @@ def _cochar(res, data, factor_slots, slot_lines, rank):
     return tuple(out)
 
 
-def mu(G: PadicGroup, triple: InertialTriple,
-       inertial: InertialData = None) -> MuData:
+def _reference(st, cdata, blocks):
+    """The support signature of the block that holds the open stratum's
+    class with its trivial character."""
+    lam = cdata.unipotent.partitions
+    for tri, rows in blocks.items():
+        if any(u.partitions == lam and all(v == 1 for v in eta.values) for u, eta, _ in rows):
+            return _support_signature(tri, cdata.factors)
+    raise MatchingError(f"no row of the trivial character at the open stratum {st.base}")
+
+
+def mu(G: PadicGroup, triple: InertialTriple) -> MuData:
     """Match every stabilizer character of every stratum with an
     enhanced parameter whose cuspidal support lies in the triple.  At
-    each stratum the candidates are the pairs of the one Springer block
-    of the centralizer whose cuspidal core is that of the open stratum,
-    and the support of a matched pair is read off that block.  Pairs of
-    one unipotent class in one block differ only in their relative-Weyl
-    labels, so each stratum rebuilds the parameter and builds the
-    support, cocharacter and component once per class and block, the
-    first time a pair of them is matched; every entry carries its own
-    labels."""
-    data = inertial or build_inertial(G, triple)
+    each stratum the candidates are the pairs of the one block of the
+    centralizer's Springer table whose cuspidal core is that of the open
+    stratum's trivial character, and the support of a matched pair is
+    read off that block.  Pairs of one unipotent class in one block
+    differ only in their relative-Weyl labels, so each stratum rebuilds
+    the parameter and builds the support, cocharacter and component once
+    per class and block, the first time a pair of them is matched; every
+    entry carries its own labels."""
+    data = build_inertial(G, triple)
     reference = None
     entries = []
     for st in data.strata:
         families = {f.irrep: f for f in st.families()}
         slot_lines = _slot_lines(triple, st.base)
-        restriction = validate(G, _restriction_parameter(triple, slot_lines))
+        cdata = centralizer_restriction(G, _restriction_parameter(triple, slot_lines))
+        blocks = springer_blocks(cdata.group)
         if reference is None:  # the open stratum comes first
-            cdata, chars = enhancements(G, restriction)
-            tri, _ = generalized_springer(cdata.group, cdata.unipotent, chars[0])
-            reference = _support_signature(tri, cdata.factors)
-        else:
-            cdata = centralizer_restriction(G, restriction)
+            reference = _reference(st, cdata, blocks)
         fslots = _factor_slots(cdata, slot_lines)
         owner = {c: i for i, slots in enumerate(fslots) for c in slots}
         found, per_class = {}, {}
-        for tri, rows in springer_blocks(cdata.group).items():
+        for tri, rows in blocks.items():
             if _support_signature(tri, cdata.factors) != reference:
                 continue
             for u, eta, labels in rows:
@@ -489,27 +509,21 @@ def packets(mu_data: MuData):
 def bernstein_blocks(G: PadicGroup, triple: InertialTriple):
     """The inertial packet of the triple splits into the principal
     block of the triple itself plus one singleton block per cuspidal
-    enhanced parameter reached along the strata."""
-    data = build_inertial(G, triple)
-    blocks = [triple]
-    seen = set()
-    for st in data.strata:
+    enhanced parameter reached along the strata, read off the cuspidal
+    blocks of the Springer table of each point stratum's centralizer."""
+    cuspidal = {}  # (parameter, character) -> its block, in order of appearance
+    for st in build_inertial(G, triple).strata:
         if st.dimension:
             continue
-        slot_lines = _slot_lines(triple, st.base)
-        restriction = _restriction_parameter(triple, slot_lines)
-        cdata, _ = enhancements(G, restriction)
-        for u in unipotent_classes(cdata.group):
-            phi, _ = _rebuild(cdata, u)
-            cusp, chars = is_cuspidal(G, phi)
-            if not cusp:
+        restriction = _restriction_parameter(triple, _slot_lines(triple, st.base))
+        cdata = centralizer_restriction(G, restriction)
+        for tri, rows in springer_blocks(cdata.group).items():
+            if not tri.is_cuspidal:
                 continue
-            for eta in chars:
-                if (phi, eta) in seen:
-                    continue
-                seen.add((phi, eta))
-                blocks.append(InertialTriple(G, (), phi, eta))
-    return blocks
+            for u, eta, _ in rows:
+                phi, _ = _rebuild(cdata, u)
+                cuspidal.setdefault((phi, eta), InertialTriple(G, (), phi, eta))
+    return [triple, *cuspidal.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -350,8 +350,12 @@ class CentralizerData:
 @lru_cache
 def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerData:
     """Centralizer of the Weil-restriction in the dual group, as a
-    product of GL factors and a determinant-one product of orthogonal
-    (or symplectic) factors, with the S-multiplicity partitions.
+    product of GL factors and of orthogonal and symplectic factors, with
+    the S-multiplicity partitions.  A self-dual line gets an orthogonal
+    factor when its type is that of the dual group and a symplectic one
+    otherwise (Gan-Gross-Prasad, Asterisque 346, section 4); in an
+    orthogonal dual group the orthogonal factors have joint determinant
+    one.
 
     Memoised by value on ``(G, phi)``, with the default 128 entries, for
     the life of the process: every function of this module that needs
@@ -361,7 +365,7 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     per_line = {}
     for l, a in phi.summands:
         per_line.setdefault(l, []).append(a)
-    kind = "Sp" if G.dual_kind == "Sp" else "O"
+    target_type = "symplectic" if G.dual_kind == "Sp" else "orthogonal"
     gl, selfdual = [], []  # (sort key, factor)
     paired = set()  # dual lines already taken into a GL pair
     for l, mult in per_line.items():
@@ -372,6 +376,7 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
         if G.family == "GL" or l.base.selfdual == "none":
             gl.append((name, IsotypicFactor(l, None, "GL", parts)))
         elif l.is_selfdual:
+            kind = "O" if l.base.selfdual == target_type else "Sp"
             selfdual.append(((-sum(parts.parts), name), IsotypicFactor(l, None, kind, parts)))
         else:
             d = l.dual()
@@ -459,9 +464,7 @@ def is_cuspidal(G: PadicGroup, phi: FormalParameter):
     data = centralizer_restriction(G, phi)
     for f in data.factors:
         d = len(f.parts.parts)
-        start = 1 if _summand_type(f.line, 1) == (
-            "symplectic" if G.dual_kind == "Sp" else "orthogonal"
-        ) else 2
+        start = 1 if f.kind == "O" else 2  # odd staircase for O, even for Sp
         want = tuple(range(2 * d - 2 + start, start - 2, -2))
         if f.parts.parts != want:
             return False, []

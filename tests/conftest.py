@@ -61,12 +61,13 @@ def centralizer_calls(monkeypatch):
 @pytest.fixture
 def springer_calls(monkeypatch):
     """The positional arguments of every call of
-    ``springer.generalized_springer`` and of
+    ``springer.generalized_springer``, ``springer.springer_blocks`` and
     ``langlands.cuspidal_support``, by function name."""
     from abpscalc import langlands
 
     return {
         "generalized_springer": _count_calls(monkeypatch, springer, "generalized_springer"),
+        "springer_blocks": _count_calls(monkeypatch, springer, "springer_blocks"),
         "cuspidal_support": _count_calls(monkeypatch, langlands, "cuspidal_support"),
     }
 

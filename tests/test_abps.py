@@ -1,5 +1,6 @@
 """Tests for the inertial-family pipeline on the rank-2 symplectic target."""
 
+import re
 from collections import Counter
 from dataclasses import fields
 from itertools import combinations_with_replacement
@@ -7,9 +8,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from abpscalc.abps import (
+    InertialTriple,
     InvalidCore,
     MatchingError,
     Packet,
+    UnsupportedPeriod,
     action_table,
     bernstein_blocks,
     build_inertial,
@@ -26,14 +29,17 @@ from abpscalc.abps import (
     weyl_structure,
     _core_group,
     _rebuild,
+    _reference,
     _restriction_parameter,
     _row_character,
     _slot_lines,
+    _support_signature,
 )
 from abpscalc.combicore import Bipartition, Partition
 from abpscalc import extquot
 from abpscalc.extquot import ONE, act, q_power
 from abpscalc.langlands import (
+    DimensionMismatch,
     FormalParameter,
     PadicGroup,
     centralizer_restriction,
@@ -44,10 +50,13 @@ from abpscalc.langlands import (
     line,
     parameter,
     parse_catalogue,
+    validate,
 )
 from abpscalc.springer import (
+    component_group,
     generalized_springer,
     relative_weyl_group,
+    springer_blocks,
     unipotent_classes,
 )
 
@@ -57,8 +66,8 @@ J = inertial_triple(
     (line("zeta"), line("zeta")),
     FormalParameter(((line("1"), 1),)),
 )
-DATA = build_inertial(SP4, J)
-MD = mu(SP4, J, DATA)
+MD = mu(SP4, J)
+DATA = MD.inertial
 
 
 def entry(base, irrep):
@@ -90,8 +99,14 @@ class TestInertialData:
     def test_strata_count(self):
         assert len(DATA.strata) == 7
 
-    def test_periods(self):
-        assert DATA.periods == (1, 1)
+    def test_line_of_period_two_is_refused(self):
+        # z and -z give the same twist of such a line, so its coordinate
+        # is z^2, which the torus of a triple does not model
+        cat = parse_catalogue("tau kind=ramified order=2 dim=2 selfdual=orthogonal period=2")
+        j = inertial_triple(SP4, (line("tau", catalogue=cat),), _ONE_CORE)
+        for call in (build_inertial, mu, bernstein_blocks):
+            with pytest.raises(UnsupportedPeriod, match="coordinate 1 .* tau of period 2"):
+                call(SP4, j)
 
     def test_wrong_group_rejected(self):
         with pytest.raises(ValueError):
@@ -378,8 +393,8 @@ class TestLargestCorpusTriple:
     def test_sp8_zeta4(self):
         G = PadicGroup("Sp", 8)
         j = inertial_triple(G, (line("zeta"),) * 4, FormalParameter(((line("1"), 1),)))
-        data = build_inertial(G, j)
-        md = mu(G, j, data)
+        md = mu(G, j)
+        data = md.inertial
         assert len(data.strata) == 26
         assert len(md.entries) == 226
         assert len(md.entries) == sum(len(st.group.irreps()) for st in data.strata)
@@ -392,6 +407,7 @@ _ONE_CORE = FormalParameter(((line("1"), 1),))
 _FREE = parse_catalogue("chi kind=ramified order=5 dim=1 selfdual=none period=1\n"
                         "psi kind=ramified order=7 dim=1 selfdual=none period=1")
 _TAU = parse_catalogue("tau kind=ramified order=2 dim=2 selfdual=orthogonal")
+_TAU_SYMPLECTIC = parse_catalogue("tau kind=ramified order=2 dim=2 selfdual=symplectic")
 ANSWERING = [
     ("Sp", 4, ["zeta", "zeta"], _ONE_CORE, None),
     ("Sp", 4, ["zeta", "eta"], _ONE_CORE, None),
@@ -438,12 +454,15 @@ class TestOneCentralizerPerParameter:
 
     @pytest.mark.parametrize("spec", ANSWERING[:-1], ids=_triple_id)
     def test_mu_computes_one_centralizer_per_stratum(self, spec, centralizer_calls):
+        # mu builds the inertial data itself; beyond the lookups of its
+        # core check it looks up one centralizer per stratum
         G, j = _answering_triple(*spec)
         data = build_inertial(G, j)
-        del centralizer_calls[:]  # the core check of build_inertial
-        md = mu(G, j, data)
+        checked = len(centralizer_calls)
+        del centralizer_calls[:]
+        md = mu(G, j)
         assert len(md.entries) >= len(data.strata)
-        assert len(centralizer_calls) == len(data.strata)
+        assert len(centralizer_calls) == checked + len(data.strata)
 
 
 class TestSupportsFromTheBlockTable:
@@ -463,23 +482,25 @@ class TestSupportsFromTheBlockTable:
 
     @pytest.mark.parametrize("spec", ANSWERING[:-1], ids=_triple_id)
     def test_mu_makes_one_springer_lookup(self, spec, springer_calls):
-        # the open stratum's reference block is the only lookup; every
-        # support comes from the block table
+        # the one lookup per stratum is its block table: the reference
+        # block and every support come from it, and beyond the core check
+        # of build_inertial mu looks up no single pair
         G, j = _answering_triple(*spec)
         data = build_inertial(G, j)
+        checked = len(springer_calls["generalized_springer"])
         for calls in springer_calls.values():
-            del calls[:]  # the core check of build_inertial
-        mu(G, j, data)
-        assert len(springer_calls["generalized_springer"]) == 1
+            del calls[:]
+        mu(G, j)
+        assert len(springer_calls["generalized_springer"]) == checked
         assert springer_calls["cuspidal_support"] == []
+        assert len(springer_calls["springer_blocks"]) == len(data.strata)
 
     @pytest.mark.parametrize("spec", ANSWERING, ids=_triple_id)
     def test_one_support_per_class_and_block(self, spec, block_support_calls):
         # rows of one unipotent class in one block differ only in their
         # labels, so each stratum builds one support per class and block
         G, j = _answering_triple(*spec)
-        data = build_inertial(G, j)
-        md = mu(G, j, data)
+        md = mu(G, j)
         distinct = {(str(e.stratum.base), e.u, e.support.core_triple) for e in md.entries}
         assert len(block_support_calls) == len(distinct)
 
@@ -496,6 +517,114 @@ def _rendered(md):
     return [(str(e.stratum), str(e.irrep), str(e.family), str(e.param), str(e.eta),
              str(e.u), str(e.support), str(e.support.labels), e.cochar, str(e.component))
             for e in md.entries]
+
+
+# ---------------------------------------------------------------------------
+# one validation per triple, and the blocks read off the Springer table
+
+
+@pytest.mark.parametrize("call", [build_inertial, mu, bernstein_blocks],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("group, names, dim, need", [
+    (("GL", 3), ("zeta", "zeta"), 2, 3),
+    (("SO", 5), ("zeta",), 2, 4),
+])
+def test_empty_core_of_wrong_size_is_refused(call, group, names, dim, need):
+    # build_inertial validates the base restriction; bernstein_blocks
+    # used to answer [triple] for the GL3 triple
+    G = PadicGroup(*group)
+    j = inertial_triple(G, [line(n) for n in names])
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"parameter of dimension {dim} for {G} (need {need})")):
+        call(G, j)
+
+
+@pytest.mark.parametrize("selfdual, group, core, largest", [
+    ("orthogonal", ("Sp", 4), _ONE_CORE, 0),
+    ("orthogonal", ("SO", 5), FormalParameter(()), 1),
+    ("symplectic", ("Sp", 4), _ONE_CORE, 1),
+    ("symplectic", ("SO", 5), FormalParameter(()), 0),
+])
+def test_reducibility_points_of_a_line_of_dimension_two(selfdual, group, core, largest):
+    # Moeglin: tau|.|^s x| 1 reduces at s = 1/2 exactly when tau x S[2]
+    # has the dual group's type, and otherwise only at 0; so the largest
+    # correcting exponent at z = 1 and at z = -1 is 1 or 0 half-units
+    G = PadicGroup(*group)
+    cat = _TAU if selfdual == "orthogonal" else _TAU_SYMPLECTIC
+    md = mu(G, inertial_triple(G, (line("tau", catalogue=cat),), core))
+    for base in ("(1)", "(-1)"):
+        exps = [c for e in md.entries if str(e.stratum.base) == base for c in e.cochar]
+        assert exps and max(exps) == largest, base
+
+
+@pytest.mark.parametrize("group, coords, core", [
+    (("Sp", 4), ("zeta", "zeta"), (("1", 1),)),
+    (("SO", 5), ("zeta",), (("zeta", 2),)),
+    (("Sp", 6), ("zeta",), (("1", 1), ("zeta", 1), ("zeta", 3))),
+])
+def test_reference_is_the_block_of_the_trivial_character(group, coords, core):
+    # the reference is the block of the trivial character of the open
+    # stratum's class, found by value whatever the order of the table;
+    # with 1 + zeta + zeta*S[3] that class has two characters
+    G = PadicGroup(*group)
+    j = inertial_triple(G, [line(n) for n in coords],
+                        FormalParameter(tuple((line(n), a) for n, a in core)))
+    st = build_inertial(G, j).strata[0]
+    cdata = centralizer_restriction(G, _restriction_parameter(j, _slot_lines(j, st.base)))
+    trivial = component_group(cdata.group, cdata.unipotent).characters()[0]
+    assert set(trivial.values) <= {1}
+    tri, _ = generalized_springer(cdata.group, cdata.unipotent, trivial)
+    want = _support_signature(tri, cdata.factors)
+    blocks = springer_blocks(cdata.group)
+    assert _reference(st, cdata, blocks) == want
+    assert _reference(st, cdata, dict(reversed(blocks.items()))) == want
+    with pytest.raises(MatchingError, match=re.escape(f"open stratum {st.base}")):
+        _reference(st, cdata, {})
+
+
+def _walked_blocks(G, triple):
+    """``bernstein_blocks`` by a walk over every unipotent class of each
+    point stratum's centralizer, each rebuilt parameter tested with
+    ``is_cuspidal``: the oracle of the reading off the Springer table."""
+    blocks, seen = [triple], set()
+    for st in build_inertial(G, triple).strata:
+        if st.dimension:
+            continue
+        cdata = centralizer_restriction(
+            G, _restriction_parameter(triple, _slot_lines(triple, st.base)))
+        for u in unipotent_classes(cdata.group):
+            phi, _ = _rebuild(cdata, u)
+            for eta in is_cuspidal(G, phi)[1]:
+                if (phi, eta) not in seen:
+                    seen.add((phi, eta))
+                    blocks.append(InertialTriple(G, (), phi, eta))
+    return blocks
+
+
+def _blocks_corpus():
+    """For k = 1..4 every multiset of k lines from {1, zeta, eta} on
+    Sp(2k) with the core 1 and on SO(2k+1) and SO(2k) with an empty
+    core; then tau of each type on Sp4, Sp8, SO5 and SO9."""
+    out = []
+    for k in (1, 2, 3, 4):
+        for names in combinations_with_replacement(("1", "zeta", "eta"), k):
+            out += [("Sp", 2 * k, names, _ONE_CORE, None),
+                    ("SO", 2 * k + 1, names, FormalParameter(()), None),
+                    ("SO", 2 * k, names, FormalParameter(()), None)]
+    for cat in (_TAU, _TAU_SYMPLECTIC):
+        out += [("Sp", 4, ("tau",), _ONE_CORE, cat),
+                ("Sp", 8, ("tau", "tau"), _ONE_CORE, cat),
+                ("SO", 5, ("tau",), FormalParameter(()), cat),
+                ("SO", 9, ("tau", "tau"), FormalParameter(()), cat)]
+    return [pytest.param(spec, id=_triple_id(spec) + (
+        "-" + spec[4]["tau"].selfdual if spec[4] else "")) for spec in out]
+
+
+@pytest.mark.parametrize("spec", _blocks_corpus())
+def test_blocks_from_the_table_are_the_walked_blocks(spec):
+    G, j = _answering_triple(*spec)
+    got = [f"{b} | {b.core_char}" for b in bernstein_blocks(G, j)]
+    assert got == [f"{b} | {b.core_char}" for b in _walked_blocks(G, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +676,26 @@ def _oracle_corpus():
 ORACLE_CORPUS = _oracle_corpus()
 
 
-@pytest.mark.parametrize("spec, twisting", ORACLE_CORPUS)
-def test_abps_oracle(spec, twisting):
+def _oracle_triple(spec):
     family, size, names = spec
-    G, j = _answering_triple(family, size, names,
+    return _answering_triple(family, size, names,
                              _ONE_CORE if family == "Sp" else FormalParameter(()),
                              _FREE if "chi" in names else None)
+
+
+@pytest.mark.parametrize("spec", [p.values[0] for p in ORACLE_CORPUS], ids=_triple_id)
+def test_every_stratum_has_a_valid_restriction(spec):
+    # build_inertial validates the base restriction only; this is the
+    # property that makes one check enough
+    G, j = _oracle_triple(spec)
+    for st in build_inertial(G, j).strata:
+        restriction = _restriction_parameter(j, _slot_lines(j, st.base))
+        assert validate(G, restriction) == restriction, str(st.base)
+
+
+@pytest.mark.parametrize("spec, twisting", ORACLE_CORPUS)
+def test_abps_oracle(spec, twisting):
+    G, j = _oracle_triple(spec)
     md = mu(G, j)
     entries = md.entries
     # mu is a bijection from T//W onto the enhanced parameters it reaches

@@ -110,6 +110,32 @@ class TestParamCommand:
         assert record["centralizer"] == "S(O2xO1)"
         assert record["unipotent"] == "(1,1)x(1)"
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["param", "--group", "Sp4", "--expr", "tau + tau + 1"],
+         {"centralizer": "Sp2", "a_group": "1"}),
+        (["param", "--group", "SO5", "--expr", "tau + tau"],
+         {"centralizer": "O2", "a_group": "Z/2"}),
+    ])
+    def test_factor_of_a_symplectic_line(self, tmp_path, capsys, argv, expected):
+        # the multiplicity space of tau is symplectic in the orthogonal
+        # dual of Sp4 and orthogonal in the symplectic dual of SO5
+        chars = tmp_path / "chars.txt"
+        chars.write_text("1 kind=unramified order=1 dim=1 selfdual=orthogonal\n"
+                         "tau kind=ramified order=2 dim=2 selfdual=symplectic\n")
+        assert cli.run(argv + ["--chars", str(chars)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert {k: record[k] for k in expected} == expected
+
+    def test_support_of_a_symplectic_line(self, tmp_path, capsys):
+        # tau*S[2] + 1 is discrete for Sp4; it used to exit 1 with an
+        # unpaired weight 0 in the factor of tau
+        chars = tmp_path / "chars.txt"
+        chars.write_text("1 kind=unramified order=1 dim=1 selfdual=orthogonal\n"
+                         "tau kind=ramified order=2 dim=2 selfdual=symplectic\n")
+        assert cli.run(["support", "--group", "Sp4", "--expr", "tau*S[2] + 1",
+                        "--chars", str(chars)]) == 0
+        assert "[SO5; (); 1 + tau*S[2]]" in capsys.readouterr().out
+
     @pytest.mark.parametrize("selfdual, code", [("orthogonal", 0), ("orthagonal", 1)])
     def test_misspelt_catalogue_value_is_refused(self, tmp_path, capsys, selfdual, code):
         # the misspelt word used to read as symplectic and end in a

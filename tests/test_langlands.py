@@ -46,6 +46,8 @@ PHI_LINE = parameter(
     ZETA.twisted(CHI), ZETA, ONEL, ZETA, ZETA.twisted(CHI.inverse())
 )
 PHI_DEEP = parameter(ZETA, ZETAXI, ONEL, ZETAXI, ZETA)
+TAU_SP = line("tau", catalogue=parse_catalogue(
+    "tau kind=ramified order=2 dim=2 selfdual=symplectic"))
 
 
 class TestCatalogue:
@@ -236,6 +238,28 @@ class TestCentralizers:
             assert cg.a_group.structure() == a
             assert cg.a_group.subgroup_generators() == gens
             assert cg.a_connected.structure() == "1"
+
+
+class TestFactorKindByLineType:
+    """The multiplicity space of a self-dual line is orthogonal exactly
+    when the line has the dual group's type, symplectic otherwise."""
+
+    @pytest.mark.parametrize("group, phi, kinds", [
+        (("Sp", 4), PHI_RED, ("O", "O")),
+        (("Sp", 4), parameter(TAU_SP, TAU_SP, ONEL), ("Sp", "O")),
+        (("SO", 5), parameter(TAU_SP, TAU_SP), ("O",)),
+        (("SO", 5), parameter(TAU_SP, (ZETA, 2)), ("Sp", "O")),
+        (("SO", 5), parameter((ZETA, 4)), ("Sp",)),
+    ])
+    def test_kind_of_each_factor(self, group, phi, kinds):
+        data = centralizer_restriction(PadicGroup(*group), phi)
+        assert tuple(f.kind for f in data.factors) == kinds
+
+    def test_staircase_is_read_from_the_kind(self):
+        # tau is symplectic like the dual Sp4, so its part 1 is an odd
+        # staircase of an O1 factor; this used to build an Sp1 factor
+        ok, chars = is_cuspidal(PadicGroup("SO", 5), parameter(TAU_SP, (ZETA, 2)))
+        assert ok and len(chars) == 2
 
 
 class TestCuspidality:
