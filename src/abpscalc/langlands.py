@@ -480,12 +480,21 @@ def is_cuspidal(G: PadicGroup, phi: FormalParameter):
 # infinitesimal characters
 
 
+@lru_cache
+def _segment(l: WFLine, a: int) -> tuple:
+    """The twisted lines ``l * q^{(a-1)/2}, ..., l * q^{-(a-1)/2}`` of
+    the summand ``l x S_a``.  Memoised by value on ``(l, a)``, with the
+    default 128 entries, for the life of the process."""
+    return tuple(l.twisted(q_power(a + 1 - 2 * j)) for j in range(1, a + 1))
+
+
 def infinitesimal_character(G: PadicGroup, phi: FormalParameter) -> Counter:
-    """Multiset of twisted lines ``l * q^{(a+1-2j)/2}``, j = 1..a."""
+    """Multiset of twisted lines ``l * q^{(a+1-2j)/2}``, j = 1..a: a
+    fresh ``Counter`` on every call, summing the memoised segment of
+    each summand."""
     out = Counter()
     for l, a in phi.summands:
-        for j in range(1, a + 1):
-            out[l.twisted(q_power(a + 1 - 2 * j))] += 1
+        out.update(_segment(l, a))
     return out
 
 

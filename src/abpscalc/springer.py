@@ -31,6 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
+from operator import sub
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .combicore import (
     Bipartition,
@@ -287,15 +290,29 @@ def component_group(group: ComplexGroup, u: UnipotentClass) -> ComponentGroup:
 # symbols
 
 
-def _symbol(kind: str, lam: Partition):
+class _Symbol(NamedTuple):
+    """The symbol of a class at the trivial character: the two rows, and
+    a read-only map from each markable part value to its interval."""
+
+    top: tuple
+    bottom: tuple
+    intervals: MappingProxyType
+
+
+@lru_cache
+def _symbol(kind: str, lam: Partition) -> _Symbol:
     """The symbol of ``lam`` at the trivial character, and the interval
     of each markable part value.
 
-    Returns ``(top, bottom, intervals)``: the two rows as sets, and a map
-    from each markable part value (even for ``Sp``, odd for ``SO`` and
-    ``O``) to its interval, a maximal run of consecutive integers lying
-    in exactly one row, paired in ascending order.  For ``Sp`` the run
+    The interval of a markable part value (even for ``Sp``, odd for
+    ``SO`` and ``O``) is a maximal run of consecutive integers lying in
+    exactly one row, paired in ascending order.  For ``Sp`` the run
     containing 0 belongs to no part.
+
+    Memoised by value on ``(kind, lam)``, with the default 128 entries,
+    for the life of the process.  The result is frozen and shared
+    between callers: rows and intervals are sorted tuples and the
+    interval map is read-only.
     """
     parts = lam.ascending()
     if kind == "Sp" and len(parts) % 2 == 0:
@@ -318,11 +335,37 @@ def _symbol(kind: str, lam: Partition):
         del runs[0]
     parity = 0 if kind == "Sp" else 1
     markable = sorted({v for v in parts if v and v % 2 == parity})
-    return set(top), set(bottom), dict(zip(markable, map(set, runs)))
+    intervals = MappingProxyType(dict(zip(markable, map(tuple, runs))))
+    return _Symbol(tuple(top), tuple(bottom), intervals)
+
+
+@lru_cache
+def _factor_read(kind: str, lam: Partition, tag: str, marked: tuple, swapped: bool):
+    """The pair of one classical factor: its class ``lam`` (with its very
+    even ``tag``) and the part values ``marked`` by the character.
+
+    Every marked part value moves its interval to the other row of the
+    symbol; ``swapped`` then exchanges the rows (the global flip of a
+    determinant-one product).  Returns ``(defect, (d, sign, label))``:
+    the defect of the rows as read, and the block data and label of
+    :func:`_factor_block_and_label`.
+
+    Memoised by value, with the default 128 entries, for the life of
+    the process.  A ``GL`` factor marks nothing and reads the conjugate
+    partition.  The caller checks that every marked value is markable."""
+    if kind == "GL":
+        return 0, (0, 0, lam.conjugate())
+    top, bottom, intervals = _symbol(kind, lam)
+    if marked:
+        moved = set().union(*map(intervals.__getitem__, marked))
+        top, bottom = moved.symmetric_difference(top), moved.symmetric_difference(bottom)
+    if swapped:
+        top, bottom = bottom, top
+    return len(top) - len(bottom), _factor_block_and_label(kind, top, bottom, tag)
 
 
 def _unstair(row, c: int = 0) -> Partition:
-    return Partition([x - 2 * i - c for i, x in enumerate(sorted(row))])
+    return Partition(map(sub, sorted(row), range(c, c + 2 * len(row), 2)))
 
 
 def _factor_block_and_label(kind: str, top, bottom, tag: str):
@@ -338,8 +381,10 @@ def _factor_block_and_label(kind: str, top, bottom, tag: str):
         return d, 0, Bipartition(beta, alpha) if d % 2 else Bipartition(alpha, beta)
     longer, shorter = (top, bottom) if D > 0 else (bottom, top)
     alpha, beta = _unstair(longer), _unstair(shorter)
-    if kind == "SO" and D == 0:
-        return 0, 0, DLabel(alpha, beta, primed=alpha == beta and tag == "II")
+    if kind == "SO":
+        if D == 0:
+            return 0, 0, DLabel(alpha, beta, primed=alpha == beta and tag == "II")
+        return abs(D), 0, Bipartition(alpha, beta)
     return abs(D), (D > 0) - (D < 0), Bipartition(alpha, beta)
 
 
@@ -564,13 +609,10 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
 
 
 def _canonical_signs(group: ComplexGroup, signs):
-    """Erase the lifting sign on connected special orthogonal cores and
-    normalize determinant-coupled sign vectors modulo the global flip."""
-    signs = [0 if f.kind == "SO" else s for f, s in zip(group.factors, signs)]
-    if group.det1:
-        first = next((s for s in signs if s), 0)
-        if first < 0:
-            signs = [-s for s in signs]
+    """Normalize determinant-coupled sign vectors modulo the global
+    flip.  Connected special orthogonal cores carry the sign 0."""
+    if group.det1 and next((s for s in signs if s), 0) < 0:
+        return tuple(-s for s in signs)
     return tuple(signs)
 
 
@@ -584,36 +626,50 @@ def enumerate_pairs(group: ComplexGroup):
 
 
 def _class_symbols(group: ComplexGroup, u: UnipotentClass):
-    """Per factor, the symbol of the class (``None`` for ``GL``)."""
-    return [None if f.kind == "GL" else _symbol(f.kind, lam)
-            for f, lam in zip(group.factors, u.partitions)]
+    """Per factor, the memoised symbol of the class (``None`` for
+    ``GL``), and the keys ``(factor index, part value)`` of the markable
+    part values of the symbols: the generators of the component group
+    of ``u``."""
+    symbols = [None if f.kind == "GL" else _symbol(f.kind, lam)
+               for f, lam in zip(group.factors, u.partitions)]
+    keys = tuple((fi, v) for fi, s in enumerate(symbols) if s is not None for v in s.intervals)
+    return symbols, keys
 
 
-def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, char: SignCharacter):
+def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, keys, char: SignCharacter):
     """Block key ``(ds, signs)`` and labels of one pair, from the
-    symbols of its class."""
-    moved = [set() for _ in symbols]
-    for (fi, v), val in zip(char.group.keys, char.values):
-        if val == -1:
-            if fi >= len(symbols) or symbols[fi] is None or v not in symbols[fi][2]:
+    symbols of its class and their keys: the product of the memoised
+    reads of its factors, with the determinant-one flip on top.  A
+    character on other generators is refused before any read."""
+    if char.group.keys != keys:
+        for (fi, v), val in zip(char.group.keys, char.values):
+            if val == -1 and (fi >= len(symbols) or symbols[fi] is None
+                              or v not in symbols[fi].intervals):
                 raise SpringerError(f"cannot mark part value {v} of {u}")
-            moved[fi] |= symbols[fi][2][v]
-    rows = [None if s is None else (s[0] ^ m, s[1] ^ m) for s, m in zip(symbols, moved)]
-    if group.det1:
-        first = next((len(r[0]) - len(r[1]) for f, r in zip(group.factors, rows)
-                      if f.kind == "O" and len(r[0]) != len(r[1])), 0)
-        if first < 0:
-            rows = [r[::-1] if f.kind == "O" else r for f, r in zip(group.factors, rows)]
-    ds, signs, labels = [], [], []
-    for f, lam, tag, r in zip(group.factors, u.partitions, u.tags, rows):
-        if f.kind == "GL":
-            d, sign, label = 0, 0, lam.conjugate()
-        else:
-            d, sign, label = _factor_block_and_label(f.kind, r[0], r[1], tag)
-        ds.append(d)
-        signs.append(sign)
-        labels.append(label)
-    return (tuple(ds), _canonical_signs(group, signs)), tuple(labels)
+        raise SpringerError(f"{char} is not a character of the component group of {u}")
+    # the keys run through the factors in order, so each factor's values
+    # are the next len(intervals) ones
+    values, pos = char.values, 0
+    factors, reads = [], []
+    first = 0  # the defect of the first O factor of nonzero defect
+    for f, lam, tag, s in zip(group.factors, u.partitions, u.tags, symbols):
+        marked = ()
+        if s is not None:
+            n = len(s.intervals)
+            own = values[pos:pos + n]
+            pos += n
+            if -1 in own:
+                marked = tuple(v for v, val in zip(s.intervals, own) if val == -1)
+        defect, read = _factor_read(f.kind, lam, tag, marked, False)
+        if f.kind == "O" and not first:
+            first = defect
+        factors.append((f.kind, lam, tag, marked))
+        reads.append(read)
+    if group.det1 and first < 0:
+        reads = [_factor_read(*factor, True)[1] if factor[0] == "O" else read
+                 for factor, read in zip(factors, reads)]
+    ds, signs, labels = zip(*reads) if reads else ((), (), ())
+    return (ds, _canonical_signs(group, signs)), labels
 
 
 def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignCharacter):
@@ -622,23 +678,21 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
     ``label`` is a tuple of per-factor character labels of the relative
     Weyl group of ``triple``.
 
-    Each classical factor reads its pair off the symbol of the class:
-    every marked part value (a ``-1`` of ``char``) moves its interval
-    to the other row, the defect of the marked symbol gives the core
-    size and, for ``O`` factors, the lifting sign, and the rows less a
-    staircase give the label.  Under a joint determinant condition the
-    ``O`` factors are first normalized by the global flip: their rows
-    swap when the first ``O`` factor of nonzero defect has more entries
-    in the bottom row.
+    The correspondence of a product is the product of the
+    correspondences of its factors, so each classical factor reads its
+    pair alone, off the memoised symbol of its class: every marked part
+    value (a ``-1`` of ``char``) moves its interval to the other row,
+    the defect of the marked symbol gives the core size and, for ``O``
+    factors, the lifting sign, and the rows less a staircase give the
+    label.  These reads are memoised per (kind, partition, tag, marked
+    values, swap).  The one coupling is a joint determinant condition:
+    when the first ``O`` factor of nonzero defect has more entries in
+    the bottom row, every ``O`` factor is read again with its rows
+    swapped (the global flip).  A character that marks a part value the
+    class cannot mark, or that lives on the generators of another
+    class, is refused before any factor is read.
     """
-    symbols = _class_symbols(group, u)
-    (ds, signs), labels = _correspond(group, u, symbols, char)
-    # the markable part values of the symbols are the generators of the
-    # component group of u: a character on other generators belongs to
-    # another class
-    keys = tuple((fi, v) for fi, s in enumerate(symbols) if s is not None for v in s[2])
-    if char.group.keys != keys:
-        raise SpringerError(f"{char} is not a character of the component group of {u}")
+    (ds, signs), labels = _correspond(group, u, *_class_symbols(group, u), char)
     return CuspidalTriple(group, ds, signs), labels
 
 
@@ -649,9 +703,9 @@ def springer_blocks(group: ComplexGroup):
     biject with the characters of its relative Weyl group."""
     keyed = {}
     for u in unipotent_classes(group):
-        symbols = _class_symbols(group, u)
+        symbols, keys = _class_symbols(group, u)
         for ch in component_group(group, u).characters():
-            key, labels = _correspond(group, u, symbols, ch)
+            key, labels = _correspond(group, u, symbols, keys, ch)
             keyed.setdefault(key, []).append((u, ch, labels))
     blocks = {CuspidalTriple(group, ds, signs): rows for (ds, signs), rows in keyed.items()}
     for triple, rows in blocks.items():

@@ -24,9 +24,16 @@ def wrong_sp6_label(monkeypatch):
         return d, sign, label
 
     monkeypatch.setattr(springer, "_factor_block_and_label", wrong)
-    springer.springer_blocks.cache_clear()
+    _clear_springer_memos()
     yield WRONG_SP6_MESSAGE
-    springer.springer_blocks.cache_clear()
+    _clear_springer_memos()
+
+
+def _clear_springer_memos():
+    """Empty every memo that holds a read of the correspondence, so that
+    the patched label is neither bypassed nor kept past the test."""
+    for memo in (springer._symbol, springer._factor_read, springer.springer_blocks):
+        memo.cache_clear()
 
 
 def _count_calls(monkeypatch, module, name):

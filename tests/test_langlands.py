@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from abpscalc import langlands, springer
 from abpscalc.extquot import MINUS_ONE, SymbolicCoordinate, free, q_power
 from abpscalc.langlands import (
     CentralizerData,
@@ -546,3 +547,48 @@ class TestCentralizerMemo:
 
     def test_memo_keeps_the_default_size(self):
         assert centralizer_restriction.cache_info().maxsize == 128
+
+
+class TestSegmentMemo:
+    def test_memo_keeps_the_default_size(self):
+        assert langlands._segment.cache_info().maxsize == 128
+
+    def test_twin_lines_hit_by_value(self):
+        l = ZETA.twisted(CHI)
+        twin = WFLine(l.base, l.twist)
+        assert twin == l and twin is not l
+        segment = langlands._segment(l, 3)
+        before = langlands._segment.cache_info()
+        assert langlands._segment(twin, 3) is segment
+        after = langlands._segment.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_each_call_returns_a_fresh_counter(self):
+        phi = parameter((ZETA.twisted(CHI), 3), (ONEL, 2), (ZETA, 2), ONEL)
+        G = PadicGroup("SO", 8)
+        first = infinitesimal_character(G, phi)
+        want = Counter(l.twisted(q_power(a + 1 - 2 * j))
+                       for l, a in phi.summands for j in range(1, a + 1))
+        assert first == want
+        first[ONEL] += 5
+        del first[ZETA.twisted(CHI)]
+        assert infinitesimal_character(G, phi) == want
+
+
+def test_cuspidal_support_builds_each_symbol_once():
+    # a change that rebuilt the symbols of a class for every pair would
+    # miss the symbol memo once per enhancement, not once per class
+    springer._symbol.cache_clear()
+    met = set()
+    rng = random.Random(20261019)
+    for family, size in (("Sp", 6), ("SO", 7), ("SO", 8)):
+        G = PadicGroup(family, size)
+        for _ in range(15):
+            phi = validate(G, random_parameter(rng, G))
+            data, chars = enhancements(G, phi)
+            met |= {(f.kind, lam) for f, lam in zip(data.group.factors, data.unipotent.partitions)
+                    if f.kind != "GL"}
+            for ch in chars:
+                cuspidal_support(G, phi, ch)
+    assert len(met) < springer._symbol.cache_info().maxsize
+    assert 0 < springer._symbol.cache_info().misses <= len(met)

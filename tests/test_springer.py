@@ -1,5 +1,6 @@
 import pytest
 
+from abpscalc import springer
 from abpscalc.combicore import Bipartition, DLabel, Partition, bipartitions, sign_twist
 from abpscalc.springer import (
     GL,
@@ -16,6 +17,7 @@ from abpscalc.springer import (
     is_cuspidal_pair,
     is_distinguished,
     relative_weyl_group,
+    CuspidalTriple,
     springer_blocks,
     unipotent_classes,
     SignCharacter,
@@ -424,3 +426,168 @@ def test_distinguished_classes():
     assert is_distinguished(SO(7), cls(SO(7), 5, 1, 1)) is False
     assert is_distinguished(SO(7), cls(SO(7), 7))
     assert is_distinguished(SO(8), cls(SO(8), 5, 3))
+
+
+# ---------------------------------------------------------------------------
+# the correspondence read factor by factor
+
+
+def _oracle_symbol(kind, lam):
+    """The symbol of the class as mutable sets, built afresh: the
+    whole-class reading the per-factor memo replaced."""
+    parts = lam.ascending()
+    if kind == "Sp" and len(parts) % 2 == 0:
+        parts = (0,) + parts
+    c = 1 if kind == "Sp" else 0
+    top, bottom = [], []
+    for i, p in enumerate(parts):
+        x = p + i
+        if x % 2:
+            bottom.append(x // 2 + len(bottom) + c)
+        else:
+            top.append(x // 2 + len(top))
+    runs = []
+    for x in sorted(set(top).symmetric_difference(bottom)):
+        if runs and runs[-1][-1] == x - 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    if kind == "Sp" and runs and runs[0][0] == 0:
+        del runs[0]
+    parity = 0 if kind == "Sp" else 1
+    markable = sorted({v for v in parts if v and v % 2 == parity})
+    return set(top), set(bottom), dict(zip(markable, map(set, runs)))
+
+
+def _oracle_unstair(row, c=0):
+    return Partition([x - 2 * i - c for i, x in enumerate(sorted(row))])
+
+
+def _oracle_block_and_label(kind, top, bottom, tag):
+    D = len(top) - len(bottom)
+    if kind == "Sp":
+        d = D - 1 if D > 0 else -D
+        alpha, beta = _oracle_unstair(top), _oracle_unstair(bottom, 1)
+        return d, 0, Bipartition(beta, alpha) if d % 2 else Bipartition(alpha, beta)
+    longer, shorter = (top, bottom) if D > 0 else (bottom, top)
+    alpha, beta = _oracle_unstair(longer), _oracle_unstair(shorter)
+    if kind == "SO" and D == 0:
+        return 0, 0, DLabel(alpha, beta, primed=alpha == beta and tag == "II")
+    return abs(D), (D > 0) - (D < 0), Bipartition(alpha, beta)
+
+
+def whole_class_correspond(group, u, char):
+    """The pair read off the marked symbols of all factors at once, the
+    ``O`` rows swapped together under the determinant-one flip.  Returns
+    ``((triple, labels), swapped)``."""
+    symbols = [None if f.kind == "GL" else _oracle_symbol(f.kind, lam)
+               for f, lam in zip(group.factors, u.partitions)]
+    moved = [set() for _ in symbols]
+    for (fi, v), val in zip(char.group.keys, char.values):
+        if val == -1:
+            moved[fi] |= symbols[fi][2][v]
+    rows = [None if s is None else (s[0] ^ m, s[1] ^ m) for s, m in zip(symbols, moved)]
+    first = next((len(r[0]) - len(r[1]) for f, r in zip(group.factors, rows)
+                  if f.kind == "O" and len(r[0]) != len(r[1])), 0)
+    swapped = group.det1 and first < 0
+    if swapped:
+        rows = [r[::-1] if f.kind == "O" else r for f, r in zip(group.factors, rows)]
+    ds, signs, labels = [], [], []
+    for f, lam, tag, r in zip(group.factors, u.partitions, u.tags, rows):
+        if f.kind == "GL":
+            d, sign, label = 0, 0, lam.conjugate()
+        else:
+            d, sign, label = _oracle_block_and_label(f.kind, r[0], r[1], tag)
+        ds.append(d)
+        signs.append(0 if f.kind == "SO" else sign)
+        labels.append(label)
+    if group.det1 and next((s for s in signs if s), 0) < 0:
+        signs = [-s for s in signs]
+    return (CuspidalTriple(group, tuple(ds), tuple(signs)), tuple(labels)), swapped
+
+
+def _clear_read_memos():
+    for memo in (springer._symbol, springer._factor_read, springer_blocks):
+        memo.cache_clear()
+
+
+F = GroupFactor
+# GL, Sp and determinant-one products of two and three O factors, where
+# the global flip fires, and SO factors with very even I/II classes
+AGREEMENT_GROUPS = [
+    group_product(F("GL", 2), F("Sp", 4), F("O", 3), F("O", 2), det1=True),
+    group_product(F("GL", 1), F("Sp", 2), F("O", 3), F("O", 4), det1=True),
+    group_product(F("Sp", 2), F("O", 1), F("O", 3), F("O", 2), det1=True),
+    group_product(F("GL", 1), F("O", 4), F("O", 4), det1=True),
+    group_product(F("GL", 2), F("Sp", 4), F("SO", 8)),
+    group_product(F("SO", 4), F("Sp", 2), F("GL", 1)),
+]
+
+
+def test_agreement_groups_cover_the_flip_and_very_even_classes():
+    swaps, very_even = 0, 0
+    for g in AGREEMENT_GROUPS:
+        for u, ch in enumerate_pairs(g):
+            swaps += whole_class_correspond(g, u, ch)[1]
+        very_even += sum(t == "II" and f.kind == "SO"
+                         for u in unipotent_classes(g) for f, t in zip(g.factors, u.tags))
+    assert swaps and very_even
+
+
+@pytest.mark.parametrize("g", AGREEMENT_GROUPS, ids=str)
+def test_factor_reads_agree_with_the_whole_class_reading(g):
+    _clear_read_memos()
+    for memo in ("cold", "warm"):
+        table = {(u, ch): (triple, labels)
+                 for triple, rows in springer_blocks(g).items() for u, ch, labels in rows}
+        assert len(table) == len(enumerate_pairs(g))
+        for (u, ch), row in table.items():
+            want, _ = whole_class_correspond(g, u, ch)
+            assert generalized_springer(g, u, ch) == row == want, (memo, str(u), str(ch))
+
+
+class TestFactorReadMemo:
+    def test_memos_keep_the_default_size(self):
+        assert springer._symbol.cache_info().maxsize == 128
+        assert springer._factor_read.cache_info().maxsize == 128
+
+    def test_twin_partitions_hit_by_value(self):
+        _clear_read_memos()
+        lam, twin = Partition((4, 2)), Partition((2, 4))
+        assert lam == twin and lam is not twin
+        symbol = springer._symbol("Sp", lam)
+        read = springer._factor_read("Sp", lam, "", (2,), False)
+        before = springer._symbol.cache_info(), springer._factor_read.cache_info()
+        assert springer._symbol("Sp", twin) is symbol
+        assert springer._factor_read("Sp", twin, "", (2,), False) is read
+        after = springer._symbol.cache_info(), springer._factor_read.cache_info()
+        for b, a in zip(before, after):
+            assert (a.hits - b.hits, a.misses - b.misses) == (1, 0)
+        # the (4,2) row of the frozen Sp6 table marked at 2: the core Sp6
+        assert read[1] == (2, 0, bp((), ()))
+
+    def test_shared_symbol_refuses_mutation(self):
+        symbol = springer._symbol("Sp", Partition((4, 2)))
+        with pytest.raises(TypeError):
+            symbol.intervals[2] = ()
+        with pytest.raises(AttributeError):
+            symbol.top = ()
+        with pytest.raises(AttributeError):
+            symbol.top.add(7)
+        with pytest.raises(AttributeError):
+            symbol.intervals[2].add(7)
+        assert springer._symbol("Sp", Partition((4, 2))) == symbol
+
+    @pytest.mark.parametrize("other, marks, message", [
+        ((6,), {6}, r"cannot mark part value 6 of \(4,2\)"),
+        ((6,), set(), r"is not a character of the component group of \(4,2\)"),
+    ])
+    def test_refused_read_is_not_stored(self, other, marks, message):
+        g = Sp(6)
+        ch = char_from_marks(g, cls(g, *other), marks)
+        springer._factor_read.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SpringerError, match=message):
+                generalized_springer(g, cls(g, 4, 2), ch)
+        info = springer._factor_read.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
