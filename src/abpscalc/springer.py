@@ -340,28 +340,34 @@ def _symbol(kind: str, lam: Partition) -> _Symbol:
 
 
 @lru_cache
-def _factor_read(kind: str, lam: Partition, tag: str, marked: tuple, swapped: bool):
+def _factor_read(kind: str, lam: Partition, tag: str, marked: tuple):
     """The pair of one classical factor: its class ``lam`` (with its very
     even ``tag``) and the part values ``marked`` by the character.
 
     Every marked part value moves its interval to the other row of the
-    symbol; ``swapped`` then exchanges the rows (the global flip of a
-    determinant-one product).  Returns ``(defect, (d, sign, label))``:
-    the defect of the rows as read, and the block data and label of
-    :func:`_factor_block_and_label`.
+    symbol.  Returns the block data and label ``(d, sign, label)`` of
+    :func:`_factor_block_and_label`; only an ``O`` factor reads a nonzero
+    sign, the sign of the defect of its marked symbol.  The
+    determinant-one flip of a product acts on this read (:func:`_flip`).
 
     Memoised by value, with the default 128 entries, for the life of
     the process.  A ``GL`` factor marks nothing and reads the conjugate
     partition.  The caller checks that every marked value is markable."""
     if kind == "GL":
-        return 0, (0, 0, lam.conjugate())
+        return 0, 0, lam.conjugate()
     top, bottom, intervals = _symbol(kind, lam)
     if marked:
         moved = set().union(*map(intervals.__getitem__, marked))
         top, bottom = moved.symmetric_difference(top), moved.symmetric_difference(bottom)
-    if swapped:
-        top, bottom = bottom, top
-    return len(top) - len(bottom), _factor_block_and_label(kind, top, bottom, tag)
+    return _factor_block_and_label(kind, top, bottom, tag)
+
+
+def _flip(read):
+    """The determinant-one flip on the read ``(d, sign, label)`` of an
+    ``O`` factor: exchanging the rows of its marked symbol negates the
+    sign and, at defect 0, swaps the bipartition."""
+    d, sign, label = read
+    return d, -sign, Bipartition(label.beta, label.alpha) if d == 0 else label
 
 
 def _unstair(row, c: int = 0) -> Partition:
@@ -517,11 +523,12 @@ class RelativeWeylGroup:
     ``B`` (signed permutations, labels = bipartitions), ``D`` (even
     signed permutations, labels = unordered pairs with split labels
     doubled, except for the trivial W(D0), whose one pair is one label).
-    ``coupled`` marks a joint even-sign condition across all B pieces,
-    one of them of positive rank."""
+    ``coupled`` holds the positions of the ``B`` pieces of ``O`` factors
+    under a joint even-sign condition, the pieces that the
+    determinant-one flip swaps; empty means uncoupled."""
 
     pieces: tuple[tuple[str, int], ...]
-    coupled: bool = False
+    coupled: tuple[int, ...] = ()
 
     @property
     def order(self) -> int:
@@ -538,11 +545,18 @@ class RelativeWeylGroup:
         return n
 
     def structure(self) -> str:
-        if all(k <= 0 for _, k in self.pieces):
-            return "1"
-        bits = [f"W({t}{k})" for t, k in self.pieces if k > 0]
-        s = "x".join(bits)
-        return ("S[" + s + "]") if self.coupled else s
+        bits = [f"W({t}{k})" for i, (t, k) in enumerate(self.pieces)
+                if k > 0 and i not in self.coupled]
+        if self.coupled:
+            swapped = (f"W({t}{k})" for t, k in map(self.pieces.__getitem__, self.coupled))
+            bits.append("S[" + "x".join(swapped) + "]")
+        return "x".join(bits) or "1"
+
+    def swap(self, combo):
+        """``combo`` under the determinant-one flip: the label of each
+        coupled piece, an ``O`` factor's read at defect 0, flipped."""
+        return tuple(_flip((0, 0, l))[2] if i in self.coupled else l
+                     for i, l in enumerate(combo))
 
     def character_labels(self):
         per = []
@@ -557,14 +571,13 @@ class RelativeWeylGroup:
         if not self.coupled:
             return combos
         # joint even-sign condition: characters are orbits under the
-        # simultaneous swap of every bipartition, named by _fold; split
-        # orbits are doubled
+        # flip, named by their least member; split orbits are doubled
         out = []
         for combo in combos:
-            if combo == _swap_all(combo):
-                out.append((combo, 0))
-                out.append((combo, 1))
-            elif combo == _fold(combo):
+            swapped = self.swap(combo)
+            if combo == swapped:
+                out += [(combo, 0), (combo, 1)]
+            elif combo < swapped:
                 out.append((combo, None))
         return out
 
@@ -574,13 +587,14 @@ class RelativeWeylGroup:
 
 
 def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
+    """The relative Weyl group of ``triple``, one piece per factor.  The
+    block is coupled when an ``O`` factor with no core (d = 0) keeps a
+    piece of positive rank and no ``O`` core absorbs the determinant
+    flip; the flip then swaps exactly those ``O`` pieces.  ``SO`` and
+    ``Sp`` factors lie outside the determinant condition."""
     group = triple.group
-    pieces = []
-    coupled = False
-    has_core_absorbing = any(
-        f.kind in ("SO", "O") and d >= 1 and (f.kind == "O" or group.det1 or f.n % 2)
-        for f, d in zip(group.factors, triple.ds)
-    )
+    pieces, coupled = [], []
+    has_core_absorbing = any(f.kind == "O" and d >= 1 for f, d in zip(group.factors, triple.ds))
     for i, f in enumerate(group.factors):
         k = triple.gl_rank(i)
         d = triple.ds[i]
@@ -595,13 +609,9 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
                 pieces.append(("B", k))
         else:  # O factor
             pieces.append(("B", k))
-            if group.det1 and d == 0:
-                coupled = True
-    # no joint sign condition when a core absorbs the determinant flip,
-    # or when no B piece has a sign to flip
-    if has_core_absorbing or not any(t == "B" and k for t, k in pieces):
-        coupled = False
-    return RelativeWeylGroup(tuple(pieces), coupled=coupled)
+            if group.det1 and d == 0 and k and not has_core_absorbing:
+                coupled.append(i)
+    return RelativeWeylGroup(tuple(pieces), coupled=tuple(coupled))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +620,9 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
 
 def _canonical_signs(group: ComplexGroup, signs):
     """Normalize determinant-coupled sign vectors modulo the global
-    flip.  Connected special orthogonal cores carry the sign 0."""
+    flip, by the rule of :func:`_correspond`: when the first nonzero
+    sign is negative, negate them all.  Only ``O`` factors carry a
+    nonzero sign, so this negates theirs, as :func:`_flip` does."""
     if group.det1 and next((s for s in signs if s), 0) < 0:
         return tuple(-s for s in signs)
     return tuple(signs)
@@ -650,8 +662,7 @@ def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, keys, char: Sig
     # the keys run through the factors in order, so each factor's values
     # are the next len(intervals) ones
     values, pos = char.values, 0
-    factors, reads = [], []
-    first = 0  # the defect of the first O factor of nonzero defect
+    reads = []
     for f, lam, tag, s in zip(group.factors, u.partitions, u.tags, symbols):
         marked = ()
         if s is not None:
@@ -660,16 +671,13 @@ def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, keys, char: Sig
             pos += n
             if -1 in own:
                 marked = tuple(v for v, val in zip(s.intervals, own) if val == -1)
-        defect, read = _factor_read(f.kind, lam, tag, marked, False)
-        if f.kind == "O" and not first:
-            first = defect
-        factors.append((f.kind, lam, tag, marked))
-        reads.append(read)
-    if group.det1 and first < 0:
-        reads = [_factor_read(*factor, True)[1] if factor[0] == "O" else read
-                 for factor, read in zip(factors, reads)]
+        reads.append(_factor_read(f.kind, lam, tag, marked))
+    # only O factors read a nonzero sign, so the flip leaves the signs
+    # canonical
+    if group.det1 and next((s for _, s, _ in reads if s), 0) < 0:
+        reads = [_flip(r) if f.kind == "O" else r for f, r in zip(group.factors, reads)]
     ds, signs, labels = zip(*reads) if reads else ((), (), ())
-    return (ds, _canonical_signs(group, signs)), labels
+    return (ds, signs), labels
 
 
 def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignCharacter):
@@ -685,10 +693,11 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
     the defect of the marked symbol gives the core size and, for ``O``
     factors, the lifting sign, and the rows less a staircase give the
     label.  These reads are memoised per (kind, partition, tag, marked
-    values, swap).  The one coupling is a joint determinant condition:
-    when the first ``O`` factor of nonzero defect has more entries in
-    the bottom row, every ``O`` factor is read again with its rows
-    swapped (the global flip).  A character that marks a part value the
+    values).  The one coupling is a joint determinant condition: when
+    the first ``O`` factor of nonzero sign reads negative, the global
+    flip (:func:`_flip`) exchanges the rows of every ``O`` factor on the
+    reads already made, negating each sign and, at defect 0, swapping
+    the bipartition.  A character that marks a part value the
     class cannot mark, or that lives on the generators of another
     class, is refused before any factor is read.
     """
@@ -714,8 +723,8 @@ def springer_blocks(group: ComplexGroup):
         want = W.character_labels()
         if W.coupled:
             # labels computed per factor are lifted representatives:
-            # compare swap orbits, a split orbit counting twice
-            got = [_fold(lab) for lab in got]
+            # compare flip orbits, a split orbit counting twice
+            got = [min(lab, W.swap(lab)) for lab in got]
             want = [combo for combo, _ in want]
         got, want = Counter(got), Counter(want)
         # every count is positive, so plain dict equality agrees with
@@ -727,18 +736,6 @@ def springer_blocks(group: ComplexGroup):
                 f"missing {_label_list(want - got)}"
             )
     return blocks
-
-
-def _swap_all(combo):
-    return tuple(
-        Bipartition(l.beta, l.alpha) if isinstance(l, Bipartition) else l
-        for l in combo
-    )
-
-
-def _fold(combo):
-    """The representative of ``combo`` under the simultaneous swap."""
-    return min(combo, _swap_all(combo))
 
 
 def _label_list(labels: Counter) -> str:

@@ -17,6 +17,7 @@ from abpscalc.langlands import (
     PadicGroup,
     TypeMismatch,
     WFLine,
+    block_support,
     centralizer_display,
     centralizer_restriction,
     component_groups,
@@ -261,6 +262,21 @@ class TestFactorKindByLineType:
         # staircase of an O1 factor; this used to build an Sp1 factor
         ok, chars = is_cuspidal(PadicGroup("SO", 5), parameter(TAU_SP, (ZETA, 2)))
         assert ok and len(chars) == 2
+
+    def test_blocks_of_an_sp_factor_beside_an_o_factor(self):
+        # the determinant-one flip moves the O factor only; the block
+        # table of Sp2xS(O4) used to raise on its coupled blocks
+        G, phi = PadicGroup("SO", 8), parameter(TAU_SP, TAU_SP, (ONEL, 3), ONEL)
+        data, chars = enhancements(G, phi)
+        assert str(data.group) == "Sp2xS(O4)"
+        table = {(u, ch): (triple, labels)
+                 for triple, rows in springer.springer_blocks(data.group).items()
+                 for u, ch, labels in rows}
+        for (u, ch), row in table.items():
+            assert springer.generalized_springer(data.group, u, ch) == row
+        for eta in chars:
+            triple, labels = table[data.unipotent, eta]
+            assert cuspidal_support(G, phi, eta) == block_support(G, data, triple, labels)
 
 
 class TestCuspidality:

@@ -162,6 +162,13 @@ CORPUS = (
        for ns in [(4,), (8,), (12,), (0, 4), (4, 4), (4, 8), (8, 8), (0, 4, 4), (4, 4, 4)]]
     + [group_product(GroupFactor("GL", k), GroupFactor("O", 4), GroupFactor("O", 4), det1=True)
        for k in (1, 2, 3)]
+    # det-one products with an Sp or SO factor, which the flip leaves
+    # alone and whose core absorbs nothing
+    + [group_product(*(GroupFactor(*f) for f in fs), det1=True)
+       for fs in [(("Sp", 2), ("O", 4)), (("Sp", 2), ("O", 4), ("O", 4)),
+                  (("GL", 1), ("Sp", 2), ("O", 4), ("O", 4)),
+                  (("Sp", 2), ("O", 0), ("O", 0)), (("Sp", 4), ("O", 0)),
+                  (("SO", 3), ("O", 2), ("O", 2)), (("SO", 5), ("O", 4))]]
 )
 
 
@@ -176,16 +183,24 @@ def test_blocks_biject_with_relative_weyl_characters(g):
         assert len(rows) == relative_weyl_group(triple).num_characters
 
 
-@pytest.mark.parametrize("n, size", [(4, 5), (6, 10)])
-def test_coupled_block_folds_swapped_labels(n, size):
+@pytest.mark.parametrize("lead, n, size, structure", [
+    pytest.param((), 4, 5, "S[W(B1)xW(B2)]", id="4-5"),
+    pytest.param((), 6, 10, "S[W(B1)xW(B3)]", id="6-10"),
+    # the flip leaves the Sp piece alone: 2 x 5 characters
+    pytest.param((GroupFactor("Sp", 2),), 4, 10, "W(B1)xS[W(B1)xW(B2)]", id="Sp2-4-10"),
+])
+def test_coupled_block_folds_swapped_labels(lead, n, size, structure):
     # S(O2 x On): the principal block has the coupled relative Weyl group
-    # S[W(B1) x W(B(n/2))], whose characters are swap orbits of label pairs
-    g = group_product(GroupFactor("O", 2), GroupFactor("O", n), det1=True)
-    coupled = [(t, rows) for t, rows in springer_blocks(g).items()
-               if relative_weyl_group(t).coupled]
-    assert len(coupled) == 1
-    triple, rows = coupled[0]
-    assert len(rows) == size == relative_weyl_group(triple).num_characters
+    # S[W(B1) x W(B(n/2))], whose characters are swap orbits of label
+    # pairs; the blocks with no O core are exactly the coupled ones
+    g = group_product(*lead, GroupFactor("O", 2), GroupFactor("O", n), det1=True)
+    blocks = springer_blocks(g)
+    coupled = {t for t in blocks if relative_weyl_group(t).coupled}
+    assert coupled == {t for t in blocks if t.ds[len(lead):] == (0, 0)}
+    triple = next(t for t in blocks if t.is_principal)
+    W = relative_weyl_group(triple)
+    assert triple in coupled and W.structure() == structure
+    assert len(blocks[triple]) == size == W.num_characters
 
 
 O0 = GroupFactor("O", 0)
@@ -513,12 +528,14 @@ def _clear_read_memos():
 
 F = GroupFactor
 # GL, Sp and determinant-one products of two and three O factors, where
-# the global flip fires, and SO factors with very even I/II classes
+# the global flip fires, Sp2xS(O4), whose coupled blocks fold beside an
+# Sp piece, and SO factors with very even I/II classes
 AGREEMENT_GROUPS = [
     group_product(F("GL", 2), F("Sp", 4), F("O", 3), F("O", 2), det1=True),
     group_product(F("GL", 1), F("Sp", 2), F("O", 3), F("O", 4), det1=True),
     group_product(F("Sp", 2), F("O", 1), F("O", 3), F("O", 2), det1=True),
     group_product(F("GL", 1), F("O", 4), F("O", 4), det1=True),
+    group_product(F("Sp", 2), F("O", 4), det1=True),
     group_product(F("GL", 2), F("Sp", 4), F("SO", 8)),
     group_product(F("SO", 4), F("Sp", 2), F("GL", 1)),
 ]
@@ -556,15 +573,31 @@ class TestFactorReadMemo:
         lam, twin = Partition((4, 2)), Partition((2, 4))
         assert lam == twin and lam is not twin
         symbol = springer._symbol("Sp", lam)
-        read = springer._factor_read("Sp", lam, "", (2,), False)
+        read = springer._factor_read("Sp", lam, "", (2,))
         before = springer._symbol.cache_info(), springer._factor_read.cache_info()
         assert springer._symbol("Sp", twin) is symbol
-        assert springer._factor_read("Sp", twin, "", (2,), False) is read
+        assert springer._factor_read("Sp", twin, "", (2,)) is read
         after = springer._symbol.cache_info(), springer._factor_read.cache_info()
         for b, a in zip(before, after):
             assert (a.hits - b.hits, a.misses - b.misses) == (1, 0)
         # the (4,2) row of the frozen Sp6 table marked at 2: the core Sp6
-        assert read[1] == (2, 0, bp((), ()))
+        assert read == (2, 0, bp((), ()))
+
+    @pytest.mark.parametrize("g", [group_product(F("Sp", 2), F("O", 4), F("O", 4), det1=True),
+                                   group_product(F("GL", 1), F("O", 4), F("O", 4), det1=True)],
+                             ids=str)
+    def test_flip_reads_each_factor_once(self, g):
+        # the flip acts on the reads already made, so a table on which it
+        # fires misses the read memo at most once per distinct read
+        pairs = enumerate_pairs(g)
+        assert any(whole_class_correspond(g, u, ch)[1] for u, ch in pairs)
+        reads = {(f.kind, lam, tag, tuple(v for (fi, v), val in zip(ch.group.keys, ch.values)
+                                          if fi == i and val == -1))
+                 for u, ch in pairs
+                 for i, (f, lam, tag) in enumerate(zip(g.factors, u.partitions, u.tags))}
+        _clear_read_memos()
+        springer_blocks(g)
+        assert springer._factor_read.cache_info().misses <= len(reads)
 
     def test_shared_symbol_refuses_mutation(self):
         symbol = springer._symbol("Sp", Partition((4, 2)))
