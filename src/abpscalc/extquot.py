@@ -34,7 +34,7 @@ from .springer import UnrecognizedStructure
 
 
 class RankMismatch(ValueError):
-    """An element was applied to a point of the wrong rank."""
+    """An element, point or coset met one of another rank."""
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +247,16 @@ class TorusCoset:
         return E, tuple(Fraction(sum(map(mul, row, t)), L) for row in E)
 
     @cached_property
-    def _integer_rhs(self):
-        """``(D, D * E t)``: the right-hand sides of :attr:`equations`
-        over their common denominator ``D``, as integers."""
-        _, rhs = self.equations
+    def _torsion_rows(self):
+        """``(D, ((row, b), ...))``: each row of :attr:`equations` as its
+        nonzero ``(index, coefficient)`` pairs, with its right-hand side
+        as the integer ``b`` over the common denominator ``D``."""
+        E, rhs = self.equations
         D = lcm(*(b.denominator for b in rhs))
-        return D, tuple(b.numerator * (D // b.denominator) for b in rhs)
+        return D, tuple(
+            (tuple((j, e) for j, e in enumerate(row) if e), b.numerator * (D // b.denominator))
+            for row, b in zip(E, rhs)
+        )
 
     def generic_point(self) -> SymbolicTorusPoint:
         """The coset with one free variable ``z``, ``z'``, ... per basis row."""
@@ -269,15 +273,29 @@ class TorusCoset:
         """Membership of a torsion point given by its exponents: the
         number ``x`` stands for the coordinate ``e^{2 pi i x}``, so ``0``
         and ``-1`` both mean the point 1 and ``1/2`` means -1 (unlike
-        :func:`point`).  ``E x = E t (mod Z)`` is tested on integers over
-        a common denominator."""
-        E, _ = self.equations
-        D, rhs = self._integer_rhs
-        v = [x if type(x) in (int, Fraction) else Fraction(x) for x in pt]
-        d = lcm(D, *[x.denominator for x in v])
-        a = [x.numerator * (d // x.denominator) for x in v]
-        k = d // D
-        return all((sum(map(mul, row, a)) - k * b) % d == 0 for row, b in zip(E, rhs))
+        :func:`point`).  A coordinate is an ``int``, a ``Fraction`` or
+        anything else ``Fraction`` converts, read exactly (the float
+        ``0.5`` is 1/2); what ``Fraction`` refuses raises as it does.  A
+        point whose length is not the rank raises :class:`RankMismatch`.
+
+        ``E x = E t (mod Z)`` is tested one equation at a time, on
+        integers: each row sums ``e p / q - b / D`` over its nonzero
+        entries ``e``, skipping integral coordinates ``p / q``, and the
+        test stops at the first row whose sum is not an integer."""
+        v = [(x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
+             for x in pt]
+        if len(v) != self.rank:
+            raise RankMismatch(f"rank {len(v)} point in rank {self.rank} coset")
+        D, rows = self._torsion_rows
+        for row, b in rows:
+            num, den = -b, D
+            for j, e in row:
+                p, q = v[j]
+                if q != 1:
+                    num, den = num * q + e * p * den, den * q
+            if num % den:
+                return False
+        return True
 
     def __str__(self) -> str:
         return str(self.generic_point())
@@ -364,6 +382,8 @@ def fixed_locus(w: SignedPermutation):
 
 
 def intersect_cosets(c1: TorusCoset, c2: TorusCoset):
+    if c1.rank != c2.rank:
+        raise RankMismatch(f"rank {c1.rank} coset meets rank {c2.rank} coset")
     E1, b1 = c1.equations
     E2, b2 = c2.equations
     return _solve_torus(E1 + E2, b1 + b2, c1.rank)
@@ -379,6 +399,8 @@ def _signed_image(w: SignedPermutation, v):
 
 
 def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
+    if w.rank != c.rank:
+        raise RankMismatch(f"rank {w.rank} element on rank {c.rank} coset")
     L, t = c._scaled_translation
     rows = [_signed_image(w, row) for row in c.basis]
     return _canonical_coset(c.rank, rows, _signed_image(w, t), L)

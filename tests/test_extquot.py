@@ -300,7 +300,7 @@ class TestFixedLoci:
     def test_torsion_sample_membership(self, n):
         sample = [
             tuple(Fraction(k, 8) for k in ks)
-            for ks in __import__("itertools").product(range(8), repeat=n)
+            for ks in product(range(8), repeat=n)
         ]
         for w in hyperoctahedral_action(n).elements:
             cosets = fixed_locus(w)
@@ -330,6 +330,38 @@ class TestFixedLoci:
         q = point(*(root_of_unity(Fraction(x)) for x in p))
         assert any(c.contains_torsion(p) for c in fixed_locus(w)) == (act(w, q) == q)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_torsion_point_of_another_rank(self, length):
+        # a point of another length is refused, never cut or read short
+        for c in fixed_locus(SignedPermutation((2, 1, 3), (1, 1, -1))):
+            with pytest.raises(RankMismatch):
+                c.contains_torsion((0,) * length)
+
+    @pytest.mark.parametrize("p", [
+        (0, -1, Fraction(1, 2)),
+        (Fraction(9, 8), Fraction(-3, 8), 2),
+        (Fraction(-1, 2), Fraction(-5, 4), Fraction(7, 4)),
+        (0.5, 0.25, -1),
+        (-1, 0.5, Fraction(-9, 8)),
+    ])
+    def test_torsion_coordinate_forms(self, p):
+        # each coordinate is read as an exponent modulo one, whatever its
+        # form; the oracle acts on the point of reduced exponents
+        reduced = tuple(Fraction(x) % 1 for x in p)
+        q = point(*(root_of_unity(x) for x in reduced))
+        for w in B3.elements:
+            locus = fixed_locus(w)
+            assert [c.contains_torsion(p) for c in locus] == [
+                c.contains_torsion(reduced) for c in locus]
+            assert any(c.contains_torsion(p) for c in locus) == (act(w, q) == q)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_torsion_coordinate_not_a_number(self, n):
+        # the full torus has no equations to read the coordinates, and
+        # still refuses one that is not a number
+        with pytest.raises(ValueError):
+            full_torus(n).contains_torsion(("a",) + (0,) * (n - 1))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_connected_hyperplane_rule_matches_fixed_locus(self, n):
         for w in hyperoctahedral_action(n).elements:
@@ -342,6 +374,15 @@ class TestFixedLoci:
             for v in B2.elements:
                 for c in fixed_locus(w):
                     assert act_coset(v, act_coset(v.inverse(), c)) == c
+
+    @pytest.mark.parametrize("w", [
+        SignedPermutation((2, 1), (1, -1)),
+        SignedPermutation((2, 1, 4, 3), (1, 1, 1, -1)),
+    ], ids=["rank2", "rank4"])
+    def test_coset_action_of_another_rank(self, w):
+        for c in fixed_locus(SignedPermutation((2, 1, 3), (1, 1, -1))):
+            with pytest.raises(RankMismatch):
+                act_coset(w, c)
 
 
 # rational right-hand sides with denominators 1, 2, 3, 4 and 6
@@ -408,6 +449,12 @@ class TestIntersection:
             covered = set().union(*(points_of(c) for c in parts))
             assert covered == points_of(c1) & points_of(c2)
 
+    def test_intersection_of_another_rank(self):
+        c = fixed_locus(SignedPermutation((2, 1, 3), (1, 1, -1)))[0]
+        with pytest.raises(RankMismatch):
+            intersect_cosets(c, full_torus(2))
+        with pytest.raises(RankMismatch):
+            intersect_cosets(full_torus(2), c)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
