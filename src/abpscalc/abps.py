@@ -105,7 +105,7 @@ def _inertial_action(triple: InertialTriple) -> MonomialAction:
     invertible = triple.group.family != "GL"
     classes = {}
     for i, l in enumerate(coords):
-        classes.setdefault(l.base.name, []).append(i)
+        classes.setdefault(l.base, []).append(i)
     gens = []
     for members in classes.values():
         gens += [transposition(n, i, j) for i, j in zip(members, members[1:])]
@@ -451,7 +451,7 @@ def support_orbit(entry: MuEntry, mu_data: MuData):
     for slot in triple.coordinates:
         pick = None
         for i, (l, _) in enumerate(entry.support.coordinates):
-            if values[i] is not None and l.base.name == slot.base.name:
+            if values[i] is not None and l.base == slot.base:
                 pick = i
                 break
         if pick is None:

@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from .combicore import BCSymbol, Partition, sign_twist, staircase, symbol_of_bipartition
+from .combicore import Partition, sign_twist, staircase
 from .extquot import (
     MAX_RANK, MINUS_ONE, ONE, free, hyperoctahedral_action, q_power, spectral_eq,
 )
@@ -170,19 +170,24 @@ def _block_letter(triple):
     return "M"
 
 
-def _symbol(kind, block, d, label) -> BCSymbol:
-    """The symbol column of a Springer table row.  A cuspidal (``H``)
-    row shows the core staircase; a symplectic ``M`` row exchanges the
-    roles of the rows, with the longer row at the bottom."""
+def _symbol(kind, block, d, label) -> str:
+    """The symbol column of a Springer table row, ``(top|bottom)`` with
+    ``-`` for an empty row.  A cuspidal (``H``) row shows the core
+    staircase; a principal (``T``) row the defect-one symbol of its
+    bipartition, at the least length; a symplectic ``M`` row exchanges
+    the roles of the rows, with the longer row at the bottom."""
     if block == "H":
-        return BCSymbol(staircase(Partition(), d + 1 if kind == "Sp" else d), ())
-    if kind == "SO":
+        rows = staircase(Partition(), d + 1 if kind == "Sp" else d), ()
+    elif kind == "SO":
         width = max(len(label.alpha), len(label.beta))
-        return BCSymbol(staircase(label.alpha, width), staircase(label.beta, width))
-    if block == "T":
-        return symbol_of_bipartition(label)
-    width = max(len(label.alpha), len(label.beta) + 1)
-    return BCSymbol(staircase(label.beta, width - 1), staircase(label.alpha, width, 1))
+        rows = staircase(label.alpha, width), staircase(label.beta, width)
+    elif block == "T":
+        width = max(len(label.alpha) - 1, len(label.beta))
+        rows = staircase(label.alpha, width + 1), staircase(label.beta, width, 1)
+    else:
+        width = max(len(label.alpha), len(label.beta) + 1)
+        rows = staircase(label.beta, width - 1), staircase(label.alpha, width, 1)
+    return "({}|{})".format(*(",".join(map(str, row)) or "-" for row in rows))
 
 
 def springer_rows(kind, size, generalized=True):
@@ -206,7 +211,7 @@ def springer_rows(kind, size, generalized=True):
             "u": str(u.partitions[0]) + u.tags[0],
             "a_group": ch.group.structure(),
             "character": str(ch),
-            "symbol": str(_symbol(kind, block, triple.ds[0], label)),
+            "symbol": _symbol(kind, block, triple.ds[0], label),
             "block": block,
             "label": "1" if block == "H" else str(label) + ("'" if block == "M" else ""),
         }

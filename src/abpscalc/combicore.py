@@ -1,10 +1,12 @@
-"""Partition and symbol combinatorics, signed permutations, and integer
-row reduction.
+"""Partition combinatorics, symbol rows, signed permutations, and
+integer row reduction.
 
-Everything in this module is exact: partitions are tuples of ints,
-symbols are pairs of strictly increasing tuples, and the Hermite and
-Smith normal forms are computed over the integers with unimodular
-transforms, both by the one routine :func:`hermite_reduce`.
+Everything in this module is exact: partitions are tuples of ints, and
+the Hermite and Smith normal forms are computed over the integers with
+unimodular transforms, both by the one routine :func:`hermite_reduce`.
+There is no two-row symbol type: a symbol is a pair of plain tuples,
+and :func:`staircase` and its inverse :func:`unstaircase` are the one
+convention relating a row to a partition.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-
-
-class MalformedSymbol(ValueError):
-    """Raised when a symbol does not satisfy the defect-1 conventions."""
+from operator import sub
 
 
 # ---------------------------------------------------------------------------
@@ -195,53 +194,7 @@ def sign_twist(label):
 
 
 # ---------------------------------------------------------------------------
-# symbols (defect-1 convention)
-
-
-@dataclass(frozen=True, order=True)
-class BCSymbol:
-    """A two-row symbol with strictly increasing rows.
-
-    The normative convention used for torus-block symbols has
-    ``len(top) == len(bottom) + 1`` (defect one); other defects occur for
-    the non-principal series and are kept as raw rows.
-    """
-
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def __init__(self, top, bottom):
-        top = tuple(int(x) for x in top)
-        bottom = tuple(int(x) for x in bottom)
-        for row in (top, bottom):
-            if any(b <= a for a, b in zip(row, row[1:])):
-                raise MalformedSymbol(f"rows must be strictly increasing: {row}")
-            if any(x < 0 for x in row):
-                raise MalformedSymbol(f"rows must be nonnegative: {row}")
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-
-    @property
-    def defect(self) -> int:
-        return len(self.top) - len(self.bottom)
-
-    def shift(self) -> "BCSymbol":
-        """The equivalent symbol one padding step larger."""
-        return BCSymbol((0,) + tuple(x + 2 for x in self.top),
-                        (1,) + tuple(x + 2 for x in self.bottom))
-
-    def reduce(self) -> "BCSymbol":
-        """The minimal representative under shift equivalence."""
-        top, bottom = self.top, self.bottom
-        while top and bottom and top[0] == 0 and bottom[0] == 1:
-            top = tuple(x - 2 for x in top[1:])
-            bottom = tuple(x - 2 for x in bottom[1:])
-        return BCSymbol(top, bottom)
-
-    def __str__(self) -> str:
-        t = ",".join(str(x) for x in self.top) or "-"
-        b = ",".join(str(x) for x in self.bottom) or "-"
-        return f"({t}|{b})"
+# symbol rows
 
 
 def staircase(p: Partition, length: int, offset: int = 0) -> tuple[int, ...]:
@@ -252,28 +205,10 @@ def staircase(p: Partition, length: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(x + 2 * i + offset for i, x in enumerate(padded))
 
 
-def symbol_of_bipartition(bp: Bipartition) -> BCSymbol:
-    """The defect-1 symbol of a bipartition (reduced form).
-
-    With ``alpha`` padded to ``m + 1`` parts and ``beta`` to ``m`` parts,
-    the rows are ``staircase(alpha, m + 1)`` and ``staircase(beta, m, 1)``.
-    """
-    m = max(len(bp.alpha) - 1, len(bp.beta), 0)
-    return BCSymbol(staircase(bp.alpha, m + 1), staircase(bp.beta, m, 1)).reduce()
-
-
-def bipartition_of_symbol(sym: BCSymbol) -> Bipartition:
-    """Inverse of :func:`symbol_of_bipartition` (defect-1 symbols only)."""
-    if sym.defect != 1:
-        raise MalformedSymbol(f"expected defect 1, got {sym.defect}")
-    alpha = [x - 2 * i for i, x in enumerate(sym.top)]
-    beta = [x - 2 * i - 1 for i, x in enumerate(sym.bottom)]
-    if any(x < 0 for x in alpha) or any(x < 0 for x in beta):
-        raise MalformedSymbol(f"symbol {sym} does not unstaircase to a bipartition")
-    for row in (alpha, beta):
-        if any(b < a for a, b in zip(row, row[1:])):
-            raise MalformedSymbol(f"symbol {sym} does not unstaircase to a bipartition")
-    return Bipartition(Partition(alpha), Partition(beta))
+def unstaircase(row, offset: int = 0) -> Partition:
+    """The partition of a symbol row: the inverse of :func:`staircase`,
+    subtracting ``2i + offset`` from entry ``i`` of the sorted row."""
+    return Partition(map(sub, sorted(row), range(offset, offset + 2 * len(row), 2)))
 
 
 # ---------------------------------------------------------------------------

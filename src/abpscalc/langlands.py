@@ -24,6 +24,7 @@ from .springer import (
     SignCharacter,
     UnipotentClass,
     component_group,
+    core_partition,
     generalized_springer,
     is_cuspidal_pair,
 )
@@ -463,10 +464,7 @@ def is_cuspidal(G: PadicGroup, phi: FormalParameter):
         return False, []
     data = centralizer_restriction(G, phi)
     for f in data.factors:
-        d = len(f.parts.parts)
-        start = 1 if f.kind == "O" else 2  # odd staircase for O, even for Sp
-        want = tuple(range(2 * d - 2 + start, start - 2, -2))
-        if f.parts.parts != want:
+        if f.parts != core_partition(f.kind, len(f.parts)):
             return False, []
     u = data.unipotent
     A = component_group(data.group, u)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
-from operator import sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -43,6 +42,7 @@ from .combicore import (
     partitions,
     bipartitions,
     dlabels,
+    unstaircase,
 )
 
 
@@ -231,28 +231,19 @@ class SignCharacter:
     def __post_init__(self):
         if len(self.values) != len(self.group.generators):
             raise SpringerError("character length mismatch")
+        # negating every generator of a constraint class leaves the
+        # character unchanged: store the representative with +1 on the
+        # last generator of each class, so equal characters read equal
+        flip = {i for c in self.group.classes if self.values[c[-1]] == -1 for i in c}
+        if flip:
+            object.__setattr__(self, "values", tuple(
+                -v if i in flip else v for i, v in enumerate(self.values)))
 
     def value(self, key) -> int:
         for k, v in zip(self.group.keys, self.values):
             if k == key:
                 return v
         raise KeyError(key)
-
-    def canonical(self) -> "SignCharacter":
-        flip = {i for c in self.group.classes if self.values[c[-1]] == -1 for i in c}
-        if not flip:
-            return self
-        vals = tuple(-v if i in flip else v for i, v in enumerate(self.values))
-        return SignCharacter(vals, self.group)
-
-    def __eq__(self, other):
-        if not isinstance(other, SignCharacter):
-            return NotImplemented
-        return (self.group.keys == other.group.keys
-                and self.canonical().values == other.canonical().values)
-
-    def __hash__(self):
-        return hash((self.group.keys, self.canonical().values))
 
     def __str__(self) -> str:
         if not self.values:
@@ -370,10 +361,6 @@ def _flip(read):
     return d, -sign, Bipartition(label.beta, label.alpha) if d == 0 else label
 
 
-def _unstair(row, c: int = 0) -> Partition:
-    return Partition(map(sub, sorted(row), range(c, c + 2 * len(row), 2)))
-
-
 def _factor_block_and_label(kind: str, top, bottom, tag: str):
     """Block data and character label read from the rows of a marked
     symbol: ``(d, sign, label)``, where ``d`` is the core size parameter,
@@ -383,10 +370,10 @@ def _factor_block_and_label(kind: str, top, bottom, tag: str):
     D = len(top) - len(bottom)
     if kind == "Sp":
         d = D - 1 if D > 0 else -D
-        alpha, beta = _unstair(top), _unstair(bottom, 1)
+        alpha, beta = unstaircase(top), unstaircase(bottom, 1)
         return d, 0, Bipartition(beta, alpha) if d % 2 else Bipartition(alpha, beta)
     longer, shorter = (top, bottom) if D > 0 else (bottom, top)
-    alpha, beta = _unstair(longer), _unstair(shorter)
+    alpha, beta = unstaircase(longer), unstaircase(shorter)
     if kind == "SO":
         if D == 0:
             return 0, 0, DLabel(alpha, beta, primed=alpha == beta and tag == "II")
@@ -394,12 +381,11 @@ def _factor_block_and_label(kind: str, top, bottom, tag: str):
     return abs(D), (D > 0) - (D < 0), Bipartition(alpha, beta)
 
 
-def _sp_core_partition(d: int) -> Partition:
-    return Partition(range(2, 2 * d + 1, 2))
-
-
-def _so_core_partition(d: int) -> Partition:
-    return Partition(range(1, 2 * d, 2))
+def core_partition(kind: str, d: int) -> Partition:
+    """The class of the cuspidal core of size parameter ``d`` of a
+    classical factor: the staircase ``(2d, ..., 4, 2)`` for ``Sp`` and
+    ``(2d - 1, ..., 3, 1)`` for ``SO`` and ``O``."""
+    return Partition(range(2 if kind == "Sp" else 1, 2 * d + 1, 2))
 
 
 def _sp_core_marks(d: int):
@@ -453,9 +439,7 @@ class CuspidalTriple:
         f, d = self.group.factors[i], self.ds[i]
         if f.kind == "GL":
             return Partition()
-        if f.kind == "Sp":
-            return _sp_core_partition(d)
-        return _so_core_partition(d)
+        return core_partition(f.kind, d)
 
     def core_marks(self, i: int):
         f, d, s = self.group.factors[i], self.ds[i], self.signs[i]

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from abpscalc import cli
+from abpscalc.combicore import Partition
 from abpscalc.extquot import MAX_RANK
 from abpscalc.langlands import (
     FormalParameter,
@@ -21,6 +22,7 @@ from abpscalc.langlands import (
     enhancements,
     line,
 )
+from abpscalc.springer import SO, Sp, springer_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -235,6 +237,59 @@ class TestTables:
                                   "--expr", "zeta*(S[3]+S[1])+1"])
         assert len(rows) == 4
         assert {r["levi"] for r in rows} == {"SO5", "GL1xGL1xSO1"}
+
+
+# ---------------------------------------------------------------------------
+# the symbol column against the rules of the former two-row symbol type
+
+
+def _oracle_row(p, length, offset=0):
+    padded = (0,) * (length - len(p)) + tuple(reversed(p.parts))
+    return tuple(x + 2 * i + offset for i, x in enumerate(padded))
+
+
+def _oracle_symbol_text(top, bottom, reduce=False):
+    """Check the rows strictly increasing and nonnegative, strip the
+    leading ``(0 | 1)`` pairs when ``reduce`` is set, and print."""
+    for row in (top, bottom):
+        assert all(a < b for a, b in zip(row, row[1:])) and all(x >= 0 for x in row), row
+    while reduce and top and bottom and top[0] == 0 and bottom[0] == 1:
+        top, bottom = tuple(x - 2 for x in top[1:]), tuple(x - 2 for x in bottom[1:])
+    t = ",".join(map(str, top)) or "-"
+    b = ",".join(map(str, bottom)) or "-"
+    return f"({t}|{b})"
+
+
+def _oracle_symbol(kind, block, d, label):
+    if block == "H":
+        return _oracle_symbol_text(_oracle_row(Partition(), d + 1 if kind == "Sp" else d), ())
+    if kind == "SO":
+        width = max(len(label.alpha), len(label.beta))
+        return _oracle_symbol_text(_oracle_row(label.alpha, width), _oracle_row(label.beta, width))
+    if block == "T":
+        m = max(len(label.alpha) - 1, len(label.beta), 0)
+        return _oracle_symbol_text(_oracle_row(label.alpha, m + 1), _oracle_row(label.beta, m, 1),
+                                   reduce=True)
+    width = max(len(label.alpha), len(label.beta) + 1)
+    return _oracle_symbol_text(_oracle_row(label.beta, width - 1),
+                               _oracle_row(label.alpha, width, 1))
+
+
+def test_symbol_column_keeps_the_two_row_symbol_rules():
+    total = 0
+    for kind, make, sizes in (("Sp", Sp, range(0, 19, 2)), ("SO", SO, range(15))):
+        for n in sizes:
+            want = {}
+            for triple, rows in springer_blocks(make(n)).items():
+                block = "T" if triple.is_principal else "H" if triple.is_cuspidal else "M"
+                for u, ch, labels in rows:
+                    key = str(u.partitions[0]) + u.tags[0], str(ch)
+                    want[key] = block, _oracle_symbol(kind, block, triple.ds[0], labels[0])
+            got = {(r["u"], r["character"]): (r["block"], r["symbol"])
+                   for r in cli.springer_rows(kind, n)}
+            assert got == want, f"{kind}{n}"
+            total += len(got)
+    assert total == 1680
 
 
 class TestFormats:

@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abpscalc.combicore import (
-    BCSymbol,
     Bipartition,
     DLabel,
-    MalformedSymbol,
     Partition,
     SignedPermutation,
     all_signed_permutations,
-    bipartition_of_symbol,
     bipartitions,
     dlabels,
     hermite_reduce,
@@ -18,7 +15,7 @@ from abpscalc.combicore import (
     sign_twist,
     smith_normal_form,
     staircase,
-    symbol_of_bipartition,
+    unstaircase,
 )
 
 
@@ -109,6 +106,13 @@ class TestPartitions:
             assert len(dlabels(n)) == unordered + split
 
 
+def defect_one_rows(bp):
+    """The rows of the defect-one symbol of ``bp`` at the least length:
+    ``alpha`` staircased to ``m + 1`` parts and ``beta`` to ``m``."""
+    m = max(len(bp.alpha) - 1, len(bp.beta))
+    return staircase(bp.alpha, m + 1), staircase(bp.beta, m, 1)
+
+
 class TestSymbols:
     def test_frozen_defect_one_symbols(self):
         # u-symbols for rank-3 bipartitions, torus-block convention
@@ -124,39 +128,32 @@ class TestSymbols:
             (B((1, 1, 1), ()), ((1, 3, 5), (1, 3))),
             (B((), (1, 1, 1)), ((0, 2, 4, 6), (2, 4, 6))),
         ]
-        for bp, (top, bottom) in cases:
-            assert symbol_of_bipartition(bp) == BCSymbol(top, bottom)
+        for bp, rows in cases:
+            assert defect_one_rows(bp) == rows
 
     def test_roundtrip_all_ranks(self):
         for n in range(9):
             seen = set()
             for bp in bipartitions(n):
-                sym = symbol_of_bipartition(bp)
-                assert sym.defect == 1
-                assert bipartition_of_symbol(sym) == bp
-                assert sym not in seen
-                seen.add(sym)
+                top, bottom = rows = defect_one_rows(bp)
+                assert len(top) - len(bottom) == 1
+                assert (unstaircase(top), unstaircase(bottom, 1)) == (bp.alpha, bp.beta)
+                assert rows not in seen
+                seen.add(rows)
 
-    def test_shift_reduce(self):
-        sym = symbol_of_bipartition(B((2,), (1,)))
-        shifted = sym.shift().shift()
-        assert shifted != sym
-        assert shifted.reduce() == sym
-        assert bipartition_of_symbol(shifted) == B((2,), (1,))
+    def test_unstaircase_inverts_staircase(self):
+        for size in range(11):
+            for p in partitions(size):
+                for length in range(len(p), len(p) + 3):
+                    for offset in (0, 1):
+                        row = staircase(p, length, offset)
+                        assert unstaircase(row, offset) == p, (p, length, offset)
 
     def test_staircase_pads_in_front(self):
         assert staircase(Partition((2, 1)), 3) == (0, 3, 6)
         assert staircase(Partition((2, 1)), 3, 1) == (1, 4, 7)
         assert staircase(Partition(), 3) == (0, 2, 4)
         assert staircase(Partition(), 0) == ()
-
-    def test_malformed(self):
-        with pytest.raises(MalformedSymbol):
-            BCSymbol((2, 2), ())
-        with pytest.raises(MalformedSymbol):
-            bipartition_of_symbol(BCSymbol((0, 1), (5,)))
-        with pytest.raises(MalformedSymbol):
-            bipartition_of_symbol(BCSymbol((0, 2), ()))
 
 
 class TestSignTwist:

@@ -563,6 +563,35 @@ def test_factor_reads_agree_with_the_whole_class_reading(g):
             assert generalized_springer(g, u, ch) == row == want, (memo, str(u), str(ch))
 
 
+# det-one products, the first eight with O factors that all read defect
+# 0, where the two sign vectors of one character lift the coupled label
+# two ways; S(O3xO4) and S(O1xO4) have an odd O factor
+FLIP_GROUPS = [
+    group_product(*(F(*f) for f in fs), det1=True)
+    for fs in [(("O", 4),), (("O", 2), ("O", 2)), (("O", 4), ("O", 4)),
+               (("Sp", 2), ("O", 4)), (("Sp", 2), ("O", 2), ("O", 2)),
+               (("GL", 1), ("O", 4), ("O", 4)), (("Sp", 4), ("O", 4)),
+               (("O", 6), ("O", 2)), (("O", 3), ("O", 4)), (("O", 1), ("O", 4))]
+]
+
+
+@pytest.mark.parametrize("g", FLIP_GROUPS, ids=str)
+def test_equal_characters_read_the_same_row(g):
+    # negating a whole constraint class gives the same character of the
+    # component group, so it must land on the same row of the table
+    flips = 0
+    for triple, rows in springer_blocks(g).items():
+        for u, ch, labels in rows:
+            for c in ch.group.classes:
+                vals = tuple(-v if i in c else v for i, v in enumerate(ch.values))
+                flipped = SignCharacter(vals, ch.group)
+                assert flipped == ch and hash(flipped) == hash(ch)
+                assert generalized_springer(g, u, flipped) == (triple, labels), (
+                    str(u), str(ch), vals)
+                flips += 1
+    assert flips
+
+
 class TestFactorReadMemo:
     def test_memos_keep_the_default_size(self):
         assert springer._symbol.cache_info().maxsize == 128
