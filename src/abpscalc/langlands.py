@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .combicore import Partition
 from .extquot import ONE, SymbolicCoordinate, q_power
 from .springer import (
+    ClassReader,
     ComplexGroup,
     CuspidalTriple,
     GroupFactor,
@@ -25,8 +26,6 @@ from .springer import (
     UnipotentClass,
     component_group,
     core_partition,
-    generalized_springer,
-    is_cuspidal_pair,
 )
 
 
@@ -337,15 +336,27 @@ class IsotypicFactor:
 
 @dataclass(frozen=True)
 class CentralizerData:
+    """The centralizer ``group`` of a parameter's Weil restriction, with
+    the isotypic factor behind each of its factors.  The unipotent class
+    of the parameter and the Springer reader of that class are computed
+    on first use and kept on the instance, so a memoised centralizer
+    reads each of them once."""
+
     group: ComplexGroup
     factors: tuple  # IsotypicFactor per group factor, in order
 
-    @property
+    @cached_property
     def unipotent(self) -> UnipotentClass:
         return UnipotentClass(
             tuple(f.parts for f in self.factors),
             ("",) * len(self.factors),
         )
+
+    @cached_property
+    def springer(self) -> ClassReader:
+        """The generalized Springer correspondence on the pairs of the
+        class ``unipotent``: its component group, characters and reads."""
+        return ClassReader(self.group, self.unipotent)
 
 
 @lru_cache
@@ -361,8 +372,12 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     Memoised by value on ``(G, phi)``, with the default 128 entries, for
     the life of the process: every function of this module that needs
     the centralizer of a parameter looks it up here, so the calls made
-    for one parameter compute it once.  The result is frozen and shared
-    between callers; a refused input is not stored."""
+    for one parameter compute it once.  The centralizer carries the
+    unipotent class of the parameter and its Springer reader
+    (``CentralizerData.springer``: symbols, component group, characters
+    and reads of the class), each made on first use, so those calls
+    also read the class once.  The result is frozen and shared between
+    callers; a refused input is not stored."""
     per_line = {}
     for l, a in phi.summands:
         per_line.setdefault(l, []).append(a)
@@ -439,9 +454,8 @@ def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
     """The component groups of the parameter, read from its memoised
     centralizer."""
     data = centralizer_restriction(G, phi)
-    u = data.unipotent
-    A = component_group(data.group, u)
-    Ao = component_group(connected_centralizer(data), u)
+    A = data.springer.component_group
+    Ao = component_group(connected_centralizer(data), data.unipotent)
     s_order = A.order // (2 if _central_image_nontrivial(G, A) else 1)
     return ComponentGroups(A, Ao, s_order)
 
@@ -466,11 +480,8 @@ def is_cuspidal(G: PadicGroup, phi: FormalParameter):
     for f in data.factors:
         if f.parts != core_partition(f.kind, len(f.parts)):
             return False, []
-    u = data.unipotent
-    A = component_group(data.group, u)
-    chars = [
-        ch for ch in A.characters() if is_cuspidal_pair(data.group, u, ch)
-    ]
+    reader = data.springer
+    chars = [ch for ch in reader.characters if reader.read(ch)[0].is_cuspidal]
     return bool(chars), chars
 
 
@@ -541,7 +552,25 @@ def _positive_weights(parts):
     return [e for a in parts for e in range(a - 1, 0, -2)]
 
 
-def _correcting_weights(parts, core_parts, where):
+@lru_cache
+def _core_weights(parts, core_parts) -> tuple:
+    """The correcting exponents of :func:`_correcting_weights`, as a
+    tuple; a refusal names the weight only.  Memoised by value on
+    ``(parts, core_parts)``, with the default 128 entries, for the life
+    of the process; a refusal is not stored."""
+    rest = _positive_weights(parts)
+    for e in sorted(_positive_weights(core_parts), reverse=True):
+        try:
+            rest.remove(e)
+        except ValueError:
+            raise InvalidEnhancement(f"unpaired weight {e}") from None
+    zeros = sum(a % 2 for a in parts) - sum(a % 2 for a in core_parts)
+    if zeros < 0 or zeros % 2:
+        raise InvalidEnhancement("unpaired weight 0")
+    return tuple(rest) + (0,) * (zeros // 2)
+
+
+def _correcting_weights(parts, core_parts, where) -> tuple:
     """The correcting exponents of a classical factor with Jordan parts
     ``parts`` around the cuspidal core ``core_parts``, as a multiset:
     the positive weights of the parts less those of the core, and a 0
@@ -550,16 +579,21 @@ def _correcting_weights(parts, core_parts, where):
     the parts lack, or an odd number of zero weights, is refused, with
     the largest unpaired weight in the message; ``where`` names the
     factor."""
-    rest = _positive_weights(parts)
-    for e in sorted(_positive_weights(core_parts), reverse=True):
-        try:
-            rest.remove(e)
-        except ValueError:
-            raise InvalidEnhancement(f"unpaired weight {e} in factor {where}") from None
-    zeros = sum(a % 2 for a in parts) - sum(a % 2 for a in core_parts)
-    if zeros < 0 or zeros % 2:
-        raise InvalidEnhancement(f"unpaired weight 0 in factor {where}")
-    return rest + [0] * (zeros // 2)
+    try:
+        return _core_weights(parts, core_parts)
+    except InvalidEnhancement as exc:
+        raise InvalidEnhancement(f"{exc} in factor {where}") from None
+
+
+@lru_cache
+def _levi(G: PadicGroup, k: int, core_dim: int) -> ComplexGroup:
+    """The dual Levi ``GL(1)^k x core`` of ``G`` with a core of dimension
+    ``core_dim`` (no core for ``GL``).  Memoised by value, with the
+    default 128 entries, for the life of the process."""
+    pieces = [GroupFactor("GL", 1)] * k
+    if G.family != "GL":
+        pieces.append(GroupFactor(G.dual_kind, max(core_dim, 1) if G.dual_kind != "Sp" else core_dim))
+    return ComplexGroup(tuple(pieces), det1=False)
 
 
 def block_support(G: PadicGroup, data: CentralizerData, triple: CuspidalTriple,
@@ -568,7 +602,9 @@ def block_support(G: PadicGroup, data: CentralizerData, triple: CuspidalTriple,
     the generalized Springer block ``triple`` of the centralizer
     ``data``, with the pair's relative-Weyl ``labels``: the block
     determines the dual Levi, the cuspidal core, and the correcting
-    exponents on the GL coordinates."""
+    exponents on the GL coordinates.  The core partitions, the weights
+    of each classical factor and the Levi come from memos on small keys
+    (:func:`core_partition`, :func:`_core_weights`, :func:`_levi`)."""
     coords, core_summands = [], []  # coords: ((-e, name of the line), (line, e))
     for i, f in enumerate(data.factors):
         if f.kind == "GL":
@@ -581,12 +617,8 @@ def block_support(G: PadicGroup, data: CentralizerData, triple: CuspidalTriple,
         coords.extend(((-e, name), (f.line, e)) for e in weights)
     coords = [c for _, c in sorted(coords, key=lambda kc: kc[0])]
     core_dim = sum(l.dim * a for l, a in core_summands)
-    pieces = [GroupFactor("GL", 1)] * len(coords)
-    if G.family != "GL":
-        pieces.append(GroupFactor(G.dual_kind, max(core_dim, 1) if G.dual_kind != "Sp" else core_dim))
-    levi = ComplexGroup(tuple(pieces), det1=False)
     return CuspidalSupportResult(
-        levi,
+        _levi(G, len(coords), core_dim),
         tuple(coords),
         FormalParameter(tuple(core_summands)),
         triple,
@@ -597,14 +629,15 @@ def block_support(G: PadicGroup, data: CentralizerData, triple: CuspidalTriple,
 
 def cuspidal_support(G: PadicGroup, phi: FormalParameter,
                      eta: SignCharacter) -> CuspidalSupportResult:
-    """The cuspidal support of an enhanced parameter: the generalized
-    Springer correspondence finds the block of the pair in the memoised
-    centralizer, and :func:`block_support` reads the support off it.
-    An ``eta`` that is not a character of the component group of the
+    """The cuspidal support of an enhanced parameter: the Springer
+    reader that the memoised centralizer carries finds the block of the
+    pair, and :func:`block_support` reads the support off it.  An
+    ``eta`` that is not a character of the component group of the
     parameter is refused."""
     data = centralizer_restriction(G, phi)
+    reader = data.springer
     try:
-        triple, labels = generalized_springer(data.group, data.unipotent, eta)
+        triple, labels = reader.read(eta)
     except ValueError as exc:
         raise InvalidEnhancement(str(exc)) from exc
     return block_support(G, data, triple, labels)
@@ -622,7 +655,8 @@ def centralizer_display(data: CentralizerData) -> str:
 
 
 def enhancements(G: PadicGroup, phi: FormalParameter):
-    """All sign characters of the component group of the parameter, with
-    the (memoised) centralizer they are read from."""
+    """All sign characters of the component group of the parameter, as
+    a fresh list, with the (memoised) centralizer whose Springer reader
+    holds them."""
     data = centralizer_restriction(G, phi)
-    return data, list(component_group(data.group, data.unipotent).characters())
+    return data, list(data.springer.characters)

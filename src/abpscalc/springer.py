@@ -381,10 +381,13 @@ def _factor_block_and_label(kind: str, top, bottom, tag: str):
     return abs(D), (D > 0) - (D < 0), Bipartition(alpha, beta)
 
 
+@lru_cache
 def core_partition(kind: str, d: int) -> Partition:
     """The class of the cuspidal core of size parameter ``d`` of a
     classical factor: the staircase ``(2d, ..., 4, 2)`` for ``Sp`` and
-    ``(2d - 1, ..., 3, 1)`` for ``SO`` and ``O``."""
+    ``(2d - 1, ..., 3, 1)`` for ``SO`` and ``O``.  Memoised on
+    ``(kind, d)``, with the default 128 entries, for the life of the
+    process; the partition is frozen and shared between callers."""
     return Partition(range(2 if kind == "Sp" else 1, 2 * d + 1, 2))
 
 
@@ -604,9 +607,9 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
 
 def _canonical_signs(group: ComplexGroup, signs):
     """Normalize determinant-coupled sign vectors modulo the global
-    flip, by the rule of :func:`_correspond`: when the first nonzero
-    sign is negative, negate them all.  Only ``O`` factors carry a
-    nonzero sign, so this negates theirs, as :func:`_flip` does."""
+    flip, by the rule of :meth:`ClassReader.block`: when the first
+    nonzero sign is negative, negate them all.  Only ``O`` factors carry
+    a nonzero sign, so this negates theirs, as :func:`_flip` does."""
     if group.det1 and next((s for s in signs if s), 0) < 0:
         return tuple(-s for s in signs)
     return tuple(signs)
@@ -632,36 +635,60 @@ def _class_symbols(group: ComplexGroup, u: UnipotentClass):
     return symbols, keys
 
 
-def _correspond(group: ComplexGroup, u: UnipotentClass, symbols, keys, char: SignCharacter):
-    """Block key ``(ds, signs)`` and labels of one pair, from the
-    symbols of its class and their keys: the product of the memoised
-    reads of its factors, with the determinant-one flip on top.  A
-    character on other generators is refused before any read."""
-    if char.group.keys != keys:
-        for (fi, v), val in zip(char.group.keys, char.values):
-            if val == -1 and (fi >= len(symbols) or symbols[fi] is None
-                              or v not in symbols[fi].intervals):
-                raise SpringerError(f"cannot mark part value {v} of {u}")
-        raise SpringerError(f"{char} is not a character of the component group of {u}")
-    # the keys run through the factors in order, so each factor's values
-    # are the next len(intervals) ones
-    values, pos = char.values, 0
-    reads = []
-    for f, lam, tag, s in zip(group.factors, u.partitions, u.tags, symbols):
-        marked = ()
-        if s is not None:
-            n = len(s.intervals)
-            own = values[pos:pos + n]
-            pos += n
-            if -1 in own:
-                marked = tuple(v for v, val in zip(s.intervals, own) if val == -1)
-        reads.append(_factor_read(f.kind, lam, tag, marked))
-    # only O factors read a nonzero sign, so the flip leaves the signs
-    # canonical
-    if group.det1 and next((s for _, s, _ in reads if s), 0) < 0:
-        reads = [_flip(r) if f.kind == "O" else r for f, r in zip(group.factors, reads)]
-    ds, signs, labels = zip(*reads) if reads else ((), (), ())
-    return (ds, signs), labels
+class ClassReader:
+    """The generalized Springer correspondence on the pairs of one
+    unipotent class ``u`` of ``group``.
+
+    Made once per class: it holds the memoised symbols of the factors of
+    ``u`` with their keys, the component group of ``u`` and its
+    characters (a tuple, in the order of
+    :meth:`ComponentGroup.characters`).  :meth:`read` maps a character
+    to its block and labels; :func:`generalized_springer` and
+    :func:`springer_blocks` both read through it."""
+
+    def __init__(self, group: ComplexGroup, u: UnipotentClass):
+        self.group, self.u = group, u
+        self.symbols, self.keys = _class_symbols(group, u)
+        self.component_group = component_group(group, u)
+        self.characters = tuple(self.component_group.characters())
+
+    def block(self, char: SignCharacter):
+        """Block key ``(ds, signs)`` and labels of the pair ``(u, char)``:
+        the product of the memoised reads of its factors, with the
+        determinant-one flip on top.  A character on other generators is
+        refused before any read."""
+        group, u, symbols = self.group, self.u, self.symbols
+        if char.group.keys != self.keys:
+            for (fi, v), val in zip(char.group.keys, char.values):
+                if val == -1 and (fi >= len(symbols) or symbols[fi] is None
+                                  or v not in symbols[fi].intervals):
+                    raise SpringerError(f"cannot mark part value {v} of {u}")
+            raise SpringerError(f"{char} is not a character of the component group of {u}")
+        # the keys run through the factors in order, so each factor's
+        # values are the next len(intervals) ones
+        values, pos = char.values, 0
+        reads = []
+        for f, lam, tag, s in zip(group.factors, u.partitions, u.tags, symbols):
+            marked = ()
+            if s is not None:
+                n = len(s.intervals)
+                own = values[pos:pos + n]
+                pos += n
+                if -1 in own:
+                    marked = tuple(v for v, val in zip(s.intervals, own) if val == -1)
+            reads.append(_factor_read(f.kind, lam, tag, marked))
+        # only O factors read a nonzero sign, so the flip leaves the signs
+        # canonical
+        if group.det1 and next((s for _, s, _ in reads if s), 0) < 0:
+            reads = [_flip(r) if f.kind == "O" else r for f, r in zip(group.factors, reads)]
+        ds, signs, labels = zip(*reads) if reads else ((), (), ())
+        return (ds, signs), labels
+
+    def read(self, char: SignCharacter):
+        """``(triple, labels)`` of the pair ``(u, char)``: its block as a
+        :class:`CuspidalTriple`, and its labels."""
+        (ds, signs), labels = self.block(char)
+        return CuspidalTriple(self.group, ds, signs), labels
 
 
 def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignCharacter):
@@ -684,21 +711,24 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
     the bipartition.  A character that marks a part value the
     class cannot mark, or that lives on the generators of another
     class, is refused before any factor is read.
+
+    Each call makes a fresh :class:`ClassReader` of ``u``; a caller
+    that reads several pairs of one class keeps the reader instead.
     """
-    (ds, signs), labels = _correspond(group, u, *_class_symbols(group, u), char)
-    return CuspidalTriple(group, ds, signs), labels
+    return ClassReader(group, u).read(char)
 
 
 @lru_cache(maxsize=None)
 def springer_blocks(group: ComplexGroup):
     """The full correspondence: maps each block (cuspidal triple) to the
-    list of its pairs with their labels.  Raises if any block fails to
-    biject with the characters of its relative Weyl group."""
+    list of its pairs with their labels, read through one
+    :class:`ClassReader` per unipotent class.  Raises if any block fails
+    to biject with the characters of its relative Weyl group."""
     keyed = {}
     for u in unipotent_classes(group):
-        symbols, keys = _class_symbols(group, u)
-        for ch in component_group(group, u).characters():
-            key, labels = _correspond(group, u, symbols, keys, ch)
+        reader = ClassReader(group, u)
+        for ch in reader.characters:
+            key, labels = reader.block(ch)
             keyed.setdefault(key, []).append((u, ch, labels))
     blocks = {CuspidalTriple(group, ds, signs): rows for (ds, signs), rows in keyed.items()}
     for triple, rows in blocks.items():
@@ -726,37 +756,3 @@ def _label_list(labels: Counter) -> str:
     """Relative Weyl labels in CLI notation, factor labels joined by ``x``."""
     return "[" + ", ".join(sorted("x".join(map(str, combo)) or "1"
                                   for combo in labels.elements())) + "]"
-
-
-def generalized_springer_inverse(group: ComplexGroup, triple: CuspidalTriple, label):
-    """The pair mapping to ``(triple, label)``."""
-    for t, rows in springer_blocks(group).items():
-        if t != triple:
-            continue
-        for u, ch, lab in rows:
-            if lab == label:
-                return u, ch
-    raise SpringerError(f"no pair with support {triple} and label {label}")
-
-
-def is_cuspidal_pair(group: ComplexGroup, u: UnipotentClass, char: SignCharacter) -> bool:
-    """Whether the pair is its own support (quasi-Levi equal to the
-    whole group)."""
-    triple, _ = generalized_springer(group, u, char)
-    return triple.is_cuspidal
-
-
-def is_distinguished(group: ComplexGroup, u: UnipotentClass) -> bool:
-    """No central torus in the centralizer: every part of the right
-    parity, multiplicity free."""
-    for f, lam in zip(group.factors, u.partitions):
-        if f.kind == "GL":
-            if lam.parts != (f.n,) and f.n > 0:
-                return False
-        elif f.kind == "Sp":
-            if any(v % 2 or lam.multiplicity(v) > 1 for v in lam.parts):
-                return False
-        else:
-            if any(v % 2 == 0 or lam.multiplicity(v) > 1 for v in lam.parts):
-                return False
-    return True

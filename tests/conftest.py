@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from abpscalc import springer
+from abpscalc import langlands, springer
 from abpscalc.combicore import Bipartition, Partition
 
 # The message springer_blocks raises when the wrong_sp6_label fixture is on.
@@ -31,8 +31,10 @@ def wrong_sp6_label(monkeypatch):
 
 def _clear_springer_memos():
     """Empty every memo that holds a read of the correspondence, so that
-    the patched label is neither bypassed nor kept past the test."""
-    for memo in (springer._symbol, springer._factor_read, springer.springer_blocks):
+    the patched label is neither bypassed nor kept past the test: a
+    memoised centralizer carries the Springer reader of its class."""
+    for memo in (springer._symbol, springer._factor_read, springer.springer_blocks,
+                 langlands.centralizer_restriction):
         memo.cache_clear()
 
 
@@ -69,13 +71,22 @@ def centralizer_calls(monkeypatch):
 def springer_calls(monkeypatch):
     """The positional arguments of every call of
     ``springer.generalized_springer``, ``springer.springer_blocks`` and
-    ``langlands.cuspidal_support``, by function name."""
-    from abpscalc import langlands
+    ``langlands.cuspidal_support``, by function name, and under ``read``
+    the ``(group, class, character)`` of every single-pair read
+    (``springer.ClassReader.read``), whoever made the reader."""
+    reads = []
+    real = springer.ClassReader.read
 
+    def read(self, char):
+        reads.append((self.group, self.u, char))
+        return real(self, char)
+
+    monkeypatch.setattr(springer.ClassReader, "read", read)
     return {
         "generalized_springer": _count_calls(monkeypatch, springer, "generalized_springer"),
         "springer_blocks": _count_calls(monkeypatch, springer, "springer_blocks"),
         "cuspidal_support": _count_calls(monkeypatch, langlands, "cuspidal_support"),
+        "read": reads,
     }
 
 
@@ -86,3 +97,12 @@ def block_support_calls(monkeypatch):
     from abpscalc import langlands
 
     return _count_calls(monkeypatch, langlands, "block_support")
+
+
+@pytest.fixture
+def class_traffic(monkeypatch):
+    """The positional arguments of every call of
+    ``springer._class_symbols`` and ``springer.component_group``, by
+    function name: the work of reading one unipotent class."""
+    return {name: _count_calls(monkeypatch, springer, name)
+            for name in ("_class_symbols", "component_group")}

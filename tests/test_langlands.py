@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -608,3 +609,109 @@ def test_cuspidal_support_builds_each_symbol_once():
                 cuspidal_support(G, phi, ch)
     assert len(met) < springer._symbol.cache_info().maxsize
     assert 0 < springer._symbol.cache_info().misses <= len(met)
+
+
+# ---------------------------------------------------------------------------
+# each parameter reads its Springer class once, off its centralizer
+
+
+def _seeded_parameters():
+    rng = random.Random(20261020)
+    for family, size in (("Sp", 6), ("SO", 7), ("SO", 8)):
+        G = PadicGroup(family, size)
+        for _ in range(15):
+            yield G, validate(G, random_parameter(rng, G))
+
+
+def test_support_is_the_block_support_of_the_generalized_springer_read():
+    checked = 0
+    for G, phi in _seeded_parameters():
+        data, chars = enhancements(G, phi)
+        for eta in chars:
+            got = cuspidal_support(G, phi, eta)
+            want = block_support(G, data, *springer.generalized_springer(
+                data.group, data.unipotent, eta))
+            for f in fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), (
+                    str(phi), str(eta), f.name)
+            checked += 1
+    assert checked >= 40
+
+
+def test_one_parameter_reads_its_class_once(class_traffic):
+    # the record, the enhancements and every support of one parameter:
+    # the class symbols once, and the component groups of A and of A°
+    from abpscalc import cli
+
+    corpus = [(SP4, phi) for phi in (PHI_RED, PHI_GREEN, PHI_LINE, PHI_DEEP)]
+    corpus += list(_seeded_parameters())
+    for G, phi in corpus:
+        centralizer_restriction.cache_clear()
+        for calls in class_traffic.values():
+            del calls[:]
+        cli.param_record(G, phi)
+        _, chars = enhancements(G, phi)
+        for eta in chars:
+            cuspidal_support(G, phi, eta)
+        assert len(class_traffic["_class_symbols"]) == 1, str(phi)
+        assert len(class_traffic["component_group"]) <= 2, str(phi)
+
+
+def test_enhancements_are_a_fresh_list():
+    data, chars = enhancements(SP4, PHI_RED)
+    chars.clear()
+    assert enhancements(SP4, PHI_RED) == (data, list(data.springer.characters))
+    assert len(data.springer.characters) == 4
+
+
+def test_warm_centralizer_sees_the_patched_label(request):
+    # the centralizer Sp6 of 1*S[6] carries the reader of the class (6);
+    # turning the wrong label on must reach a support read after it
+    G, phi = PadicGroup("SO", 7), parameter((ONEL, 6))
+    data, chars = enhancements(G, phi)
+    regular = springer.Bipartition(springer.Partition((3,)), springer.Partition())
+    assert cuspidal_support(G, phi, chars[0]).labels == (regular,)
+    request.getfixturevalue("wrong_sp6_label")
+    wrong = springer.Bipartition(springer.Partition((2, 1)), springer.Partition())
+    assert cuspidal_support(G, phi, chars[0]).labels == (wrong,)
+
+
+class TestBlockSupportMemos:
+    @pytest.mark.parametrize("memo", ["_core_weights", "_levi"])
+    def test_memo_keeps_the_default_size(self, memo):
+        assert getattr(langlands, memo).cache_info().maxsize == 128
+
+    @pytest.mark.parametrize("parts, core, message", [
+        ((3, 1), (5,), "unpaired weight 4"),
+        ((3, 1), (1,), "unpaired weight 0"),
+    ])
+    def test_refusal_names_the_factor_and_is_not_stored(self, parts, core, message):
+        langlands._core_weights.cache_clear()
+        for where in (ZETA, ONEL, ZETA):
+            with pytest.raises(InvalidEnhancement) as info:
+                _correcting_weights(parts, core, where)
+            assert str(info.value) == f"{message} in factor {where}"
+        info = langlands._core_weights.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_cold_and_warm_supports_agree(self):
+        corpus = list(_seeded_parameters())
+        tables = []
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                for f in (langlands._core_weights, langlands._levi, springer.core_partition):
+                    f.cache_clear()
+            tables.append([cuspidal_support(G, phi, eta)
+                           for G, phi in corpus for eta in enhancements(G, phi)[1]])
+        assert tables[0] == tables[1]
+        assert langlands._levi.cache_info().hits
+
+    def test_cold_and_warm_levis_are_built_afresh_equal(self):
+        langlands._levi.cache_clear()
+        for G in (SP4, PadicGroup("SO", 7), PadicGroup("SO", 8), PadicGroup("GL", 3)):
+            for k in range(4):
+                for core_dim in range(0, 5, 2 if G.dual_kind == "Sp" else 1):
+                    want = langlands._levi.__wrapped__(G, k, core_dim)
+                    cold = langlands._levi(G, k, core_dim)
+                    assert cold == want
+                    assert langlands._levi(G, k, core_dim) is cold

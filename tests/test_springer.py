@@ -12,10 +12,7 @@ from abpscalc.springer import (
     cuspidal_triples,
     enumerate_pairs,
     generalized_springer,
-    generalized_springer_inverse,
     group_product,
-    is_cuspidal_pair,
-    is_distinguished,
     relative_weyl_group,
     CuspidalTriple,
     springer_blocks,
@@ -39,6 +36,40 @@ def char_from_marks(group, u, marks):
 
 def bp(alpha, beta):
     return Bipartition(Partition(alpha), Partition(beta))
+
+
+def generalized_springer_inverse(group, triple, label):
+    """The pair mapping to ``(triple, label)``."""
+    for t, rows in springer_blocks(group).items():
+        if t != triple:
+            continue
+        for u, ch, lab in rows:
+            if lab == label:
+                return u, ch
+    raise SpringerError(f"no pair with support {triple} and label {label}")
+
+
+def is_cuspidal_pair(group, u, char):
+    """Whether the pair is its own support (quasi-Levi equal to the
+    whole group)."""
+    triple, _ = generalized_springer(group, u, char)
+    return triple.is_cuspidal
+
+
+def is_distinguished(group, u):
+    """No central torus in the centralizer: every part of the right
+    parity, multiplicity free."""
+    for f, lam in zip(group.factors, u.partitions):
+        if f.kind == "GL":
+            if lam.parts != (f.n,) and f.n > 0:
+                return False
+        elif f.kind == "Sp":
+            if any(v % 2 or lam.multiplicity(v) > 1 for v in lam.parts):
+                return False
+        else:
+            if any(v % 2 == 0 or lam.multiplicity(v) > 1 for v in lam.parts):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -653,3 +684,43 @@ class TestFactorReadMemo:
                 generalized_springer(g, cls(g, 4, 2), ch)
         info = springer._factor_read.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the class reader: one path from a pair to its block
+
+
+@pytest.mark.parametrize("g", CORPUS, ids=str)
+def test_class_reader_agrees_with_generalized_springer_and_the_table(g):
+    _clear_read_memos()
+    for memo in ("cold", "warm"):
+        reads = {}
+        for u in unipotent_classes(g):
+            reader = springer.ClassReader(g, u)
+            assert reader.component_group == component_group(g, u)
+            assert list(reader.characters) == component_group(g, u).characters()
+            for ch in reader.characters:
+                reads[u, ch] = reader.read(ch)
+        table = {(u, ch): (triple, labels)
+                 for triple, rows in springer_blocks(g).items() for u, ch, labels in rows}
+        assert reads.keys() == table.keys()
+        for (u, ch), row in reads.items():
+            assert generalized_springer(g, u, ch) == row == table[u, ch], (
+                memo, str(u), str(ch))
+
+
+class TestCorePartitionMemo:
+    def test_memo_keeps_the_default_size(self):
+        assert springer.core_partition.cache_info().maxsize == 128
+
+    @pytest.mark.parametrize("kind", ["Sp", "SO", "O"])
+    def test_cold_and_warm_reads_are_the_staircase(self, kind):
+        springer.core_partition.cache_clear()
+        cold = [springer.core_partition(kind, d) for d in range(6)]
+        warm = [springer.core_partition(kind, d) for d in range(6)]
+        want = [springer.core_partition.__wrapped__(kind, d) for d in range(6)]
+        assert cold == warm == want
+        assert all(c is w for c, w in zip(cold, warm))
+        start = 2 if kind == "Sp" else 1
+        assert [c.parts for c in cold] == [tuple(range(2 * d + start - 2, 0, -2))
+                                           for d in range(6)]
