@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, starmap
 
 from .combicore import Partition
 from .extquot import ONE, SymbolicCoordinate, q_power
@@ -24,8 +25,9 @@ from .springer import (
     GroupFactor,
     SignCharacter,
     UnipotentClass,
-    component_group,
+    class_reader,
     core_partition,
+    identity_component,
 )
 
 
@@ -142,6 +144,13 @@ class WFLine:
     def __hash__(self) -> int:
         return hash(self.name)
 
+    def __lt__(self, other: "WFLine") -> bool:
+        """A total order on lines by value, the name first: two lines
+        with one name (``zeta`` and the trivial character twisted by a
+        variable ``zeta``) compare by their catalogue fields and then by
+        their twists."""
+        return _line_order(self) < _line_order(other)
+
     @property
     def dim(self) -> int:
         return self.base.dim
@@ -169,6 +178,12 @@ class WFLine:
 
     def __str__(self) -> str:
         return self.name
+
+
+def _line_order(l: WFLine) -> tuple:
+    b, t = l.base, l.twist
+    return (l.name, b.name, b.ramified, b.order, b.dim, b.selfdual, b.period,
+            t.torsion, t.qexp, t.monomial)
 
 
 def line(name: str, twist: SymbolicCoordinate = ONE, catalogue=None) -> WFLine:
@@ -222,15 +237,29 @@ class PadicGroup:
 
 @dataclass(frozen=True)
 class FormalParameter:
-    """A formal sum of summands ``line x S_a``."""
+    """A formal sum of summands ``line x S_a``.
+
+    The summands are stored in a canonical order, by line name, then
+    ``a``, then the line's value (:meth:`WFLine.__lt__`), so equal
+    multisets of summands make equal parameters whatever their input
+    order.  The hash is computed once, from the canonical summands, at
+    construction: the memos keyed by a parameter look it up several
+    times.  It depends on the process's string hashing, so a parameter
+    pickles and copies as its summands, and loading one computes the
+    hash again."""
 
     summands: tuple
 
     def __post_init__(self):
-        canon = tuple(
-            sorted(self.summands, key=lambda s: (s[0].name, s[1]))
-        )
+        canon = tuple(sorted(self.summands, key=lambda s: (s[0].name, s[1], s[0])))
         object.__setattr__(self, "summands", canon)
+        object.__setattr__(self, "_hash", hash(canon))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return FormalParameter, (self.summands,)
 
     @property
     def dim(self) -> int:
@@ -355,8 +384,11 @@ class CentralizerData:
     @cached_property
     def springer(self) -> ClassReader:
         """The generalized Springer correspondence on the pairs of the
-        class ``unipotent``: its component group, characters and reads."""
-        return ClassReader(self.group, self.unipotent)
+        class ``unipotent``: its component groups A and A°, characters
+        and reads.  The reader is the shared one of (``group``,
+        ``unipotent``) (:func:`springer.class_reader`), so centralizers
+        that differ only in their lines read one reader."""
+        return class_reader(self.group, self.unipotent)
 
 
 @lru_cache
@@ -374,9 +406,10 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     the centralizer of a parameter looks it up here, so the calls made
     for one parameter compute it once.  The centralizer carries the
     unipotent class of the parameter and its Springer reader
-    (``CentralizerData.springer``: symbols, component group, characters
-    and reads of the class), each made on first use, so those calls
-    also read the class once.  The result is frozen and shared between
+    (``CentralizerData.springer``: symbols, component groups, characters
+    and reads of the class, shared by every centralizer of the same
+    group and class), each looked up on first use, so those calls also
+    read the class once.  The result is frozen and shared between
     callers; a refused input is not stored."""
     per_line = {}
     for l, a in phi.summands:
@@ -423,11 +456,9 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
 
 
 def connected_centralizer(data: CentralizerData) -> ComplexGroup:
-    pieces = tuple(
-        GroupFactor("SO", f.n) if f.kind == "O" else f
-        for f in data.group.factors
-    )
-    return ComplexGroup(pieces, det1=False)
+    """The identity component of the centralizer: each ``O`` factor
+    becomes ``SO``, with no determinant-one coupling."""
+    return identity_component(data.group)
 
 
 @dataclass(frozen=True)
@@ -451,11 +482,12 @@ def _central_image_nontrivial(G: PadicGroup, A) -> bool:
 
 
 def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
-    """The component groups of the parameter, read from its memoised
-    centralizer."""
+    """The component groups of the parameter, read from the Springer
+    reader of its memoised centralizer: A, and A° in the identity
+    component, which the shared reader of the class builds once."""
     data = centralizer_restriction(G, phi)
-    A = data.springer.component_group
-    Ao = component_group(connected_centralizer(data), data.unipotent)
+    reader = data.springer
+    A, Ao = reader.component_group, reader.connected_component_group
     s_order = A.order // (2 if _central_image_nontrivial(G, A) else 1)
     return ComponentGroups(A, Ao, s_order)
 
@@ -489,22 +521,20 @@ def is_cuspidal(G: PadicGroup, phi: FormalParameter):
 # infinitesimal characters
 
 
-@lru_cache
+@lru_cache(maxsize=512)
 def _segment(l: WFLine, a: int) -> tuple:
     """The twisted lines ``l * q^{(a-1)/2}, ..., l * q^{-(a-1)/2}`` of
-    the summand ``l x S_a``.  Memoised by value on ``(l, a)``, with the
-    default 128 entries, for the life of the process."""
+    the summand ``l x S_a``.  Memoised by value on ``(l, a)``, with 512
+    entries, for the life of the process: the ``params`` benchmark pass
+    at seed 1 meets 351 distinct summands, so each misses once."""
     return tuple(l.twisted(q_power(a + 1 - 2 * j)) for j in range(1, a + 1))
 
 
 def infinitesimal_character(G: PadicGroup, phi: FormalParameter) -> Counter:
     """Multiset of twisted lines ``l * q^{(a+1-2j)/2}``, j = 1..a: a
-    fresh ``Counter`` on every call, summing the memoised segment of
-    each summand."""
-    out = Counter()
-    for l, a in phi.summands:
-        out.update(_segment(l, a))
-    return out
+    fresh ``Counter`` on every call, counting the memoised segments of
+    all summands in one pass."""
+    return Counter(chain.from_iterable(starmap(_segment, phi.summands)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ def wrong_sp6_label(monkeypatch):
 def _clear_springer_memos():
     """Empty every memo that holds a read of the correspondence, so that
     the patched label is neither bypassed nor kept past the test: a
-    memoised centralizer carries the Springer reader of its class."""
+    memoised centralizer carries the shared Springer reader of its
+    class, which the class memo keeps too."""
     for memo in (springer._symbol, springer._factor_read, springer.springer_blocks,
-                 langlands.centralizer_restriction):
+                 springer.class_reader, langlands.centralizer_restriction):
         memo.cache_clear()
 
 
@@ -106,3 +107,10 @@ def class_traffic(monkeypatch):
     function name: the work of reading one unipotent class."""
     return {name: _count_calls(monkeypatch, springer, name)
             for name in ("_class_symbols", "component_group")}
+
+
+@pytest.fixture
+def class_reader_calls(monkeypatch):
+    """The ``(group, class)`` arguments of every call of
+    ``springer.class_reader``, the memo of shared Springer readers."""
+    return _count_calls(monkeypatch, springer, "class_reader")

@@ -1,5 +1,10 @@
+import copy
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -22,6 +27,7 @@ from abpscalc.langlands import (
     centralizer_display,
     centralizer_restriction,
     component_groups,
+    connected_centralizer,
     cuspidal_support,
     enhancements,
     infinitesimal_character,
@@ -568,7 +574,10 @@ class TestCentralizerMemo:
 
 class TestSegmentMemo:
     def test_memo_keeps_the_default_size(self):
-        assert langlands._segment.cache_info().maxsize == 128
+        # one params benchmark pass at seed 1 meets 351 distinct (line, a):
+        # at 128 entries 1,692 of its 7,586 lookups missed, at 512 only
+        # the 351 first lookups miss
+        assert langlands._segment.cache_info().maxsize == 512
 
     def test_twin_lines_hit_by_value(self):
         l = ZETA.twisted(CHI)
@@ -647,6 +656,7 @@ def test_one_parameter_reads_its_class_once(class_traffic):
     corpus += list(_seeded_parameters())
     for G, phi in corpus:
         centralizer_restriction.cache_clear()
+        springer.class_reader.cache_clear()
         for calls in class_traffic.values():
             del calls[:]
         cli.param_record(G, phi)
@@ -655,6 +665,119 @@ def test_one_parameter_reads_its_class_once(class_traffic):
             cuspidal_support(G, phi, eta)
         assert len(class_traffic["_class_symbols"]) == 1, str(phi)
         assert len(class_traffic["component_group"]) <= 2, str(phi)
+
+
+def _table(group):
+    return {(u, ch): (triple, labels)
+            for triple, rows in springer.springer_blocks(group).items()
+            for u, ch, labels in rows}
+
+
+class TestSharedClassReader:
+    def test_lines_that_share_a_class_share_the_reader(self):
+        # zeta and eta lines with the same S-multiplicities: distinct
+        # centralizers of one group and class
+        eta = line("eta")
+        phi = parameter((ZETA, 3), (ZETA, 1), ONEL)
+        psi = parameter((eta, 3), (eta, 1), ONEL)
+        first, second = centralizer_restriction(SP4, phi), centralizer_restriction(SP4, psi)
+        assert first != second
+        assert (first.group, first.unipotent) == (second.group, second.unipotent)
+        assert first.springer is second.springer
+        assert first.springer is springer.class_reader(first.group, first.unipotent)
+
+    def test_reads_agree_with_generalized_springer_and_the_table_cold_and_warm(self):
+        corpus = list(_seeded_parameters())
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                for f in (springer.class_reader, springer._symbol, springer._factor_read,
+                          centralizer_restriction):
+                    f.cache_clear()
+            for G, phi in corpus:
+                data = centralizer_restriction(G, phi)
+                reader, table = data.springer, _table(data.group)
+                assert reader is springer.class_reader(data.group, data.unipotent)
+                for ch in reader.characters:
+                    row = reader.read(ch)
+                    assert row == springer.generalized_springer(data.group, data.unipotent, ch)
+                    assert row == table[data.unipotent, ch], (memo, str(phi), str(ch))
+
+    def test_connected_component_group_is_that_of_the_identity_component(self):
+        for G, phi in [(SP4, PHI_RED), (SP4, PHI_DEEP), *_seeded_parameters()]:
+            data = centralizer_restriction(G, phi)
+            want = springer.component_group(connected_centralizer(data), data.unipotent)
+            assert data.springer.connected_component_group == want, str(phi)
+            assert component_groups(G, phi).a_connected == want
+
+    def test_memo_has_512_entries(self):
+        # one params benchmark pass at seed 1 looks up 2,015 classes of
+        # 514 distinct (group, class) pairs: a hit ratio of 0.445 at 128
+        # entries, 0.650 at 256, and at 512 the unbounded 0.745
+        assert springer.class_reader.cache_info().maxsize == 512
+
+    def test_springer_blocks_builds_its_own_readers(self, class_reader_calls):
+        springer.springer_blocks.cache_clear()
+        groups = {centralizer_restriction(G, phi).group for G, phi in _seeded_parameters()}
+        for group in groups:
+            springer.springer_blocks(group)
+        assert springer.springer_blocks.cache_info().misses == len(groups)
+        assert class_reader_calls == []
+
+
+def test_summand_order_does_not_depend_on_input_order():
+    # two distinct lines named zeta: the ramified zeta, and the trivial
+    # character twisted by a variable zeta
+    twisted = line("1", free("zeta"))
+    assert twisted.name == ZETA.name and twisted != ZETA
+    G = PadicGroup("Sp", 2)
+    phi = validate(G, parameter(ZETA, twisted, twisted.dual()))
+    psi = validate(G, parameter(twisted.dual(), twisted, ZETA))
+    assert Counter(phi.summands) == Counter(psi.summands)
+    assert phi == psi and hash(phi) == hash(psi)
+    assert centralizer_restriction(G, phi) is centralizer_restriction(G, psi)
+
+
+def test_parameter_pickles_and_copies_as_its_summands():
+    for other in (pickle.loads(pickle.dumps(PHI_LINE)), copy.copy(PHI_LINE),
+                  copy.deepcopy(PHI_LINE)):
+        assert other == PHI_LINE and hash(other) == hash(PHI_LINE)
+    assert PHI_LINE.__reduce__() == (FormalParameter, (PHI_LINE.summands,))
+
+
+_DUMP = """
+import pickle, sys
+from abpscalc.cli import parse_parameter
+sys.stdout.buffer.write(pickle.dumps(parse_parameter("zeta*(S[3]+S[1]) + x + x^-1 + 1")))
+"""
+
+_LOAD = """
+import pickle, sys
+from abpscalc.cli import parse_parameter
+from abpscalc.langlands import PadicGroup, centralizer_restriction
+G = PadicGroup("Sp", 6)
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = parse_parameter("zeta*(S[3]+S[1]) + x + x^-1 + 1")
+assert loaded == fresh and hash(loaded) == hash(fresh)
+data = centralizer_restriction(G, fresh)
+before = centralizer_restriction.cache_info()
+assert centralizer_restriction(G, loaded) is data
+after = centralizer_restriction.cache_info()
+assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+"""
+
+
+def test_pickled_parameter_hashes_afresh_under_another_hash_seed():
+    # the stored hash of a parameter depends on the string hashing of
+    # its process; loading it under another seed must hash it again
+    def run(code, seed, data=b""):
+        src = os.path.dirname(os.path.dirname(langlands.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    run(_LOAD, 2, run(_DUMP, 1))
 
 
 def test_enhancements_are_a_fresh_list():

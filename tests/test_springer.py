@@ -692,21 +692,35 @@ class TestFactorReadMemo:
 
 @pytest.mark.parametrize("g", CORPUS, ids=str)
 def test_class_reader_agrees_with_generalized_springer_and_the_table(g):
+    # a fresh reader and the shared one of the class memo read alike
     _clear_read_memos()
+    springer.class_reader.cache_clear()
+    connected = springer.identity_component(g)
     for memo in ("cold", "warm"):
         reads = {}
         for u in unipotent_classes(g):
-            reader = springer.ClassReader(g, u)
-            assert reader.component_group == component_group(g, u)
-            assert list(reader.characters) == component_group(g, u).characters()
+            reader, shared = springer.ClassReader(g, u), springer.class_reader(g, u)
+            assert shared is springer.class_reader(g, u)
+            for r in (reader, shared):
+                assert r.component_group == component_group(g, u)
+                assert list(r.characters) == component_group(g, u).characters()
+                assert r.connected_component_group == component_group(connected, u)
             for ch in reader.characters:
                 reads[u, ch] = reader.read(ch)
+                assert shared.read(ch) == reads[u, ch], (memo, str(u), str(ch))
         table = {(u, ch): (triple, labels)
                  for triple, rows in springer_blocks(g).items() for u, ch, labels in rows}
         assert reads.keys() == table.keys()
         for (u, ch), row in reads.items():
             assert generalized_springer(g, u, ch) == row == table[u, ch], (
                 memo, str(u), str(ch))
+
+
+def test_identity_component_forgets_the_determinant_condition():
+    g = group_product(F("GL", 1), F("Sp", 2), F("O", 3), F("O", 4), det1=True)
+    assert springer.identity_component(g) == group_product(
+        F("GL", 1), F("Sp", 2), F("SO", 3), F("SO", 4))
+    assert springer.identity_component(SO(5)) == SO(5)
 
 
 class TestCorePartitionMemo:
