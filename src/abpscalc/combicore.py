@@ -271,13 +271,15 @@ class SignedPermutation:
         )
 
     def inverse(self) -> "SignedPermutation":
+        """The inverse, built without the checks of the constructor: it
+        is a signed permutation whenever ``self`` is."""
         k = self.rank
         images = [0] * k
         signs = [1] * k
         for i in range(k):
             images[self.images[i] - 1] = i + 1
             signs[self.images[i] - 1] = self.signs[i]
-        return SignedPermutation(tuple(images), tuple(signs))
+        return SignedPermutation.from_valid(tuple(images), tuple(signs))
 
     def matrix(self) -> list[list[int]]:
         """The monomial integer matrix of the action on the exponent lattice.

@@ -23,11 +23,13 @@ from abpscalc import extquot
 from abpscalc.extquot import (
     MINUS_ONE,
     ONE,
+    GeoEQFamily,
     MonomialAction,
     RankMismatch,
     SymbolicCoordinate,
     _canonical_coset,
     _closure_strata,
+    _coset_key,
     _product_blocks,
     _solve_torus,
     act,
@@ -65,6 +67,49 @@ def closed_by_brute_force(elements):
     """The closure check on all pairs, kept here as the oracle."""
     group = set(elements)
     return all(v * w in group for v in group for w in group)
+
+
+def smith_fixed_locus(w):
+    """The fixed locus of ``w`` solved as ``(w - 1) x = 0 (mod Z)`` by
+    Smith normal form, kept here as the oracle of the reading of
+    :func:`fixed_locus` off signed cycles."""
+    n = w.rank
+    M = w.matrix()
+    A = [[M[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    return _solve_torus(A, [0] * n, n)
+
+
+def brute_force_geometric_eq(action):
+    """The geometric extended quotient from every element conjugated by
+    every element, each centralizer scanned from all elements and the
+    components moved by ``act_coset``: the oracle of the class walk of
+    :func:`geometric_eq`."""
+    elems = action.elements
+    key = lambda w: (w.images, w.signs)
+    seen = set()
+    out = []
+    for w in sorted(elems, key=key):
+        if key(w) in seen:
+            continue
+        conj_class = {v * w * v.inverse() for v in elems}
+        seen |= {key(u) for u in conj_class}
+        rep = min(conj_class, key=key)
+        centralizer = [z for z in elems if z * rep == rep * z]
+        done = set()
+        for c in sorted(smith_fixed_locus(rep), key=_coset_key):
+            if c in done:
+                continue
+            orbit = {act_coset(z, c) for z in centralizer}
+            done |= orbit
+            out.append(GeoEQFamily(rep, min(orbit, key=_coset_key)))
+    return out
+
+
+# signed permutations of rank 6 to 8
+higher_rank_elements = st.integers(6, 8).flatmap(lambda k: st.tuples(
+    st.permutations(range(1, k + 1)),
+    st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k),
+)).map(lambda p: SignedPermutation(*p))
 
 
 def _has_connected_hyperplane(w):
@@ -361,6 +406,17 @@ class TestFixedLoci:
         # still refuses one that is not a number
         with pytest.raises(ValueError):
             full_torus(n).contains_torsion(("a",) + (0,) * (n - 1))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_cycles_agree_with_the_smith_form(self, n):
+        # every element of B_n: 3,840 of them for B5
+        for w in hyperoctahedral_action(n).elements:
+            assert fixed_locus(w) == smith_fixed_locus(w), str(w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(higher_rank_elements)
+    def test_cycles_agree_with_the_smith_form_at_higher_rank(self, w):
+        assert fixed_locus(w) == smith_fixed_locus(w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_connected_hyperplane_rule_matches_fixed_locus(self, n):
@@ -866,6 +922,30 @@ def test_point_families_of_an_even_sign_group(n):
     assert_point_families_follow_the_connected_hyperplane_rule(st)
 
 
+def seeded_subgroups():
+    """Subgroups of B2 to B4, each generated by one to three elements
+    drawn with a fixed seed."""
+    out = []
+    for n in (2, 3, 4):
+        elements = hyperoctahedral_action(n).elements
+        for seed in range(16):
+            rng = random.Random(seed)
+            gens = rng.sample(elements, rng.randint(1, 3))
+            out.append((f"B{n}_sub{seed}", MonomialAction(n, gens)))
+    return out
+
+
+GEOMETRIC_ACTIONS = (
+    [(f"B{n}", hyperoctahedral_action(n)) for n in (1, 2, 3, 4)]
+    + [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)]
+    + [(f"S{n}", permutation_action(n)) for n in (2, 3, 4)]
+    + [("T3", trivial_action(3)), ("rank0", MonomialAction(0, [SignedPermutation.identity(0)])), ("klein_four", KLEIN_FOUR),
+       ("swap_with_flip", MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))]))]
+    + seeded_subgroups()
+    + INERTIAL_ACTIONS
+)
+
+
 class TestGeometricQuotient:
     def test_b2_count(self):
         assert len(geometric_eq(B2)) == 9
@@ -885,6 +965,28 @@ class TestGeometricQuotient:
         assert len(fams) == 2
         diag = [f for f in fams if f.element != SignedPermutation.identity(2)]
         assert diag[0].component.basis == ((1, 1),)
+
+    @pytest.mark.parametrize("name, action", GEOMETRIC_ACTIONS,
+                             ids=[n for n, _ in GEOMETRIC_ACTIONS])
+    def test_class_walk_agrees_with_the_brute_force(self, name, action):
+        # same families in the same order: same representatives, same
+        # least components
+        assert geometric_eq(action) == brute_force_geometric_eq(action)
+
+    @pytest.mark.parametrize("build, n, count", [
+        (hyperoctahedral_action, 5, 108), (even_sign_action, 5, 52),
+    ], ids=["B5", "D5"])
+    def test_rank_five_counts(self, build, n, count):
+        # checked once against the brute force, which takes seconds here
+        assert len(geometric_eq(build(n))) == count
+
+    def test_walk_moves_no_coset(self, monkeypatch):
+        # the centralizer acts on the picks of 0 or 1/2, not on cosets
+        def refuse(*args):
+            raise AssertionError("act_coset in geometric_eq")
+
+        monkeypatch.setattr(extquot, "act_coset", refuse)
+        assert len(geometric_eq(hyperoctahedral_action(3))) == 22
 
 
 class TestIrreps:
