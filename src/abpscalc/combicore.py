@@ -281,18 +281,6 @@ class SignedPermutation:
             signs[self.images[i] - 1] = self.signs[i]
         return SignedPermutation.from_valid(tuple(images), tuple(signs))
 
-    def matrix(self) -> list[list[int]]:
-        """The monomial integer matrix of the action on the exponent lattice.
-
-        Row ``j`` of the matrix describes coordinate ``j + 1`` of the
-        image point as a monomial in the coordinates of the argument.
-        """
-        k = self.rank
-        mat = [[0] * k for _ in range(k)]
-        for i in range(k):
-            mat[self.images[i] - 1][i] = self.signs[i]
-        return mat
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1)) and all(s == 1 for s in self.signs)
 

@@ -337,29 +337,6 @@ def _symbol(kind: str, lam: Partition) -> _Symbol:
     return _Symbol(tuple(top), tuple(bottom), intervals)
 
 
-@lru_cache
-def _factor_read(kind: str, lam: Partition, tag: str, marked: tuple):
-    """The pair of one classical factor: its class ``lam`` (with its very
-    even ``tag``) and the part values ``marked`` by the character.
-
-    Every marked part value moves its interval to the other row of the
-    symbol.  Returns the block data and label ``(d, sign, label)`` of
-    :func:`_factor_block_and_label`; only an ``O`` factor reads a nonzero
-    sign, the sign of the defect of its marked symbol.  The
-    determinant-one flip of a product acts on this read (:func:`_flip`).
-
-    Memoised by value, with the default 128 entries, for the life of
-    the process.  A ``GL`` factor marks nothing and reads the conjugate
-    partition.  The caller checks that every marked value is markable."""
-    if kind == "GL":
-        return 0, 0, lam.conjugate()
-    top, bottom, intervals = _symbol(kind, lam)
-    if marked:
-        moved = set().union(*map(intervals.__getitem__, marked))
-        top, bottom = moved.symmetric_difference(top), moved.symmetric_difference(bottom)
-    return _factor_block_and_label(kind, top, bottom, tag)
-
-
 def _flip(read):
     """The determinant-one flip on the read ``(d, sign, label)`` of an
     ``O`` factor: exchanging the rows of its marked symbol negates the
@@ -614,7 +591,7 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
 
 def _canonical_signs(group: ComplexGroup, signs):
     """Normalize determinant-coupled sign vectors modulo the global
-    flip, by the rule of :meth:`ClassReader.block`: when the first
+    flip, by the rule of :class:`ClassReader`: when the first
     nonzero sign is negative, negate them all.  Only ``O`` factors carry
     a nonzero sign, so this negates theirs, as :func:`_flip` does."""
     if group.det1 and next((s for s in signs if s), 0) < 0:
@@ -631,37 +608,67 @@ def enumerate_pairs(group: ComplexGroup):
     return out
 
 
-def _class_symbols(group: ComplexGroup, u: UnipotentClass):
-    """Per factor, the memoised symbol of the class (``None`` for
-    ``GL``), and the keys ``(factor index, part value)`` of the markable
-    part values of the symbols: the generators of the component group
-    of ``u``."""
-    symbols = [None if f.kind == "GL" else _symbol(f.kind, lam)
-               for f, lam in zip(group.factors, u.partitions)]
-    keys = tuple((fi, v) for fi, s in enumerate(symbols) if s is not None for v in s.intervals)
-    return symbols, keys
-
-
 class ClassReader:
     """The generalized Springer correspondence on the pairs of one
-    unipotent class ``u`` of ``group``.
+    unipotent class ``u`` of ``group``: the class's slice of the table.
 
-    Made once per class: it holds the memoised symbols of the factors of
-    ``u`` with their keys, the component group of ``u`` and its
-    characters (a tuple, in the order of
-    :meth:`ComponentGroup.characters`), and, built on first use,
-    ``connected_component_group``: the component group of ``u`` in the
-    identity component of ``group`` (:func:`identity_component`).
-    :meth:`read` maps a character to its block and labels;
-    :func:`generalized_springer` and :func:`springer_blocks` both read
-    through a reader of their own, and :func:`class_reader` shares one
-    reader per class between its callers."""
+    It holds the component group of ``u``, its characters (a tuple, in
+    the order of :meth:`ComponentGroup.characters`) and, built on first
+    use, ``rows`` and ``connected_component_group``, the component group
+    of ``u`` in the identity component of ``group``
+    (:func:`identity_component`).  Each classical factor reads a
+    character off the marked symbol of its partition (:func:`_symbol`,
+    :func:`_factor_block_and_label`), a ``GL`` factor reads the
+    conjugate partition, and the determinant-one flip (:func:`_flip`)
+    acts on the reads.  :func:`class_reader` shares one reader per class
+    between its callers."""
 
     def __init__(self, group: ComplexGroup, u: UnipotentClass):
         self.group, self.u = group, u
-        self.symbols, self.keys = _class_symbols(group, u)
         self.component_group = component_group(group, u)
         self.characters = tuple(self.component_group.characters())
+        # per factor, the memoised symbol of its partition, or for GL
+        # its read, the conjugate partition, whatever the character
+        self._factors = [(f.kind, tag, (0, 0, lam.conjugate()) if f.kind == "GL"
+                          else _symbol(f.kind, lam))
+                         for f, lam, tag in zip(group.factors, u.partitions, u.tags)]
+        self._triples = {}
+
+    @cached_property
+    def rows(self) -> dict:
+        """The class's slice of the table: the values of each character
+        mapped to its ``(triple, labels)``, every character read once,
+        with one :class:`CuspidalTriple` per block of the class.  Built
+        on first use: a caller that only lists the characters, such as
+        ``langlands.enhancements``, reads nothing."""
+        return {ch.values: self._read(ch.values) for ch in self.characters}
+
+    def _read(self, values):
+        """``(triple, labels)`` of the sign vector ``values`` on the
+        generators of ``u``, which run through the classical factors in
+        order, one per interval of each symbol."""
+        group, pos, reads = self.group, 0, []
+        for kind, tag, s in self._factors:
+            if kind == "GL":
+                reads.append(s)
+                continue
+            top, bottom, intervals = s
+            own = values[pos:pos + len(intervals)]
+            pos += len(intervals)
+            if -1 in own:
+                moved = set().union(*(run for run, val in zip(intervals.values(), own)
+                                      if val == -1))
+                top, bottom = moved.symmetric_difference(top), moved.symmetric_difference(bottom)
+            reads.append(_factor_block_and_label(kind, top, bottom, tag))
+        # only O factors read a nonzero sign, so the flip leaves the signs
+        # canonical
+        if group.det1 and next((s for _, s, _ in reads if s), 0) < 0:
+            reads = [_flip(r) if f.kind == "O" else r for f, r in zip(group.factors, reads)]
+        ds, signs, labels = zip(*reads) if reads else ((), (), ())
+        triple = self._triples.get((ds, signs))
+        if triple is None:
+            triple = self._triples[ds, signs] = CuspidalTriple(group, ds, signs)
+        return triple, labels
 
     @cached_property
     def connected_component_group(self) -> ComponentGroup:
@@ -669,59 +676,40 @@ class ClassReader:
         ``group``."""
         return component_group(identity_component(self.group), self.u)
 
-    def block(self, char: SignCharacter):
-        """Block key ``(ds, signs)`` and labels of the pair ``(u, char)``:
-        the product of the memoised reads of its factors, with the
-        determinant-one flip on top.  A character on other generators is
-        refused before any read."""
-        group, u, symbols = self.group, self.u, self.symbols
-        if char.group.keys != self.keys:
-            for (fi, v), val in zip(char.group.keys, char.values):
-                if val == -1 and (fi >= len(symbols) or symbols[fi] is None
-                                  or v not in symbols[fi].intervals):
-                    raise SpringerError(f"cannot mark part value {v} of {u}")
-            raise SpringerError(f"{char} is not a character of the component group of {u}")
-        # the keys run through the factors in order, so each factor's
-        # values are the next len(intervals) ones
-        values, pos = char.values, 0
-        reads = []
-        for f, lam, tag, s in zip(group.factors, u.partitions, u.tags, symbols):
-            marked = ()
-            if s is not None:
-                n = len(s.intervals)
-                own = values[pos:pos + n]
-                pos += n
-                if -1 in own:
-                    marked = tuple(v for v, val in zip(s.intervals, own) if val == -1)
-            reads.append(_factor_read(f.kind, lam, tag, marked))
-        # only O factors read a nonzero sign, so the flip leaves the signs
-        # canonical
-        if group.det1 and next((s for _, s, _ in reads if s), 0) < 0:
-            reads = [_flip(r) if f.kind == "O" else r for f, r in zip(group.factors, reads)]
-        ds, signs, labels = zip(*reads) if reads else ((), (), ())
-        return (ds, signs), labels
-
     def read(self, char: SignCharacter):
         """``(triple, labels)`` of the pair ``(u, char)``: its block as a
-        :class:`CuspidalTriple`, and its labels."""
-        (ds, signs), labels = self.block(char)
-        return CuspidalTriple(self.group, ds, signs), labels
+        :class:`CuspidalTriple`, and its labels, looked up in ``rows``.
+        A character on other generators is refused.  One on the same
+        generators under other constraint classes may carry a sign vector
+        that is not a representative of ``u``; it is read as it stands,
+        which at a coupled block of defect 0 gives the other lift of the
+        label."""
+        A = self.component_group
+        if char.group.keys != A.keys:
+            for key, val in zip(char.group.keys, char.values):
+                if val == -1 and key not in A.keys:
+                    raise SpringerError(f"cannot mark part value {key[1]} of {self.u}")
+            raise SpringerError(f"{char} is not a character of the component group of {self.u}")
+        row = self.rows.get(char.values)
+        return row if row is not None else self._read(char.values)
 
 
 @lru_cache(maxsize=512)
 def class_reader(group: ComplexGroup, u: UnipotentClass) -> ClassReader:
-    """The shared :class:`ClassReader` of the class ``u`` of ``group``.
+    """The shared :class:`ClassReader` of the class ``u`` of ``group``:
+    the class's slice of the correspondence, read once.
 
     The correspondence on the pairs of a class depends on the group and
     the class alone, so the centralizers of parameters with different
-    lines but the same (group, class) read through one reader.  Memoised
-    by value on ``(group, u)``, with 512 entries, for the life of the
-    process: the ``params`` benchmark pass at seed 1 looks up 2,015
-    classes of 514 distinct pairs, and at 512 entries every miss is a
-    first lookup, a hit ratio of 0.745 (0.445 at 128 entries, 0.650 at
-    256).  :func:`springer_blocks` keeps building its own readers: its
-    tables are memoised already, and its one-off classes would evict
-    the parameters' ones."""
+    lines but the same (group, class) read through one reader, and so do
+    the calls of :func:`generalized_springer`.  Memoised by value on
+    ``(group, u)``, with 512 entries, for the life of the process: the
+    ``params`` benchmark pass at seed 1 looks up 2,015 classes of 514
+    distinct pairs, and at 512 entries every miss is a first lookup, a
+    hit ratio of 0.745 (0.445 at 128 entries, 0.650 at 256).
+    :func:`springer_blocks` keeps building its own readers: its tables
+    are memoised already, and its one-off classes would evict the
+    parameters' ones."""
     return ClassReader(group, u)
 
 
@@ -737,34 +725,31 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
     value (a ``-1`` of ``char``) moves its interval to the other row,
     the defect of the marked symbol gives the core size and, for ``O``
     factors, the lifting sign, and the rows less a staircase give the
-    label.  These reads are memoised per (kind, partition, tag, marked
-    values).  The one coupling is a joint determinant condition: when
+    label.  The one coupling is a joint determinant condition: when
     the first ``O`` factor of nonzero sign reads negative, the global
     flip (:func:`_flip`) exchanges the rows of every ``O`` factor on the
     reads already made, negating each sign and, at defect 0, swapping
     the bipartition.  A character that marks a part value the
     class cannot mark, or that lives on the generators of another
-    class, is refused before any factor is read.
+    class, is refused.
 
-    Each call makes a fresh :class:`ClassReader` of ``u``; a caller
-    that reads several pairs of one class keeps the reader instead.
+    The pair is looked up in the shared reader of ``u``
+    (:func:`class_reader`), which reads the whole class once.
     """
-    return ClassReader(group, u).read(char)
+    return class_reader(group, u).read(char)
 
 
 @lru_cache(maxsize=None)
 def springer_blocks(group: ComplexGroup):
     """The full correspondence: maps each block (cuspidal triple) to the
-    list of its pairs with their labels, read through one
-    :class:`ClassReader` per unipotent class.  Raises if any block fails
-    to biject with the characters of its relative Weyl group."""
-    keyed = {}
+    list of its pairs with their labels, grouped from the rows of one
+    fresh :class:`ClassReader` per unipotent class.  Raises if any block
+    fails to biject with the characters of its relative Weyl group."""
+    blocks = {}
     for u in unipotent_classes(group):
         reader = ClassReader(group, u)
-        for ch in reader.characters:
-            key, labels = reader.block(ch)
-            keyed.setdefault(key, []).append((u, ch, labels))
-    blocks = {CuspidalTriple(group, ds, signs): rows for (ds, signs), rows in keyed.items()}
+        for ch, (triple, labels) in zip(reader.characters, reader.rows.values()):
+            blocks.setdefault(triple, []).append((u, ch, labels))
     for triple, rows in blocks.items():
         W = relative_weyl_group(triple)
         got = [lab for _, _, lab in rows]

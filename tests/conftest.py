@@ -29,12 +29,24 @@ def wrong_sp6_label(monkeypatch):
     _clear_springer_memos()
 
 
+def signed_matrix(w):
+    """The monomial integer matrix of the signed permutation ``w`` on the
+    exponent lattice: row ``j`` describes coordinate ``j + 1`` of the
+    image point as a monomial in the coordinates of the argument."""
+    k = w.rank
+    mat = [[0] * k for _ in range(k)]
+    for i in range(k):
+        mat[w.images[i] - 1][i] = w.signs[i]
+    return mat
+
+
 def _clear_springer_memos():
     """Empty every memo that holds a read of the correspondence, so that
     the patched label is neither bypassed nor kept past the test: a
-    memoised centralizer carries the shared Springer reader of its
-    class, which the class memo keeps too."""
-    for memo in (springer._symbol, springer._factor_read, springer.springer_blocks,
+    shared Springer reader holds its class's rows, and a memoised
+    centralizer carries the shared reader of its class, which the class
+    memo keeps too."""
+    for memo in (springer._symbol, springer.springer_blocks,
                  springer.class_reader, langlands.centralizer_restriction):
         memo.cache_clear()
 
@@ -102,11 +114,12 @@ def block_support_calls(monkeypatch):
 
 @pytest.fixture
 def class_traffic(monkeypatch):
-    """The positional arguments of every call of
-    ``springer._class_symbols`` and ``springer.component_group``, by
-    function name: the work of reading one unipotent class."""
+    """The positional arguments of every construction of
+    ``springer.ClassReader`` and every call of
+    ``springer.component_group``, by name: the work of reading one
+    unipotent class."""
     return {name: _count_calls(monkeypatch, springer, name)
-            for name in ("_class_symbols", "component_group")}
+            for name in ("ClassReader", "component_group")}
 
 
 @pytest.fixture

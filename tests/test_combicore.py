@@ -17,6 +17,7 @@ from abpscalc.combicore import (
     staircase,
     unstaircase,
 )
+from conftest import signed_matrix
 
 
 def B(a, b):
@@ -197,7 +198,7 @@ class TestSignedPermutation:
         elems = all_signed_permutations(2)
         for a in elems:
             for b in elems:
-                assert (a * b).matrix() == mat_mul(a.matrix(), b.matrix())
+                assert signed_matrix(a * b) == mat_mul(signed_matrix(a), signed_matrix(b))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
@@ -210,7 +211,7 @@ class TestSignedPermutation:
         checked = SignedPermutation(ab.images, ab.signs)
         assert (ab.images, ab.signs) == (checked.images, checked.signs)
         assert all(type(x) is int for x in ab.images + ab.signs)
-        assert ab.matrix() == mat_mul(a.matrix(), b.matrix())
+        assert signed_matrix(ab) == mat_mul(signed_matrix(a), signed_matrix(b))
         with pytest.raises(ValueError, match="rank mismatch"):
             a * SignedPermutation.identity(a.rank + 1)
 
@@ -218,7 +219,7 @@ class TestSignedPermutation:
         # w: 1 -> 2 with sign -1, 2 -> 1: row for coordinate 2 reads off
         # coordinate 1 inverted.
         w = SignedPermutation((2, 1), (-1, 1))
-        assert w.matrix() == [[0, 1], [-1, 0]]
+        assert signed_matrix(w) == [[0, 1], [-1, 0]]
 
 
 int_matrices = st.integers(min_value=1, max_value=4).flatmap(

@@ -56,6 +56,7 @@ from abpscalc.extquot import (
 )
 from abpscalc.langlands import PadicGroup, line, parse_catalogue
 from abpscalc.springer import UnrecognizedStructure
+from conftest import signed_matrix
 
 S1 = SignedPermutation((2, 1), (1, 1))
 S2 = SignedPermutation((1, 2), (1, -1))
@@ -74,7 +75,7 @@ def smith_fixed_locus(w):
     Smith normal form, kept here as the oracle of the reading of
     :func:`fixed_locus` off signed cycles."""
     n = w.rank
-    M = w.matrix()
+    M = signed_matrix(w)
     A = [[M[i][j] - (i == j) for j in range(n)] for i in range(n)]
     return _solve_torus(A, [0] * n, n)
 
@@ -811,7 +812,7 @@ def _fixed_torus_is_connected(group, rank):
     solved as one system: (w - 1) x = 0 for every element w."""
     A = []
     for w in group.elements:
-        M = w.matrix()
+        M = signed_matrix(w)
         A.extend([M[i][j] - (i == j) for j in range(rank)] for i in range(rank))
     return len(_solve_torus(A, [0] * len(A), rank)) == 1
 

@@ -391,6 +391,28 @@ class TestCuspidalSupport:
             "cannot mark part value 2 of (4)",
         }
 
+    def test_foreign_characters_read_as_they_stand_or_are_refused(self):
+        # zeta+zeta+eta+eta+1 has the centralizer S(O2xO2xO1): characters
+        # of O2xO2xO1 on its generators read as the Springer reader reads
+        # them, never with a bare KeyError, and those of other parameters
+        # are refused with the reader's message
+        phi = parameter(ZETA, ZETA, line("eta"), line("eta"), ONEL)
+        data = centralizer_restriction(SP4, phi)
+        plain = springer.ComplexGroup(data.group.factors)
+        for ch in springer.component_group(plain, data.unipotent).characters():
+            res = cuspidal_support(SP4, phi, ch)
+            assert (res.core_triple, res.labels) == data.springer.read(ch), str(ch)
+        refused = 0
+        for other in (PHI_RED, PHI_DEEP, parameter((ZETA, 3), line("eta"), ONEL)):
+            for ch in enhancements(SP4, other)[1]:
+                try:
+                    data.springer.read(ch)
+                except springer.SpringerError as exc:
+                    with pytest.raises(InvalidEnhancement, match=re.escape(str(exc))):
+                        cuspidal_support(SP4, phi, ch)
+                    refused += 1
+        assert refused
+
 
 # ---------------------------------------------------------------------------
 # the pairing of weights around a cuspidal core
@@ -649,7 +671,7 @@ def test_support_is_the_block_support_of_the_generalized_springer_read():
 
 def test_one_parameter_reads_its_class_once(class_traffic):
     # the record, the enhancements and every support of one parameter:
-    # the class symbols once, and the component groups of A and of A°
+    # one reader of the class, and the component groups of A and of A°
     from abpscalc import cli
 
     corpus = [(SP4, phi) for phi in (PHI_RED, PHI_GREEN, PHI_LINE, PHI_DEEP)]
@@ -663,7 +685,7 @@ def test_one_parameter_reads_its_class_once(class_traffic):
         _, chars = enhancements(G, phi)
         for eta in chars:
             cuspidal_support(G, phi, eta)
-        assert len(class_traffic["_class_symbols"]) == 1, str(phi)
+        assert len(class_traffic["ClassReader"]) == 1, str(phi)
         assert len(class_traffic["component_group"]) <= 2, str(phi)
 
 
@@ -690,8 +712,7 @@ class TestSharedClassReader:
         corpus = list(_seeded_parameters())
         for memo in ("cold", "warm"):
             if memo == "cold":
-                for f in (springer.class_reader, springer._symbol, springer._factor_read,
-                          centralizer_restriction):
+                for f in (springer.class_reader, springer._symbol, centralizer_restriction):
                     f.cache_clear()
             for G, phi in corpus:
                 data = centralizer_restriction(G, phi)

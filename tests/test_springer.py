@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import pytest
 
 from abpscalc import springer
@@ -553,7 +556,7 @@ def whole_class_correspond(group, u, char):
 
 
 def _clear_read_memos():
-    for memo in (springer._symbol, springer._factor_read, springer_blocks):
+    for memo in (springer._symbol, springer.class_reader, springer_blocks):
         memo.cache_clear()
 
 
@@ -623,41 +626,60 @@ def test_equal_characters_read_the_same_row(g):
     assert flips
 
 
-class TestFactorReadMemo:
-    def test_memos_keep_the_default_size(self):
+class TestClassTable:
+    """Each reader reads its class once, on first use, and a read is a
+    lookup in its rows."""
+
+    def test_symbol_memo_keeps_the_default_size(self):
         assert springer._symbol.cache_info().maxsize == 128
-        assert springer._factor_read.cache_info().maxsize == 128
 
     def test_twin_partitions_hit_by_value(self):
-        _clear_read_memos()
+        springer._symbol.cache_clear()
         lam, twin = Partition((4, 2)), Partition((2, 4))
         assert lam == twin and lam is not twin
         symbol = springer._symbol("Sp", lam)
-        read = springer._factor_read("Sp", lam, "", (2,))
-        before = springer._symbol.cache_info(), springer._factor_read.cache_info()
+        before = springer._symbol.cache_info()
         assert springer._symbol("Sp", twin) is symbol
-        assert springer._factor_read("Sp", twin, "", (2,)) is read
-        after = springer._symbol.cache_info(), springer._factor_read.cache_info()
-        for b, a in zip(before, after):
-            assert (a.hits - b.hits, a.misses - b.misses) == (1, 0)
+        after = springer._symbol.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
         # the (4,2) row of the frozen Sp6 table marked at 2: the core Sp6
-        assert read == (2, 0, bp((), ()))
+        g = Sp(6)
+        reader = springer.ClassReader(g, UnipotentClass((twin,), ("",)))
+        ch = char_from_marks(g, cls(g, 4, 2), {2})
+        assert reader.read(ch) == (CuspidalTriple(g, (2,), (0,)), (bp((), ()),))
 
-    @pytest.mark.parametrize("g", [group_product(F("Sp", 2), F("O", 4), F("O", 4), det1=True),
-                                   group_product(F("GL", 1), F("O", 4), F("O", 4), det1=True)],
-                             ids=str)
-    def test_flip_reads_each_factor_once(self, g):
-        # the flip acts on the reads already made, so a table on which it
-        # fires misses the read memo at most once per distinct read
-        pairs = enumerate_pairs(g)
-        assert any(whole_class_correspond(g, u, ch)[1] for u, ch in pairs)
-        reads = {(f.kind, lam, tag, tuple(v for (fi, v), val in zip(ch.group.keys, ch.values)
-                                          if fi == i and val == -1))
-                 for u, ch in pairs
-                 for i, (f, lam, tag) in enumerate(zip(g.factors, u.partitions, u.tags))}
-        _clear_read_memos()
-        springer_blocks(g)
-        assert springer._factor_read.cache_info().misses <= len(reads)
+    @pytest.mark.parametrize("g", list(dict.fromkeys(
+        AGREEMENT_GROUPS + FLIP_GROUPS
+        + [group_product(F("Sp", 2), F("O", 4), F("O", 4), det1=True)])), ids=str)
+    def test_reader_reads_each_pair_once(self, g, monkeypatch):
+        # a reader's table reads every (character, classical factor)
+        # once, the flip acting on the reads already made (it fires on
+        # the agreement groups, test_agreement_groups_cover_the_flip_...);
+        # making the reader reads nothing, and reading its pairs again
+        # reads nothing more
+        calls = []
+        real = springer._factor_block_and_label
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(springer, "_factor_block_and_label", counted)
+        classical = sum(f.kind != "GL" for f in g.factors)
+        for u in unipotent_classes(g):
+            del calls[:]
+            reader = springer.ClassReader(g, u)
+            assert calls == []
+            rows = {ch: reader.read(ch) for ch in reader.characters}
+            assert len(calls) == len(reader.characters) * classical, str(u)
+            del calls[:]
+            assert {ch: reader.read(ch) for ch in reader.characters} == rows
+            assert calls == []
+            for ch, row in rows.items():
+                assert row == whole_class_correspond(g, u, ch)[0], (str(u), str(ch))
+            # one triple object per block of the class
+            triples = [triple for triple, _ in reader.rows.values()]
+            assert len({id(t) for t in triples}) == len(set(triples))
 
     def test_shared_symbol_refuses_mutation(self):
         symbol = springer._symbol("Sp", Partition((4, 2)))
@@ -674,16 +696,66 @@ class TestFactorReadMemo:
     @pytest.mark.parametrize("other, marks, message", [
         ((6,), {6}, r"cannot mark part value 6 of \(4,2\)"),
         ((6,), set(), r"is not a character of the component group of \(4,2\)"),
-    ])
-    def test_refused_read_is_not_stored(self, other, marks, message):
+    ], ids=["unmarkable", "other_generators"])
+    def test_refused_read_leaves_the_rows_alone(self, other, marks, message):
         g = Sp(6)
         ch = char_from_marks(g, cls(g, *other), marks)
-        springer._factor_read.cache_clear()
+        reader = springer.class_reader(g, cls(g, 4, 2))
+        rows = dict(reader.rows)
         for _ in range(2):
             with pytest.raises(SpringerError, match=message):
                 generalized_springer(g, cls(g, 4, 2), ch)
-        info = springer._factor_read.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+            with pytest.raises(SpringerError, match=message):
+                reader.read(ch)
+        assert reader.rows == rows and len(rows) == len(reader.characters)
+
+
+# the groups whose classes pin the single key list: every class of
+# Sp0-Sp20, SO1-SO18 and O1-O18, and the product groups of this module
+KEY_GROUPS = list(dict.fromkeys(
+    [Sp(2 * n) for n in range(11)] + [SO(m) for m in range(1, 19)]
+    + [Orth(m) for m in range(1, 19)]
+    + [g for g in CORPUS + AGREEMENT_GROUPS + FLIP_GROUPS if len(g.factors) > 1 or g.det1]))
+
+
+def test_symbol_intervals_are_the_generator_keys():
+    # a reader slices each character's values factor by factor, taking
+    # the next len(intervals) of them in the order of the symbol's
+    # intervals: the generator keys must run the same way
+    classes = 0
+    for g in KEY_GROUPS:
+        for u in unipotent_classes(g):
+            keys = tuple((fi, v) for fi, (f, lam) in enumerate(zip(g.factors, u.partitions))
+                         if f.kind != "GL" for v in springer._symbol(f.kind, lam).intervals)
+            assert component_group(g, u).keys == keys, (str(g), str(u))
+            classes += 1
+    assert classes >= 2213
+
+
+def test_foreign_characters_read_as_the_whole_class_or_are_refused():
+    # characters of S(O2xO2) on the O2xO2 reader, the reverse, and those
+    # of the classes of O3xO2: each reads the whole-class row or is
+    # refused by name, never with a bare KeyError
+    plain = group_product(F("O", 2), F("O", 2))
+    det1 = group_product(F("O", 2), F("O", 2), det1=True)
+    odd = group_product(F("O", 3), F("O", 2))
+    foreign = [ch for h in (plain, det1, odd) for v in unipotent_classes(h)
+               for ch in component_group(h, v).characters()]
+    refusal = r"(cannot mark part value \d+|.+ is not a character of the component group) of "
+    seen = Counter()
+    for g in (plain, det1):
+        for u in unipotent_classes(g):
+            reader = springer.ClassReader(g, u)
+            for ch in foreign:
+                try:
+                    row = reader.read(ch)
+                except SpringerError as exc:
+                    assert re.fullmatch(refusal + re.escape(str(u)), str(exc)), str(exc)
+                    seen["refused"] += 1
+                else:
+                    assert row == whole_class_correspond(g, u, ch)[0], (str(g), str(u), str(ch))
+                    seen["read"] += 1
+    assert seen["read"] and seen["refused"]
 
 
 # ---------------------------------------------------------------------------
