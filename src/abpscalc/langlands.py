@@ -294,16 +294,6 @@ class EnhancedParameter:
 # validation
 
 
-def _summand_type(l: WFLine, a: int):
-    """Self-duality type of ``l x S_a``: orthogonal, symplectic or None."""
-    if not l.is_selfdual:
-        return None
-    flip = a % 2 == 0
-    if l.base.selfdual == "orthogonal":
-        return "symplectic" if flip else "orthogonal"
-    return "orthogonal" if flip else "symplectic"
-
-
 def _check_dimension(G: PadicGroup, phi: FormalParameter):
     if phi.dim != G.dual_dim:
         raise DimensionMismatch(
@@ -312,26 +302,11 @@ def _check_dimension(G: PadicGroup, phi: FormalParameter):
 
 
 def validate(G: PadicGroup, phi: FormalParameter) -> FormalParameter:
-    """Dimension, self-duality closure and type checks; returns the
-    canonical form."""
+    """Dimension, self-duality closure and type checks; returns ``phi``.
+    The type checks are the refusals of :func:`centralizer_restriction`."""
     _check_dimension(G, phi)
-    if G.family == "GL":
-        return phi
-    want = "Sp" if G.dual_kind == "Sp" else "SO"
-    target_type = "symplectic" if want == "Sp" else "orthogonal"
-    counts = Counter(phi.summands)
-    for (l, a), m in counts.items():
-        t = _summand_type(l, a)
-        if t is None:
-            if counts[(l.dual(), a)] != m:
-                raise TypeMismatch(
-                    f"summand {l}*S[{a}] is not matched by its dual"
-                )
-        elif t != target_type and m % 2:
-            raise TypeMismatch(
-                f"{t} summand {l}*S[{a}] occurs with odd multiplicity "
-                f"in a {target_type} parameter"
-            )
+    if G.family != "GL":
+        centralizer_restriction(G, phi)
     return phi
 
 
@@ -340,15 +315,18 @@ def is_tempered(G: PadicGroup, phi: FormalParameter) -> bool:
 
 
 def is_discrete(G: PadicGroup, phi: FormalParameter) -> bool:
+    """For ``GL``, one summand.  Otherwise the memoised centralizer has
+    no ``GL`` factor and distinct parts in each factor (so all of the
+    parity the factor marks).  A refused parameter is not discrete; this
+    never raises."""
     if G.family == "GL":
         return len(phi.summands) == 1
-    target_type = "symplectic" if G.dual_kind == "Sp" else "orthogonal"
-    counts = Counter(phi.summands)
-    if any(m > 1 for m in counts.values()):
+    try:
+        data = centralizer_restriction(G, phi)
+    except TypeMismatch:
         return False
-    return all(
-        _summand_type(l, a) == target_type for l, a in phi.summands
-    )
+    return all(f.kind != "GL" and len(f.parts.distinct_parts()) == len(f.parts)
+               for f in data.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +379,17 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     orthogonal dual group the orthogonal factors have joint determinant
     one.
 
+    It is the one reader of summands by type, so :func:`validate`'s
+    type check: for a group that is not ``GL`` it refuses with
+    ``TypeMismatch`` a line with no declared dual, a twisted line whose
+    dual is absent or has other parts, and an even part of an ``O``
+    factor or an odd part of an ``Sp`` factor (a summand of the other
+    type) with odd multiplicity.
+
     Memoised by value on ``(G, phi)``, with the default 128 entries, for
     the life of the process: every function of this module that needs
-    the centralizer of a parameter looks it up here, so the calls made
+    the centralizer of a parameter, :func:`validate` and
+    :func:`is_discrete` included, looks it up here, so the calls made
     for one parameter compute it once.  The centralizer carries the
     unipotent class of the parameter and its Springer reader
     (``CentralizerData.springer``: symbols, component groups, characters
@@ -414,7 +400,8 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     per_line = {}
     for l, a in phi.summands:
         per_line.setdefault(l, []).append(a)
-    target_type = "symplectic" if G.dual_kind == "Sp" else "orthogonal"
+    target_type, other_type = (("symplectic", "orthogonal") if G.dual_kind == "Sp"
+                               else ("orthogonal", "symplectic"))
     gl, selfdual = [], []  # (sort key, factor)
     paired = set()  # dual lines already taken into a GL pair
     for l, mult in per_line.items():
@@ -422,15 +409,22 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
             continue
         parts = Partition(sorted(mult, reverse=True))
         name = l.name
-        if G.family == "GL" or l.base.selfdual == "none":
+        if G.family == "GL":
             gl.append((name, IsotypicFactor(l, None, "GL", parts)))
         elif l.is_selfdual:
             kind = "O" if l.base.selfdual == target_type else "Sp"
+            wrong = 0 if kind == "O" else 1  # the parity of the other type
+            for a in parts.distinct_parts():
+                if a % 2 == wrong and parts.multiplicity(a) % 2:
+                    raise TypeMismatch(
+                        f"{other_type} summand {l}*S[{a}] occurs with odd "
+                        f"multiplicity in a {target_type} parameter"
+                    )
             selfdual.append(((-sum(parts.parts), name), IsotypicFactor(l, None, kind, parts)))
         else:
             d = l.dual()
             dname = d.name
-            if per_line.get(d) and sorted(per_line[d]) != sorted(mult):
+            if per_line.get(d) != mult:  # both ascending: summands sort by line, then a
                 raise TypeMismatch(f"dual pair {l}, {d} has mismatched parts")
             rep, other = (l, d) if name <= dname else (d, l)
             gl.append((min(name, dname), IsotypicFactor(rep, other, "GL", parts)))
@@ -499,18 +493,19 @@ def component_groups(G: PadicGroup, phi: FormalParameter) -> ComponentGroups:
 def is_cuspidal(G: PadicGroup, phi: FormalParameter):
     """Whether the parameter is cuspidal, with the list of cuspidal
     enhancements (empty when not).  A parameter whose dimension is not
-    that of the dual group is refused with ``DimensionMismatch``; the
-    rest of :func:`validate` is not run.  The centralizer is looked up
-    only for a discrete parameter."""
+    that of the dual group is refused with ``DimensionMismatch``; one
+    that :func:`centralizer_restriction` refuses is not cuspidal.  Core
+    partitions are discrete, so the centralizer is looked up once."""
     _check_dimension(G, phi)
     if G.family == "GL":
         ok = len(phi.summands) == 1 and phi.summands[0][1] == 1
         return ok, []
-    if not is_discrete(G, phi):
+    try:
+        data = centralizer_restriction(G, phi)
+    except TypeMismatch:
         return False, []
-    data = centralizer_restriction(G, phi)
     for f in data.factors:
-        if f.parts != core_partition(f.kind, len(f.parts)):
+        if f.kind == "GL" or f.parts != core_partition(f.kind, len(f.parts)):
             return False, []
     reader = data.springer
     chars = [ch for ch in reader.characters if reader.read(ch)[0].is_cuspidal]

@@ -680,18 +680,18 @@ class ClassReader:
         """``(triple, labels)`` of the pair ``(u, char)``: its block as a
         :class:`CuspidalTriple`, and its labels, looked up in ``rows``.
         A character on other generators is refused.  One on the same
-        generators under other constraint classes may carry a sign vector
-        that is not a representative of ``u``; it is read as it stands,
-        which at a coupled block of defect 0 gives the other lift of the
-        label."""
+        generators under other constraint classes is read as the equal
+        character of ``u``: its restriction."""
         A = self.component_group
         if char.group.keys != A.keys:
             for key, val in zip(char.group.keys, char.values):
                 if val == -1 and key not in A.keys:
                     raise SpringerError(f"cannot mark part value {key[1]} of {self.u}")
             raise SpringerError(f"{char} is not a character of the component group of {self.u}")
-        row = self.rows.get(char.values)
-        return row if row is not None else self._read(char.values)
+        values = char.values
+        if char.group.classes != A.classes:
+            values = SignCharacter(values, A).values
+        return self.rows[values]
 
 
 @lru_cache(maxsize=512)

@@ -359,6 +359,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "DimensionMismatch" in err and f"(need {need})" in err
 
+    @pytest.mark.parametrize("command", ["param", "support"])
+    @pytest.mark.parametrize("group, expr, named", [
+        ("Sp4", "mu + mu + 1*S[3]", "mu"),
+        ("SO5", "mu + mu + 1*S[2]", "mu"),
+        ("Sp4", "x*zeta*S[2] + 1*S[3]", "x*zeta"),
+        ("SO5", "x*zeta*S[2] + 1*S[2]", "x*zeta"),
+    ])
+    def test_type_refusal_names_the_line(self, tmp_path, capsys, command, group, expr, named):
+        # a line of a selfdual=none class, and zeta*x without zeta*x^-1
+        chars = tmp_path / "chars.txt"
+        chars.write_text("1 kind=unramified order=1 dim=1 selfdual=orthogonal\n"
+                         "zeta kind=ramified order=2 dim=1 selfdual=orthogonal\n"
+                         "mu kind=ramified order=4 dim=1 selfdual=none\n")
+        argv = [command, "--group", group, "--expr", expr, "--chars", str(chars)]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("TypeMismatch:") and named in captured.err
+        assert "Traceback" not in captured.err
+        # a GL group of the same dimension takes the same lines
+        gl = "GL5" if group == "Sp4" else "GL4"
+        assert cli.run([command, "--group", gl] + argv[3:]) == 0
+
     @pytest.mark.parametrize("group, kind", [("GL3", "GL"), ("SL4", "SL"), ("O5", "O")])
     def test_springer_refuses_other_kinds(self, group, kind, capsys):
         assert cli.run(["springer", "--group", group]) == 1

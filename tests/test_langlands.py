@@ -859,3 +859,160 @@ class TestBlockSupportMemos:
                     cold = langlands._levi(G, k, core_dim)
                     assert cold == want
                     assert langlands._levi(G, k, core_dim) is cold
+
+
+# ---------------------------------------------------------------------------
+# the centralizer is the one type check: refusals, and a per-summand oracle
+
+
+MU = line("mu", catalogue=parse_catalogue("mu kind=ramified order=4 dim=1 selfdual=none"))
+SO5 = PadicGroup("SO", 5)
+
+
+def _refused(G):
+    """``(line, parameter)`` pairs of Sp4 or SO5 whose line fails the
+    type check, the rest of each parameter being of the dual group's
+    type: a line of a ``selfdual=none`` class, and ``zeta*x`` without
+    ``zeta*x^-1``."""
+    rest = (ONEL, 3) if G.dual_kind == "SO" else (ONEL, 2)
+    unpaired = ZETA.twisted(CHI)
+    return [(MU, parameter((MU, 1), (MU, 1), rest)),
+            (unpaired, parameter((unpaired, 2), rest))]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["none-line", "unpaired-twist"])
+@pytest.mark.parametrize("G", [SP4, SO5], ids=str)
+def test_type_refusals_name_the_line(G, which):
+    l, phi = _refused(G)[which]
+    assert phi.dim == G.dual_dim
+    eta = enhancements(SP4, PHI_RED)[1][0]
+    for call in (validate, centralizer_restriction, component_groups, enhancements,
+                 lambda G, phi: cuspidal_support(G, phi, eta)):
+        with pytest.raises(TypeMismatch, match=re.escape(str(l))):
+            call(G, phi)
+    assert not is_discrete(G, phi)
+    assert is_cuspidal(G, phi) == (False, [])
+
+
+def test_gl_accepts_lines_without_a_dual():
+    G = PadicGroup("GL", 4)
+    unpaired = ZETA.twisted(CHI)
+    phi = parameter((MU, 1), (MU, 1), (unpaired, 2))
+    assert validate(G, phi) is phi
+    data = centralizer_restriction(G, phi)
+    assert [(f.line, f.kind, f.parts.parts) for f in data.factors] == [
+        (MU, "GL", (1, 1)), (unpaired, "GL", (2,))]
+    assert not is_discrete(G, phi)
+    assert is_cuspidal(G, phi) == (False, [])
+    _, chars = enhancements(G, phi)
+    assert [cuspidal_support(G, phi, eta).core for eta in chars] == [parameter()]
+
+
+def _reference_type(l, a):
+    """Self-duality type of ``l x S_a``: orthogonal, symplectic, or None
+    for a line that is not self-dual."""
+    if not l.is_selfdual:
+        return None
+    flip = a % 2 == 0
+    if l.base.selfdual == "orthogonal":
+        return "symplectic" if flip else "orthogonal"
+    return "orthogonal" if flip else "symplectic"
+
+
+def _reference_outcome(G, phi):
+    """What :func:`validate` does with ``phi``, by counting summands
+    without the centralizer: None when it accepts, else the error class.
+    Every summand of the other type occurs an even number of times, and
+    a summand that is not self-dual as often as its dual."""
+    if phi.dim != G.dual_dim:
+        return DimensionMismatch
+    if G.family == "GL":
+        return None
+    target = "symplectic" if G.dual_kind == "Sp" else "orthogonal"
+    counts = Counter(phi.summands)
+    for (l, a), m in counts.items():
+        t = _reference_type(l, a)
+        if t is None:
+            if l.base.selfdual == "none" or counts[(l.dual(), a)] != m:
+                return TypeMismatch
+        elif t != target and m % 2:
+            return TypeMismatch
+    return None
+
+
+def _reference_discrete(G, phi):
+    """Whether ``phi`` is discrete, by counting summands: for ``GL`` one
+    summand, otherwise distinct summands all of the dual group's type."""
+    if G.family == "GL":
+        return len(phi.summands) == 1
+    target = "symplectic" if G.dual_kind == "Sp" else "orthogonal"
+    counts = Counter(phi.summands)
+    return (all(m == 1 for m in counts.values())
+            and all(_reference_type(l, a) == target for l, a in phi.summands))
+
+
+def _outcome(G, phi):
+    try:
+        assert validate(G, phi) is phi
+    except (DimensionMismatch, TypeMismatch) as exc:
+        return type(exc)
+    return None
+
+
+def _group_for(kind, dim, fallback):
+    """A group whose dual has type ``kind`` and dimension ``dim``, or
+    ``fallback`` when there is none (a symplectic dual of odd size)."""
+    if kind == "Sp":
+        return PadicGroup("SO", dim + 1) if dim % 2 == 0 else fallback
+    return PadicGroup("Sp", dim - 1) if dim % 2 else PadicGroup("SO", dim)
+
+
+def _mutations(rng, G, phi):
+    """Invalid variants of the valid ``phi``: one summand of a twisted
+    pair dropped, one summand of the other type added, and a line with
+    no declared dual added; each with a group of its dimension."""
+    summands = list(phi.summands)
+    twisted = [i for i, (l, _) in enumerate(summands) if not l.is_selfdual]
+    variants = []
+    if twisted:
+        i = rng.choice(twisted)
+        variants.append(summands[:i] + summands[i + 1:])
+    variants.append(summands + [(rng.choice(LINE_POOL), 1 if G.dual_kind == "Sp" else 2)])
+    variants.append(summands + [(MU, rng.randint(1, 2))])
+    for v in variants:
+        psi = FormalParameter(tuple(v))
+        yield _group_for(G.dual_kind, psi.dim, G), psi
+
+
+def test_validate_and_is_discrete_agree_with_the_summand_count():
+    rng = random.Random(20261021)
+    outcomes = Counter()
+    for family, size in (("Sp", 4), ("Sp", 6), ("SO", 4), ("SO", 5),
+                         ("SO", 6), ("SO", 7), ("SO", 8)):
+        G = PadicGroup(family, size)
+        for _ in range(30):
+            phi = random_parameter(rng, G)
+            cases = [(G, phi), *_mutations(rng, G, phi)]
+            for H, psi in cases:
+                want = _reference_outcome(H, psi)
+                assert _outcome(H, psi) is want, (str(H), str(psi))
+                assert is_discrete(H, psi) == _reference_discrete(H, psi), (str(H), str(psi))
+                outcomes[want] += 1
+            assert _reference_outcome(G, phi) is None, str(phi)
+    assert outcomes[None] >= 210 and outcomes[TypeMismatch] >= 300
+
+
+def test_gl_validate_and_is_discrete_agree_with_the_summand_count():
+    rng = random.Random(20261022)
+    pool = LINE_POOL + [MU, ZETA.twisted(CHI), ONEL.twisted(q_power(1))]
+    for n in range(1, 7):
+        for _ in range(20):
+            summands, remaining = [], n
+            while remaining:
+                a = rng.randint(1, remaining)
+                summands.append((rng.choice(pool), a))
+                remaining -= a
+            phi = FormalParameter(tuple(summands))
+            for H in (PadicGroup("GL", n), PadicGroup("GL", n + 1)):
+                assert _outcome(H, phi) is _reference_outcome(H, phi), (str(H), str(phi))
+                assert is_discrete(H, phi) == _reference_discrete(H, phi), str(phi)

@@ -734,8 +734,10 @@ def test_symbol_intervals_are_the_generator_keys():
 
 def test_foreign_characters_read_as_the_whole_class_or_are_refused():
     # characters of S(O2xO2) on the O2xO2 reader, the reverse, and those
-    # of the classes of O3xO2: each reads the whole-class row or is
-    # refused by name, never with a bare KeyError
+    # of the classes of O3xO2: each reads the whole-class row of the equal
+    # character of the reader's class (its restriction) or is refused by
+    # name, never with a bare KeyError.  (+,-) of O2xO2 on the S(O2xO2)
+    # reader reads the row of (-,+)
     plain = group_product(F("O", 2), F("O", 2))
     det1 = group_product(F("O", 2), F("O", 2), det1=True)
     odd = group_product(F("O", 3), F("O", 2))
@@ -753,7 +755,8 @@ def test_foreign_characters_read_as_the_whole_class_or_are_refused():
                     assert re.fullmatch(refusal + re.escape(str(u)), str(exc)), str(exc)
                     seen["refused"] += 1
                 else:
-                    assert row == whole_class_correspond(g, u, ch)[0], (str(g), str(u), str(ch))
+                    own = SignCharacter(ch.values, reader.component_group)
+                    assert row == whole_class_correspond(g, u, own)[0], (str(g), str(u), str(ch))
                     seen["read"] += 1
     assert seen["read"] and seen["refused"]
 
