@@ -589,16 +589,25 @@ def weyl_order(res) -> int:
 def correcting_cocharacters(G: PadicGroup, triple: InertialTriple):
     """The distinct correcting exponent vectors of the inertial family,
     one representative per orbit, each tagged with the unipotent
-    component label it comes from."""
+    component label it comes from.
+
+    An exponent vector ``c`` stands for the point ``(q^{c_i/2})``.  The
+    inertial action is the full product of the symmetric or
+    hyperoctahedral groups of its coordinate blocks, so two such points
+    share an orbit exactly when, block by block, their sorted exponents
+    agree, taken in absolute value on a signed block (where ``q^{c/2}``
+    meets ``q^{-c/2}``).  That normal form names the orbit, and no
+    element of the group is listed."""
     data = mu(G, triple)
+    blocks = data.inertial.action.blocks
     out = []
     seen = set()
     for e in data.entries:
-        shift = SymbolicTorusPoint(tuple(q_power(c) for c in e.cochar))
-        orbit = _orbit(data.inertial.action, shift)
-        if orbit in seen:
+        form = tuple(tuple(sorted(abs(e.cochar[c]) if signed else e.cochar[c] for c in coords))
+                     for signed, coords in blocks)
+        if form in seen:
             continue
-        seen.add(orbit)
+        seen.add(form)
         out.append((e.component, e.cochar))
     return out
 

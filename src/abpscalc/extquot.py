@@ -282,8 +282,11 @@ class TorusCoset:
         integers: each row sums ``e p / q - b / D`` over its nonzero
         entries ``e``, skipping integral coordinates ``p / q``, and the
         test stops at the first row whose sum is not an integer."""
-        v = [(x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
-             for x in pt]
+        v = []
+        for x in pt:
+            if type(x) is not int and type(x) is not Fraction:
+                x = Fraction(x)
+            v.append(x.as_integer_ratio())
         if len(v) != self.rank:
             raise RankMismatch(f"rank {len(v)} point in rank {self.rank} coset")
         D, rows = self._torsion_rows
@@ -451,15 +454,97 @@ def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
 # group actions
 
 
+def _local_group(kind, coords):
+    """All elements of the full symmetric (``"A"``), hyperoctahedral
+    (``"B"``) or even-signed (``"D"``) group of ``coords`` (0-based), as
+    the images (1-based) and signs of ``coords``."""
+    k = len(coords)
+    signs = [(1,) * k] if kind == "A" else [
+        s for s in product((1, -1), repeat=k) if kind == "B" or s.count(-1) % 2 == 0]
+    return [(tuple(coords[j] + 1 for j in p), s)
+            for p in permutations(range(k)) for s in signs]
+
+
+def _piece_group(kind, data):
+    """The coordinates (0-based) of a piece of a
+    :class:`RecognizedSubgroup` and its elements restricted to them, as
+    :func:`_local_group` gives them; an ``E2`` piece is the group its
+    flips generate on the coordinates they flip."""
+    if kind != "E2":
+        return data, _local_group(kind, data)
+    flips = {frozenset()}
+    for gen in data:
+        flips |= {f ^ frozenset(gen) for f in flips}
+    coords = tuple(sorted(set().union(*data)))
+    return (tuple(c - 1 for c in coords),
+            [(coords, tuple(-1 if c in f else 1 for c in coords)) for f in flips])
+
+
+def _product_elements(n, factors):
+    """The elements of rank ``n`` of the direct product of groups on
+    disjoint coordinate sets, each factor ``(coords, elements)`` as
+    :func:`_piece_group` gives it, sorted by images, then signs."""
+    pairs = []
+    for maps in product(*(elements for _, elements in factors)):
+        images, signs = list(range(1, n + 1)), [1] * n
+        for (coords, _), (ims, sgs) in zip(factors, maps):
+            for c, d, s in zip(coords, ims, sgs):
+                images[c], signs[c] = d, s
+        pairs.append((tuple(images), tuple(signs)))
+    pairs.sort()
+    return tuple(SignedPermutation.from_valid(*pair) for pair in pairs)
+
+
+def _is_reflection_generator(g: SignedPermutation) -> bool:
+    """Whether ``g`` is a transposition (signs +1), the flip of one
+    coordinate, or the identity: the generators whose group is always
+    the full product over its coordinate blocks."""
+    moved = [i for i, (j, s) in enumerate(zip(g.images, g.signs)) if j != i + 1 or s != 1]
+    if len(moved) != 2:
+        return len(moved) < 2
+    i, j = moved
+    return g.images[i] == j + 1 and g.signs[i] == g.signs[j] == 1
+
+
+def _generator_blocks(rank, gens):
+    """The orbits of ``gens`` on the coordinates, as ``(signed, coords)``
+    with the coordinates ascending, in the order of their least
+    coordinates; a block is signed when some generator inverts one of
+    its coordinates."""
+    signed = {c for w in gens for c in range(rank) if w.signs[c] == -1}
+    return tuple((any(c in signed for c in coords), coords)
+                 for coords in _coordinate_blocks(range(rank), gens))
+
+
+def _blocks_order(blocks) -> int:
+    """The order of the full product of the symmetric groups of the
+    unsigned blocks and the hyperoctahedral groups of the signed ones."""
+    order = 1
+    for signed, coords in blocks:
+        order *= factorial(len(coords)) << (len(coords) if signed else 0)
+    return order
+
+
 class MonomialAction:
     """The finite group of signed permutations of a rank-``rank`` torus
     generated by ``generators``.
 
-    The group is generated breadth first from the identity by left
-    multiplication with the generators, about ``order * len(generators)``
-    products, and :attr:`elements` lists it sorted by images, then
-    signs.  Two actions are equal when their groups are, whatever
-    generators they were given.
+    When every generator is a transposition (signs +1) or the flip of
+    one coordinate, as for :func:`hyperoctahedral_action`,
+    :func:`permutation_action`, :func:`trivial_action` and every
+    inertial action of ``abps``, the group is the full product, over
+    the orbits of the generators on coordinates, of the symmetric group
+    of each orbit, or its hyperoctahedral group when a flip lies in it.
+    :attr:`blocks` holds those orbits and :attr:`order` is read off
+    them, with no element listed.  For other generators :attr:`blocks`
+    is ``None`` and the order is that of the listed group.
+
+    :attr:`elements` lists the group on first use, sorted by images,
+    then signs: from the blocks when they are known, otherwise
+    generated breadth first from the identity by left multiplication
+    with the generators, about ``order * len(generators)`` products.
+    Two actions are equal when their groups are, whatever generators
+    they were given.
     """
 
     def __init__(self, rank: int, generators=()):
@@ -467,10 +552,20 @@ class MonomialAction:
         for g in gens:
             if g.rank != rank:
                 raise ValueError(f"generator {g} of rank {g.rank} for a rank {rank} action")
+        self.rank = rank
+        self.generators = gens
+        self.blocks = (_generator_blocks(rank, gens)
+                       if all(map(_is_reflection_generator, gens)) else None)
+
+    @cached_property
+    def elements(self) -> tuple:
+        if self.blocks is not None:
+            return _product_elements(self.rank, [
+                _piece_group("B" if signed else "A", coords) for signed, coords in self.blocks])
         # g * x on (images, signs) tuples: images g[x[i]], signs x[i] g[x[i]],
         # read from the generator's tuples padded for 1-based lookup
-        padded = [((0,) + g.images, (0,) + g.signs) for g in gens]
-        identity = SignedPermutation.identity(rank)
+        padded = [((0,) + g.images, (0,) + g.signs) for g in self.generators]
+        identity = SignedPermutation.identity(self.rank)
         group = {(identity.images, identity.signs)}
         frontier = list(group)
         while frontier:
@@ -483,19 +578,24 @@ class MonomialAction:
                         group.add(y)
                         fresh.append(y)
             frontier = fresh
-        self.rank = rank
-        self.generators = gens
-        self.elements = tuple(SignedPermutation.from_valid(*pair) for pair in sorted(group))
+        return tuple(SignedPermutation.from_valid(*pair) for pair in sorted(group))
+
+    @cached_property
+    def order(self) -> int:
+        if self.blocks is not None:
+            return _blocks_order(self.blocks)
+        return len(self.elements)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialAction) and self.elements == other.elements
+        if not isinstance(other, MonomialAction) or \
+                (self.rank, self.order) != (other.rank, other.order):
+            return False
+        if self.blocks is not None and other.blocks is not None:
+            return self.blocks == other.blocks
+        return self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(self.elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+        return hash((self.rank, self.order))
 
     def identity(self) -> SignedPermutation:
         return SignedPermutation.identity(self.rank)
@@ -542,24 +642,65 @@ def trivial_action(n: int) -> MonomialAction:
 # stabilizers and their recognized structure
 
 
-@dataclass(frozen=True)
 class RecognizedSubgroup:
-    """A subgroup of signed permutations with recognized structure.
+    """A subgroup of signed permutations of a rank-``rank`` torus with
+    recognized structure.
 
     ``pieces`` is a tuple of factors: ``("A", coords)``, ``("B",
     coords)``, ``("D", coords)`` for a full symmetric or
-    hyperoctahedral or even-signed group on the listed coordinates, or
-    ``("E2", generators)`` for an elementary abelian 2-group of
-    diagonal sign flips, each generator given by its flipped
-    coordinate set.
+    hyperoctahedral or even-signed group on the listed coordinates
+    (0-based), or ``("E2", generators)`` for an elementary abelian
+    2-group of diagonal sign flips, each generator given by its flipped
+    coordinate set (1-based).  The order is the product of the orders
+    of the pieces.
+
+    :func:`recognize_subgroup` keeps the elements it was given.  A
+    subgroup given without ``elements`` is the direct product of its
+    pieces, each ``E2`` piece the group its flips generate, and lists
+    its elements from them on first use, sorted by images, then signs.
+    Equality, hash and ``repr`` are those of a frozen dataclass of the
+    fields ``elements`` and ``pieces``; only ``repr`` lists the elements.
     """
 
-    elements: tuple
-    pieces: tuple
+    __slots__ = ("rank", "pieces", "_elements")
+
+    def __init__(self, rank: int, pieces: tuple, elements=None):
+        self.rank = rank
+        self.pieces = pieces
+        self._elements = elements
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = _product_elements(
+                self.rank, [_piece_group(kind, data) for kind, data in self.pieces])
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        order = 1
+        for kind, data in self.pieces:
+            k = len(data)
+            if kind == "E2":
+                order <<= k
+            else:
+                order *= factorial(k) << {"A": 0, "B": k, "D": k - 1}[kind]
+        return order
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.rank, self.pieces) != (other.rank, other.pieces):
+            return False
+        # two products of equal pieces are equal without a listing
+        both_products = self._elements is None and other._elements is None
+        return both_products or self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.pieces))
+
+    def __repr__(self) -> str:
+        return f"RecognizedSubgroup(elements={self.elements!r}, pieces={self.pieces!r})"
 
     def structure(self) -> str:
         if not self.pieces:
@@ -638,7 +779,7 @@ def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
         if any(w.images[c] != c + 1 or w.signs[c] != 1 for w in elems)
     ]
     if not moved:
-        return RecognizedSubgroup(elems, ())
+        return RecognizedSubgroup(rank, (), elems)
     pieces = []
     diag_coords = []
     size = 1
@@ -686,7 +827,7 @@ def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
             f"subgroup of order {len(elems)} is not the product of its "
             f"coordinate blocks {', '.join(_one_based(b) for b in blocks)}: {_listing(elems)}"
         )
-    return RecognizedSubgroup(elems, tuple(pieces))
+    return RecognizedSubgroup(rank, tuple(pieces), elems)
 
 
 def stabilizer(action: MonomialAction, t: SymbolicTorusPoint) -> RecognizedSubgroup:
@@ -761,10 +902,11 @@ def _coset_orbit(action: MonomialAction, c: TorusCoset):
     return sorted(orbit, key=_coset_key)
 
 
-# the largest rank that strata accepts, its measured reach: extquot
-# --rank 6 answers in about 2.5 s in a fresh process (2-CPU VM, Python
-# 3.11), 1.1 s of it generating the 46,080 elements of W(B6) from its
-# six Coxeter generators; W(B7) has 645,120
+# the largest rank that strata accepts: extquot --rank 6 answers in
+# about 0.15 s and 18 MiB in a fresh process (2-CPU VM, Python 3.11),
+# with no element of W(B6) (46,080) or of a stabilizer listed.  The
+# 120 pattern strata of W(B7) (645,120 elements) take about 0.02 s,
+# but no oracle checks rank 7 yet
 MAX_RANK = 6
 
 
@@ -774,20 +916,17 @@ def _product_blocks(action: MonomialAction):
     them of symmetric groups (``signed`` false) and hyperoctahedral
     groups; ``None`` otherwise.
 
-    The blocks are the orbits of the generators on coordinates, and a
-    block is signed when some generator inverts one of its coordinates.
-    The action lies in the product of the full groups on its blocks, so
-    it is that product exactly when its order is ``prod k!`` over the
-    unsigned blocks times ``prod 2^k k!`` over the signed ones.
+    An action generated by transpositions and single flips is that
+    product over :attr:`MonomialAction.blocks`, read off its generators.
+    Any other action lies in the product of the full groups on the
+    orbits of its generators, so it is that product exactly when its
+    listed order is ``prod k!`` over the unsigned blocks times ``prod
+    2^k k!`` over the signed ones.
     """
-    n = action.rank
-    signed = {c for w in action.generators for c in range(n) if w.signs[c] == -1}
-    out, order = [], 1
-    for coords in _coordinate_blocks(range(n), action.generators):
-        sign = any(c in signed for c in coords)
-        order *= factorial(len(coords)) << (len(coords) if sign else 0)
-        out.append((sign, coords))
-    return tuple(out) if order == action.order else None
+    if action.blocks is not None:
+        return action.blocks
+    blocks = _generator_blocks(action.rank, action.generators)
+    return blocks if _blocks_order(blocks) == action.order else None
 
 
 def _block_patterns(signed, k):
@@ -841,21 +980,13 @@ def _pattern_coset(n, classes, minus):
                       tuple(half if c in minus else Fraction(0) for c in range(n)))
 
 
-def _local_group(coords, signed):
-    """All elements of ``W(B(coords))``, or of ``S(coords)`` when not
-    ``signed``, as the images (1-based) and signs of ``coords``."""
-    k = len(coords)
-    signs = list(product((1, -1), repeat=k)) if signed else [(1,) * k]
-    return [(tuple(coords[j] + 1 for j in p), s)
-            for p in permutations(range(k)) for s in signs]
-
-
 def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
     """The stabilizer of a generic point whose ``classes`` are uniform
     and whose other coordinates are 1 or -1: the symmetric group of each
     class times the hyperoctahedral group of each tuple in ``fixed``
-    (the 1 or the -1 coordinates of one block), with the pieces
-    :func:`recognize_subgroup` gives it."""
+    (the 1 or the -1 coordinates of one block), as the direct product
+    of the pieces :func:`recognize_subgroup` gives it: its elements are
+    listed only when they are read."""
     factors = [(tuple(c for c, _ in cls), False) for cls in classes if len(cls) > 1]
     factors += [(fix, True) for fix in fixed if fix]
     pieces = sorted((("B" if sign else "A", fix) for fix, sign in factors if len(fix) > 1),
@@ -865,16 +996,7 @@ def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
         # the sorted flip vectors of the diagonal sign group are greedily
         # independent exactly along the prefixes of its coordinates
         pieces.append(("E2", tuple(tuple(diag[:i + 1]) for i in range(len(diag)))))
-    pairs = []
-    for maps in product(*(_local_group(fix, sign) for fix, sign in factors)):
-        images, signs = list(range(1, n + 1)), [1] * n
-        for (fix, _), (ims, sgs) in zip(factors, maps):
-            for c, d, s in zip(fix, ims, sgs):
-                images[c], signs[c] = d, s
-        pairs.append((tuple(images), tuple(signs)))
-    pairs.sort()
-    elements = tuple(SignedPermutation.from_valid(*pair) for pair in pairs)
-    return RecognizedSubgroup(elements, tuple(pieces))
+    return RecognizedSubgroup(n, tuple(pieces))
 
 
 @lru_cache(maxsize=None)
@@ -988,15 +1110,19 @@ def strata(action: MonomialAction):
     groups over the coordinate blocks its generators move (every action
     ``abps`` builds, ``hyperoctahedral_action``, ``permutation_action``,
     ``trivial_action``) is stratified from coordinate patterns, with no
-    fixed locus, intersection or stabilizer scan; only the order of the
-    group is read, to tell the full product apart.  Any other action
+    fixed locus, intersection or stabilizer scan; when its generators
+    are transpositions and single flips, as for all of those, no element
+    of the group is listed either.  Any other action
     (``even_sign_action``, coupled sign groups) goes through the closure
     of its fixed loci under intersection.  Both give the same strata.
 
     Pattern strata are memoised per rank and coordinate blocks for the
     life of the process, so equal product actions share one set of
-    frozen strata and their stabilizer elements stay resident (132,573
-    elements for W(B6)); every call returns a fresh list.
+    frozen strata; every call returns a fresh list.  Their stabilizers
+    keep only their pieces and list their elements on first read, so
+    the memo holds no element until then.  The 75 strata of W(B6) take
+    about 0.005 s in a fresh process (2-CPU VM, Python 3.11); listing
+    their 132,573 stabilizer elements takes about 0.6 s.
     """
     if action.rank > MAX_RANK:
         raise ValueError(f"stratification limited to rank {MAX_RANK}")

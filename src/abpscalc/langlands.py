@@ -160,7 +160,7 @@ class WFLine:
 
     def dual(self) -> "WFLine":
         if self.base.selfdual == "none":
-            raise TypeMismatch(f"no declared dual for {self.base.name}")
+            raise TypeMismatch(f"no declared dual for {self.name}")
         return WFLine(self.base, self.twist.inverse())
 
     @property

@@ -37,7 +37,7 @@ from abpscalc.abps import (
 )
 from abpscalc.combicore import Bipartition, Partition
 from abpscalc import extquot
-from abpscalc.extquot import ONE, act, q_power
+from abpscalc.extquot import ONE, SymbolicTorusPoint, act, q_power
 from abpscalc.langlands import (
     DimensionMismatch,
     FormalParameter,
@@ -354,6 +354,21 @@ class TestCocharacters:
         assert {str(p) for p, _ in classes} == {"(1,1,1,1)", "(2,2)", "(3,1)"}
 
 
+def orbit_classes(md):
+    """The correcting cocharacters one per orbit of the point ``(q^{c_i/2})``,
+    each orbit enumerated over the group's elements: the oracle of the
+    normal form of :func:`correcting_cocharacters`."""
+    out, seen, orbits = [], set(), {}
+    for e in md.entries:
+        if e.cochar not in orbits:
+            point = SymbolicTorusPoint(tuple(q_power(c) for c in e.cochar))
+            orbits[e.cochar] = frozenset(act(w, point) for w in md.inertial.action.elements)
+        if orbits[e.cochar] not in seen:
+            seen.add(orbits[e.cochar])
+            out.append((e.component, e.cochar))
+    return out
+
+
 class TestFreeAction:
     CAT = parse_catalogue(
         """
@@ -431,6 +446,12 @@ def _answering_triple(family, size, names, core, catalogue):
 def _triple_id(spec):
     family, size, names = spec[:3]
     return f"{family}{size}({','.join(names)})"
+
+
+@pytest.mark.parametrize("spec", ANSWERING, ids=_triple_id)
+def test_cocharacter_normal_form_is_the_orbit(spec):
+    G, j = _answering_triple(*spec)
+    assert correcting_cocharacters(G, j) == orbit_classes(mu(G, j))
 
 
 class TestOneCentralizerPerParameter:

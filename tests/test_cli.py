@@ -363,6 +363,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("group, expr, named", [
         ("Sp4", "mu + mu + 1*S[3]", "mu"),
         ("SO5", "mu + mu + 1*S[2]", "mu"),
+        # the refused line, not its class
+        ("Sp4", "x*mu + x^-1*mu + 1*S[3]", "for x*mu"),
+        ("SO5", "x*mu + x^-1*mu + 1*S[2]", "for x*mu"),
         ("Sp4", "x*zeta*S[2] + 1*S[3]", "x*zeta"),
         ("SO5", "x*zeta*S[2] + 1*S[2]", "x*zeta"),
     ])

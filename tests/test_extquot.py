@@ -3,9 +3,11 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from abpscalc.extquot import (
     GeoEQFamily,
     MonomialAction,
     RankMismatch,
+    RecognizedSubgroup,
     SymbolicCoordinate,
     _canonical_coset,
     _closure_strata,
@@ -156,6 +159,21 @@ def generated(gens):
     return out
 
 
+@pytest.fixture
+def listed(monkeypatch):
+    """The ``(images, signs)`` of every ``SignedPermutation.from_valid``
+    call while the test runs: every group element listed."""
+    calls = []
+    real = SignedPermutation.from_valid.__func__
+
+    def counted(cls, images, signs):
+        calls.append((images, signs))
+        return real(cls, images, signs)
+
+    monkeypatch.setattr(SignedPermutation, "from_valid", classmethod(counted))
+    return calls
+
+
 # the sign flips of an even number of coordinates of a rank-3 torus
 KLEIN_FOUR = MonomialAction(3, [sign_flip(3, (1, 2)), sign_flip(3, (0, 2))])
 
@@ -247,14 +265,25 @@ def points_on(draw, c):
     return draw(presented(values))
 
 
+def reflection_generators(n):
+    """The identity, the flip of each coordinate and the transposition
+    (signs +1) of each pair of coordinates of rank ``n``: the generators
+    whose group is the full product over its coordinate blocks."""
+    return ([SignedPermutation.identity(n)] + [sign_flip(n, (i,)) for i in range(n)]
+            + [transposition(n, i, j) for i, j in combinations(range(n), 2)])
+
+
 @st.composite
 def element_lists(draw):
-    """Lists of elements of B2 or B3: random subsets, subgroups generated
-    by two elements, and such subgroups with one element put in or taken
-    out."""
+    """Lists of elements of B2 or B3: random subsets, lists of
+    transpositions and single flips, subgroups generated by two
+    elements, and such subgroups with one element put in or taken out."""
     pool = draw(st.sampled_from([B2.elements, B3.elements]))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["subset", "reflections", "subgroup"]))
+    if kind == "subset":
         return draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    if kind == "reflections":
+        return draw(st.lists(st.sampled_from(reflection_generators(pool[0].rank)), min_size=1))
     group = generated([draw(st.sampled_from(pool)), draw(st.sampled_from(pool))])
     if draw(st.booleans()):
         group ^= {draw(st.sampled_from(pool))}
@@ -555,6 +584,38 @@ class TestClosureCheck:
         assert action.elements == tuple(sorted(generated(gens), key=lambda w: (w.images, w.signs)))
         assert closed_by_brute_force(action.elements)
         assert action.generators == tuple(gens)
+        assert action.order == len(action.elements)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(reflection_generators(n))))))
+    def test_reflection_generators_give_their_blocks(self, case):
+        # the order comes from the blocks, and the elements listed from
+        # them on first use are the breadth-first closure
+        n, gens = case
+        action = MonomialAction(n, gens)
+        want = generated(gens or [action.identity()])
+        assert action.blocks is not None and action.order == len(want)
+        assert action.elements == tuple(sorted(want, key=lambda w: (w.images, w.signs)))
+        # with an element of most signs added, the group is the same; when
+        # that element is no such generator, the group is listed and its
+        # order confirms the same blocks
+        extended = MonomialAction(n, gens + [max(want, key=lambda w: (w.signs.count(-1), w.images))])
+        assert extended == action and hash(extended) == hash(action)
+        assert _product_blocks(extended) == action.blocks
+
+    def test_product_orders_list_no_element(self, listed):
+        b8 = hyperoctahedral_action(8)
+        G = PadicGroup("Sp", 16)
+        inertial = _inertial_action(inertial_triple(G, (line("zeta"),) * 5 + (line("eta"),) * 3))
+        assert b8.order == 2 ** 8 * factorial(8)
+        assert inertial.order == 2 ** 5 * factorial(5) * 2 ** 3 * factorial(3)
+        assert _product_blocks(b8) == ((True, tuple(range(8))),)
+        assert _product_blocks(inertial) == ((True, (0, 1, 2, 3, 4)), (True, (5, 6, 7)))
+        reordered = MonomialAction(8, reversed(b8.generators))
+        assert b8 == reordered and hash(b8) == hash(reordered)
+        assert b8 != inertial
+        assert listed == []
 
     def test_rejects_a_generator_of_another_rank(self):
         with pytest.raises(ValueError):
@@ -891,6 +952,52 @@ def test_patterns_agree_with_the_closure(name, action):
     got, want = strata(action), _closure_strata(action)
     assert [(s.coset, s.base, s.group.elements, s.group.pieces) for s in got] == \
         [(s.coset, s.base, s.group.elements, s.group.pieces) for s in want]
+
+
+@dataclass(frozen=True)
+class DataclassSubgroup:
+    """The frozen dataclass of ``elements`` and ``pieces`` that
+    :class:`RecognizedSubgroup` was, named as it: the oracle of its
+    ``repr``, which the benchmark's digests pin."""
+
+    elements: tuple
+    pieces: tuple
+
+
+DataclassSubgroup.__qualname__ = "RecognizedSubgroup"
+
+
+@pytest.mark.parametrize("name, action", PATTERN_ACTIONS, ids=[n for n, _ in PATTERN_ACTIONS])
+def test_pattern_groups_are_their_stabilizers(name, action):
+    # each pattern stabilizer, listed from its pieces, is the stabilizer
+    # scan of its base, with the same order, equality, hash and repr
+    for st in strata(action):
+        H, scanned = st.group, stabilizer(action, st.base)
+        assert H.order == scanned.order == len(scanned.elements)
+        assert H == scanned and hash(H) == hash(scanned)
+        assert (H.elements, H.pieces) == (scanned.elements, scanned.pieces)
+        assert repr(H) == repr(DataclassSubgroup(scanned.elements, scanned.pieces))
+
+
+def test_pattern_strata_list_no_element(listed):
+    extquot._pattern_strata.cache_clear()
+    action = hyperoctahedral_action(5)
+    sts = strata(action)
+    assert len(sts) == 45 and max(st.group.order for st in sts) == action.order
+    assert len(spectral_eq(action)) > 0 and listed == []
+
+
+def test_subgroups_given_by_pieces_are_their_products():
+    # an E2 piece is the group its flips generate, here the even flips
+    klein = RecognizedSubgroup(3, (("E2", ((2, 3), (1, 3))),))
+    assert klein.order == 4 and klein.elements == KLEIN_FOUR.elements
+    mixed = RecognizedSubgroup(4, (("A", (0, 2)), ("E2", ((2, 4), (4,)))))
+    want = product_action(4, [((0, 2), False), ((1,), True), ((3,), True)])
+    assert mixed.order == 8 and mixed.elements == want.elements
+    # equal pieces on another rank make another group
+    assert RecognizedSubgroup(2, ()) != RecognizedSubgroup(3, ())
+    assert recognize_subgroup(want.elements, 4).pieces == \
+        (("A", (0, 2)), ("E2", ((2,), (2, 4))))
 
 
 def assert_point_families_follow_the_connected_hyperplane_rule(st):

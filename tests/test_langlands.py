@@ -872,15 +872,24 @@ SO5 = PadicGroup("SO", 5)
 def _refused(G):
     """``(line, parameter)`` pairs of Sp4 or SO5 whose line fails the
     type check, the rest of each parameter being of the dual group's
-    type: a line of a ``selfdual=none`` class, and ``zeta*x`` without
-    ``zeta*x^-1``."""
+    type: a line of a ``selfdual=none`` class, untwisted and twisted by
+    ``x``, and ``zeta*x`` without ``zeta*x^-1``."""
     rest = (ONEL, 3) if G.dual_kind == "SO" else (ONEL, 2)
     unpaired = ZETA.twisted(CHI)
+    twisted = MU.twisted(CHI)
     return [(MU, parameter((MU, 1), (MU, 1), rest)),
-            (unpaired, parameter((unpaired, 2), rest))]
+            (unpaired, parameter((unpaired, 2), rest)),
+            (twisted, parameter((twisted, 1), (twisted, 1), rest))]
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["none-line", "unpaired-twist"])
+def test_dual_refusal_names_the_line_not_its_class():
+    # the twisted line x*mu, not its selfdual=none class mu
+    with pytest.raises(TypeMismatch, match=r"^no declared dual for x\*mu$"):
+        MU.twisted(CHI).dual()
+
+
+@pytest.mark.parametrize("which", [0, 1, 2],
+                         ids=["none-line", "unpaired-twist", "twisted-none-line"])
 @pytest.mark.parametrize("G", [SP4, SO5], ids=str)
 def test_type_refusals_name_the_line(G, which):
     l, phi = _refused(G)[which]
