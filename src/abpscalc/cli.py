@@ -90,16 +90,21 @@ _VAR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_']*)(?:\^(-?\d+))?$")
 
 def parse_parameter(text, catalogue=None) -> FormalParameter:
     """Parse a sum of ``char*S[a]*q^{h}*var`` terms; an omitted ``S``
-    factor means ``S[1]`` and parentheses distribute."""
+    factor means ``S[1]`` and parentheses distribute.  A term has at most
+    one ``S`` factor, of dimension ``a >= 1``."""
     catalogue = catalogue or DEFAULT_CATALOGUE
     summands = []
     for pos, term in enumerate(_expand(text.replace(" ", ""))):
         if not term:
             raise ExpressionError(f"empty term at position {pos}")
-        a, twist, base = 1, ONE, None
+        a, twist, base = None, ONE, None
         for factor in term.split("*"):
             if (m := _S_RE.match(factor)):
+                if a is not None:
+                    raise ExpressionError(f"two S factors in term {pos}: {term}")
                 a = int(m.group(1))
+                if not a:
+                    raise ExpressionError(f"S[0] in term {pos}: {term}")
                 continue
             if (m := _Q_RE.match(factor)):
                 half, whole = m.groups()
@@ -123,7 +128,7 @@ def parse_parameter(text, catalogue=None) -> FormalParameter:
                 raise ExpressionError(f"bad factor {factor!r} in term {pos}")
             name, power = m.groups()
             twist = twist * free(name) ** int(power or 1)
-        summands.append((line(base or "1", twist, catalogue), a))
+        summands.append((line(base or "1", twist, catalogue), a or 1))
     return FormalParameter(tuple(summands))
 
 

@@ -392,8 +392,8 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     :func:`is_discrete` included, looks it up here, so the calls made
     for one parameter compute it once.  The centralizer carries the
     unipotent class of the parameter and its Springer reader
-    (``CentralizerData.springer``: symbols, component groups, characters
-    and reads of the class, shared by every centralizer of the same
+    (``CentralizerData.springer``: the component groups, characters and
+    reads of the class, shared by every centralizer of the same
     group and class), each looked up on first use, so those calls also
     read the class once.  The result is frozen and shared between
     callers; a refused input is not stored."""

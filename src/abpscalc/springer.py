@@ -133,13 +133,20 @@ class UnipotentClass:
         return "x".join(bits)
 
 
+@lru_cache
 def _factor_partitions(factor: GroupFactor):
     """The partitions of one factor's unipotent classes, with their tags:
     parts of the other parity than the markable ones (odd for ``Sp``,
-    even for ``SO`` and ``O``) have even multiplicity."""
+    even for ``SO`` and ``O``) have even multiplicity.
+
+    Memoised by value on ``factor``, with the default 128 entries, for
+    the life of the process, so that the classes of a product share
+    their factors' partitions: a cold ``matching`` benchmark pass looks
+    up 12 factors 93 times, and the ``params`` pass at seed 1 looks up
+    43 factors 54 times.  The tuple is shared between callers."""
     raw = _partition_tuples(factor.n, factor.n)
     if factor.kind == "GL":
-        return [(Partition(p), "") for p in raw]
+        return tuple((Partition(p), "") for p in raw)
     paired = 1 if factor.kind == "Sp" else 0
     out = []
     for p in raw:
@@ -151,7 +158,7 @@ def _factor_partitions(factor: GroupFactor):
             out.append((lam, "II"))
         else:
             out.append((lam, ""))
-    return out
+    return tuple(out)
 
 
 def unipotent_classes(group: ComplexGroup):
@@ -363,6 +370,44 @@ def _factor_block_and_label(kind: str, top, bottom, tag: str):
             return 0, 0, DLabel(alpha, beta, primed=alpha == beta and tag == "II")
         return abs(D), 0, Bipartition(alpha, beta)
     return abs(D), (D > 0) - (D < 0), Bipartition(alpha, beta)
+
+
+@lru_cache
+def _class_reads(kind: str, lam: Partition, tag: str) -> dict:
+    """The class table of the class ``lam`` (with its I/II ``tag``, which
+    only an ``SO`` factor reads) of one classical factor of kind
+    ``kind``: each marking of its markable part values, a sign vector in
+    the order of :meth:`ComponentGroup.characters` of the one-factor
+    group, mapped to its read ``(d, sign, label)``.  A marking moves the
+    interval of each part value it marks (a ``-1``) to the other row of
+    the symbol (:func:`_symbol`), and :func:`_factor_block_and_label`
+    reads the marked rows.  A ``GL`` factor reads its conjugate
+    partition whatever the character.
+
+    Memoised by value on ``(kind, lam, tag)``, with the default 128
+    entries, for the life of the process.  Product tables and class
+    readers read their factors here: a cold ``matching`` benchmark pass
+    looks up 24 factor classes 187 times, and the ``params`` pass at
+    seed 1 looks up 56 factor classes 1,460 times, so every miss is a
+    first lookup.  A one-factor table reads through ``__wrapped__`` and
+    stores nothing: no table repeats a class, and its hundreds of
+    classes would evict the shared ones.  The result is shared between
+    callers and must not be mutated."""
+    if kind == "GL":
+        return {(): (0, 0, lam.conjugate())}
+    top, bottom, intervals = _symbol(kind, lam)
+    markings = iproduct((1, -1), repeat=len(intervals))
+    if kind == "SO" and intervals:
+        markings = (m for m in markings if m[-1] == 1)
+    reads = {}
+    for marks in markings:
+        t, b = top, bottom
+        if -1 in marks:
+            moved = set().union(*(run for run, val in zip(intervals.values(), marks)
+                                  if val == -1))
+            t, b = moved.symmetric_difference(top), moved.symmetric_difference(bottom)
+        reads[marks] = _factor_block_and_label(kind, t, b, tag)
+    return reads
 
 
 @lru_cache
@@ -591,7 +636,7 @@ def relative_weyl_group(triple: CuspidalTriple) -> RelativeWeylGroup:
 
 def _canonical_signs(group: ComplexGroup, signs):
     """Normalize determinant-coupled sign vectors modulo the global
-    flip, by the rule of :class:`ClassReader`: when the first
+    flip, by the rule of :func:`_class_rows`: when the first
     nonzero sign is negative, negate them all.  Only ``O`` factors carry
     a nonzero sign, so this negates theirs, as :func:`_flip` does."""
     if group.det1 and next((s for s in signs if s), 0) < 0:
@@ -608,6 +653,36 @@ def enumerate_pairs(group: ComplexGroup):
     return out
 
 
+def _class_rows(group: ComplexGroup, u: UnipotentClass, reads=_class_reads):
+    """The rows of the class ``u`` of ``group``: ``(ds, signs, labels)``
+    of each character of its component group, in the order of
+    :meth:`ComponentGroup.characters`.
+
+    The correspondence of a product is the product of its factors'
+    correspondences, so the rows are the product of the class tables
+    ``reads(kind, partition, tag)`` of its factors (:func:`_class_reads`).
+    The characters run through the same product: their generators run
+    through the factors in order, and each constraint class lies in one
+    table, that of its ``SO`` factor, or for the determinant-one class
+    that of the last ``O`` factor with a generator, whose markings are
+    kept only where they end in ``+1``.  When the first ``O`` factor of
+    nonzero sign reads negative, the flip (:func:`_flip`) acts on the
+    ``O`` reads of the character; only ``O`` factors read a nonzero
+    sign, so the flip leaves the signs canonical."""
+    tables = [reads(f.kind, lam, tag if f.kind == "SO" else "")
+              for f, lam, tag in zip(group.factors, u.partitions, u.tags)]
+    orth = [f.kind == "O" for f in group.factors] if group.det1 else []
+    # a table's markings have one value per generator of its factor
+    last = max((i for i, (o, t) in enumerate(zip(orth, tables)) if o and len(next(iter(t)))),
+               default=None)
+    if last is not None:
+        tables[last] = {m: r for m, r in tables[last].items() if m[-1] == 1}
+    for combo in iproduct(*(t.values() for t in tables)):
+        if orth and next((s for _, s, _ in combo if s), 0) < 0:
+            combo = [_flip(r) if o else r for o, r in zip(orth, combo)]
+        yield tuple(zip(*combo)) if combo else ((), (), ())
+
+
 class ClassReader:
     """The generalized Springer correspondence on the pairs of one
     unipotent class ``u`` of ``group``: the class's slice of the table.
@@ -616,59 +691,31 @@ class ClassReader:
     the order of :meth:`ComponentGroup.characters`) and, built on first
     use, ``rows`` and ``connected_component_group``, the component group
     of ``u`` in the identity component of ``group``
-    (:func:`identity_component`).  Each classical factor reads a
-    character off the marked symbol of its partition (:func:`_symbol`,
-    :func:`_factor_block_and_label`), a ``GL`` factor reads the
-    conjugate partition, and the determinant-one flip (:func:`_flip`)
-    acts on the reads.  :func:`class_reader` shares one reader per class
-    between its callers."""
+    (:func:`identity_component`).  The rows are the product of the
+    memoised class tables of its factors (:func:`_class_rows`,
+    :func:`_class_reads`), so readers of classes that share a factor
+    class share its reads.  :func:`class_reader` shares one reader per
+    class between its callers."""
 
     def __init__(self, group: ComplexGroup, u: UnipotentClass):
         self.group, self.u = group, u
         self.component_group = component_group(group, u)
         self.characters = tuple(self.component_group.characters())
-        # per factor, the memoised symbol of its partition, or for GL
-        # its read, the conjugate partition, whatever the character
-        self._factors = [(f.kind, tag, (0, 0, lam.conjugate()) if f.kind == "GL"
-                          else _symbol(f.kind, lam))
-                         for f, lam, tag in zip(group.factors, u.partitions, u.tags)]
-        self._triples = {}
 
     @cached_property
     def rows(self) -> dict:
         """The class's slice of the table: the values of each character
-        mapped to its ``(triple, labels)``, every character read once,
-        with one :class:`CuspidalTriple` per block of the class.  Built
-        on first use: a caller that only lists the characters, such as
+        mapped to its ``(triple, labels)``, with one
+        :class:`CuspidalTriple` per block of the class.  Built on first
+        use: a caller that only lists the characters, such as
         ``langlands.enhancements``, reads nothing."""
-        return {ch.values: self._read(ch.values) for ch in self.characters}
-
-    def _read(self, values):
-        """``(triple, labels)`` of the sign vector ``values`` on the
-        generators of ``u``, which run through the classical factors in
-        order, one per interval of each symbol."""
-        group, pos, reads = self.group, 0, []
-        for kind, tag, s in self._factors:
-            if kind == "GL":
-                reads.append(s)
-                continue
-            top, bottom, intervals = s
-            own = values[pos:pos + len(intervals)]
-            pos += len(intervals)
-            if -1 in own:
-                moved = set().union(*(run for run, val in zip(intervals.values(), own)
-                                      if val == -1))
-                top, bottom = moved.symmetric_difference(top), moved.symmetric_difference(bottom)
-            reads.append(_factor_block_and_label(kind, top, bottom, tag))
-        # only O factors read a nonzero sign, so the flip leaves the signs
-        # canonical
-        if group.det1 and next((s for _, s, _ in reads if s), 0) < 0:
-            reads = [_flip(r) if f.kind == "O" else r for f, r in zip(group.factors, reads)]
-        ds, signs, labels = zip(*reads) if reads else ((), (), ())
-        triple = self._triples.get((ds, signs))
-        if triple is None:
-            triple = self._triples[ds, signs] = CuspidalTriple(group, ds, signs)
-        return triple, labels
+        triples, rows = {}, {}
+        for ch, (ds, signs, labels) in zip(self.characters, _class_rows(self.group, self.u)):
+            triple = triples.get((ds, signs))
+            if triple is None:
+                triple = triples[ds, signs] = CuspidalTriple(self.group, ds, signs)
+            rows[ch.values] = triple, labels
+        return rows
 
     @cached_property
     def connected_component_group(self) -> ComponentGroup:
@@ -706,10 +753,13 @@ def class_reader(group: ComplexGroup, u: UnipotentClass) -> ClassReader:
     ``(group, u)``, with 512 entries, for the life of the process: the
     ``params`` benchmark pass at seed 1 looks up 2,015 classes of 514
     distinct pairs, and at 512 entries every miss is a first lookup, a
-    hit ratio of 0.745 (0.445 at 128 entries, 0.650 at 256).
-    :func:`springer_blocks` keeps building its own readers: its tables
-    are memoised already, and its one-off classes would evict the
-    parameters' ones."""
+    hit ratio of 0.745 (0.445 at 128 entries, 0.650 at 256).  A
+    reader's rows are the product of its factors' class tables, shared
+    through :func:`_class_reads` by every reader and product table with
+    the same factor class: in that pass the 514 readers look up 56
+    factor classes.  :func:`springer_blocks` builds no reader: its
+    tables are memoised already, and its one-off classes would evict
+    the parameters' ones."""
     return ClassReader(group, u)
 
 
@@ -721,9 +771,10 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
 
     The correspondence of a product is the product of the
     correspondences of its factors, so each classical factor reads its
-    pair alone, off the memoised symbol of its class: every marked part
-    value (a ``-1`` of ``char``) moves its interval to the other row,
-    the defect of the marked symbol gives the core size and, for ``O``
+    pair alone, in the memoised class table of its class
+    (:func:`_class_reads`): every marked part value (a ``-1`` of
+    ``char``) moves its interval to the other row of the symbol, the
+    defect of the marked symbol gives the core size and, for ``O``
     factors, the lifting sign, and the rows less a staircase give the
     label.  The one coupling is a joint determinant condition: when
     the first ``O`` factor of nonzero sign reads negative, the global
@@ -742,14 +793,42 @@ def generalized_springer(group: ComplexGroup, u: UnipotentClass, char: SignChara
 @lru_cache(maxsize=None)
 def springer_blocks(group: ComplexGroup):
     """The full correspondence: maps each block (cuspidal triple) to the
-    list of its pairs with their labels, grouped from the rows of one
-    fresh :class:`ClassReader` per unipotent class.  Raises if any block
-    fails to biject with the characters of its relative Weyl group."""
-    blocks = {}
+    list of its pairs ``(u, char, labels)``, classes in the order of
+    :func:`unipotent_classes`, characters in that of
+    :meth:`ComponentGroup.characters`, blocks in the order first seen.
+    Raises if any block fails to biject with the characters of its
+    relative Weyl group.
+
+    Each class's rows are the product of its factors' class tables
+    (:func:`_class_rows`).  A product reads them in the memo
+    :func:`_class_reads`, so its factors' classes are read once for the
+    process, whatever the product; a one-factor table reads them afresh
+    and stores nothing.  Without a determinant-one condition the blocks
+    and relative Weyl groups of a product are the products of its
+    factors', so its bijectivity check is the memoised check of each
+    factor's own table; a determinant-one group checks the whole table.
+    A cold ``matching`` benchmark pass builds 37 tables of 193 pairs;
+    its 10 products without ``det1`` look their factors' tables up 23
+    times, and build two more (``GL1`` and ``Sp2``)."""
+    one = len(group.factors) == 1
+    reads = _class_reads.__wrapped__ if one else _class_reads
+    if not (one or group.det1):
+        for f in group.factors:
+            springer_blocks(ComplexGroup((f,)))
+    rows = {}
     for u in unipotent_classes(group):
-        reader = ClassReader(group, u)
-        for ch, (triple, labels) in zip(reader.characters, reader.rows.values()):
-            blocks.setdefault(triple, []).append((u, ch, labels))
+        chars = component_group(group, u).characters()
+        for ch, (ds, signs, labels) in zip(chars, _class_rows(group, u, reads)):
+            rows.setdefault((ds, signs), []).append((u, ch, labels))
+    blocks = {CuspidalTriple(group, ds, signs): r for (ds, signs), r in rows.items()}
+    if one or group.det1:
+        _check_blocks(group, blocks)
+    return blocks
+
+
+def _check_blocks(group: ComplexGroup, blocks: dict):
+    """Raise unless each block's labels biject with the characters of
+    its relative Weyl group."""
     for triple, rows in blocks.items():
         W = relative_weyl_group(triple)
         got = [lab for _, _, lab in rows]
@@ -768,7 +847,6 @@ def springer_blocks(group: ComplexGroup):
                 f"labels in excess {_label_list(got - want)}, "
                 f"missing {_label_list(want - got)}"
             )
-    return blocks
 
 
 def _label_list(labels: Counter) -> str:

@@ -42,11 +42,12 @@ def signed_matrix(w):
 
 def _clear_springer_memos():
     """Empty every memo that holds a read of the correspondence, so that
-    the patched label is neither bypassed nor kept past the test: a
-    shared Springer reader holds its class's rows, and a memoised
-    centralizer carries the shared reader of its class, which the class
-    memo keeps too."""
-    for memo in (springer._symbol, springer.springer_blocks,
+    the patched label is neither bypassed nor kept past the test: the
+    class-read memo holds the reads of each factor class, a shared
+    Springer reader holds its class's rows, and a memoised centralizer
+    carries the shared reader of its class, which the class memo keeps
+    too."""
+    for memo in (springer._symbol, springer._class_reads, springer.springer_blocks,
                  springer.class_reader, langlands.centralizer_restriction):
         memo.cache_clear()
 

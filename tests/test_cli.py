@@ -68,6 +68,20 @@ class TestParser:
         with pytest.raises(cli.ExpressionError):
             cli.parse_parameter(bad)
 
+    @pytest.mark.parametrize("text, term", [
+        ("S[5]*S[1]", "S[5]*S[1]"),
+        ("S[3]*zeta*S[2]", "S[3]*zeta*S[2]"),
+        ("1 + (S[2]+S[3])*S[2]", "S[2]*S[2]"),
+        ("S[0]+S[5]", "S[0]"),
+        ("zeta*S[0]*x", "zeta*S[0]*x"),
+    ])
+    def test_term_with_two_or_a_zero_s_factor_is_refused(self, text, term):
+        # a term is one line times one S[a] with a >= 1: a second S factor
+        # was dropped and S[0] gave a parameter unequal to the one without
+        with pytest.raises(cli.ExpressionError) as exc:
+            cli.parse_parameter(text)
+        assert str(exc.value).endswith(": " + term)
+
 
 class TestParamCommand:
     def test_example_record(self, capsys):
@@ -345,6 +359,13 @@ class TestExitCodes:
     def test_syntax_error_is_1(self, capsys):
         assert cli.run(["param", "--group", "Sp4", "--expr", "zeta*("]) == 1
         assert "ExpressionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["S[5]*S[1]", "S[3]*zeta*S[2]", "S[0]+S[5]"])
+    def test_refused_s_factor_is_1(self, expr, capsys):
+        assert cli.run(["param", "--group", "Sp4", "--expr", expr]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ExpressionError: ") and "Traceback" not in captured.err
 
     def test_dimension_error_is_1(self, capsys):
         assert cli.run(["param", "--group", "Sp4", "--expr", "zeta"]) == 1

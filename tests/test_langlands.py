@@ -625,21 +625,29 @@ class TestSegmentMemo:
 
 def test_cuspidal_support_builds_each_symbol_once():
     # a change that rebuilt the symbols of a class for every pair would
-    # miss the symbol memo once per enhancement, not once per class
-    springer._symbol.cache_clear()
-    met = set()
+    # miss the symbol memo once per enhancement, not once per class; the
+    # symbols are read through the class-read memo and the shared
+    # readers, so those start empty too
+    for memo in (springer._symbol, springer._class_reads, springer.class_reader,
+                 centralizer_restriction):
+        memo.cache_clear()
+    met, tables = set(), set()
     rng = random.Random(20261019)
     for family, size in (("Sp", 6), ("SO", 7), ("SO", 8)):
         G = PadicGroup(family, size)
         for _ in range(15):
             phi = validate(G, random_parameter(rng, G))
             data, chars = enhancements(G, phi)
-            met |= {(f.kind, lam) for f, lam in zip(data.group.factors, data.unipotent.partitions)
+            u = data.unipotent
+            tables |= {(f.kind, lam, tag if f.kind == "SO" else "")
+                       for f, lam, tag in zip(data.group.factors, u.partitions, u.tags)}
+            met |= {(f.kind, lam) for f, lam in zip(data.group.factors, u.partitions)
                     if f.kind != "GL"}
             for ch in chars:
                 cuspidal_support(G, phi, ch)
     assert len(met) < springer._symbol.cache_info().maxsize
     assert 0 < springer._symbol.cache_info().misses <= len(met)
+    assert 0 < springer._class_reads.cache_info().misses <= len(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +745,17 @@ class TestSharedClassReader:
         assert springer.class_reader.cache_info().maxsize == 512
 
     def test_springer_blocks_builds_its_own_readers(self, class_reader_calls):
+        # a table reads no shared reader; a product with no determinant
+        # condition also looks up the one-factor table of each factor,
+        # whose bijectivity check stands for its own
         springer.springer_blocks.cache_clear()
         groups = {centralizer_restriction(G, phi).group for G, phi in _seeded_parameters()}
         for group in groups:
             springer.springer_blocks(group)
-        assert springer.springer_blocks.cache_info().misses == len(groups)
+        factors = {ComplexGroup((f,)) for g in groups if len(g.factors) > 1 and not g.det1
+                   for f in g.factors}
+        assert factors - groups
+        assert springer.springer_blocks.cache_info().misses == len(groups | factors)
         assert class_reader_calls == []
 
 

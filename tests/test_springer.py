@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -556,7 +557,8 @@ def whole_class_correspond(group, u, char):
 
 
 def _clear_read_memos():
-    for memo in (springer._symbol, springer.class_reader, springer_blocks):
+    for memo in (springer._symbol, springer._class_reads, springer.class_reader,
+                 springer_blocks):
         memo.cache_clear()
 
 
@@ -652,34 +654,69 @@ class TestClassTable:
         AGREEMENT_GROUPS + FLIP_GROUPS
         + [group_product(F("Sp", 2), F("O", 4), F("O", 4), det1=True)])), ids=str)
     def test_reader_reads_each_pair_once(self, g, monkeypatch):
-        # a reader's table reads every (character, classical factor)
-        # once, the flip acting on the reads already made (it fires on
-        # the agreement groups, test_agreement_groups_cover_the_flip_...);
-        # making the reader reads nothing, and reading its pairs again
-        # reads nothing more
+        # a reader's rows are the product of its factors' class tables:
+        # once the class-read memo is cleared, each distinct (factor
+        # class, marking) is read at most once over all the classes of
+        # g, the flip acting on the reads already made (it fires on the
+        # agreement groups, test_agreement_groups_cover_the_flip_...);
+        # making a reader reads nothing, and reading its pairs again
+        # reads nothing more.  The same factors in the other order share
+        # every factor class, so their readers read nothing at all
+        _clear_read_memos()
         calls = []
         real = springer._factor_block_and_label
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(kind, top, bottom, tag):
+            calls.append((kind, tuple(sorted(top)), tuple(sorted(bottom)), tag))
+            return real(kind, top, bottom, tag)
 
         monkeypatch.setattr(springer, "_factor_block_and_label", counted)
-        classical = sum(f.kind != "GL" for f in g.factors)
+        factor_classes = set()
         for u in unipotent_classes(g):
-            del calls[:]
+            factor_classes |= {(f.kind, lam, tag if f.kind == "SO" else "")
+                               for f, lam, tag in zip(g.factors, u.partitions, u.tags)
+                               if f.kind != "GL"}
+            before = len(calls)
             reader = springer.ClassReader(g, u)
-            assert calls == []
+            assert len(calls) == before
             rows = {ch: reader.read(ch) for ch in reader.characters}
-            assert len(calls) == len(reader.characters) * classical, str(u)
-            del calls[:]
+            read = len(calls)
             assert {ch: reader.read(ch) for ch in reader.characters} == rows
-            assert calls == []
+            assert len(calls) == read
             for ch, row in rows.items():
                 assert row == whole_class_correspond(g, u, ch)[0], (str(u), str(ch))
             # one triple object per block of the class
             triples = [triple for triple, _ in reader.rows.values()]
             assert len({id(t) for t in triples}) == len(set(triples))
+        assert len(set(calls)) == len(calls)
+        # an SO class's markings end in +1
+        markings = 0
+        for kind, lam, _ in factor_classes:
+            k = len(springer._symbol(kind, lam).intervals)
+            markings += 2 ** (k - 1 if kind == "SO" and k else k)
+        assert 0 < len(calls) <= markings
+        del calls[:]
+        twin = group_product(*reversed(g.factors), det1=g.det1)
+        for u in unipotent_classes(twin):
+            reader = springer.ClassReader(twin, u)
+            for ch in reader.characters:
+                assert reader.read(ch) == whole_class_correspond(twin, u, ch)[0]
+        assert calls == []
+
+    def test_only_products_and_readers_store_class_reads(self):
+        # a one-factor table repeats none of its classes, so it reads them
+        # without storing; a product stores its factors' class tables,
+        # and a second product with the same factors reads none again
+        _clear_read_memos()
+        springer_blocks(Sp(8))
+        springer_blocks(Orth(6))
+        assert springer._class_reads.cache_info().currsize == 0
+        springer_blocks(group_product(F("Sp", 8), F("O", 6), det1=True))
+        stored = springer._class_reads.cache_info()
+        assert stored.currsize == stored.misses == (
+            len(unipotent_classes(Sp(8))) + len(unipotent_classes(Orth(6))))
+        springer_blocks(group_product(F("O", 6), F("Sp", 8)))
+        assert springer._class_reads.cache_info().misses == stored.misses
 
     def test_shared_symbol_refuses_mutation(self):
         symbol = springer._symbol("Sp", Partition((4, 2)))
@@ -759,6 +796,99 @@ def test_foreign_characters_read_as_the_whole_class_or_are_refused():
                     assert row == whole_class_correspond(g, u, own)[0], (str(g), str(u), str(ch))
                     seen["read"] += 1
     assert seen["read"] and seen["refused"]
+
+
+# ---------------------------------------------------------------------------
+# product tables composed from their factors' class tables
+
+
+def reader_blocks(group):
+    """The table grouped from the rows of one fresh
+    :class:`springer.ClassReader` per class, in class order: how
+    ``springer_blocks`` built every table before it composed a product's
+    rows from its factors' class tables."""
+    blocks = {}
+    for u in unipotent_classes(group):
+        reader = springer.ClassReader(group, u)
+        for ch, (triple, labels) in zip(reader.characters, reader.rows.values()):
+            blocks.setdefault(triple, []).append((u, ch, labels))
+    return blocks
+
+
+def _spec_group(spec):
+    """``"GL1 O2 O1!"``: the product of the named factors, ``!`` for the
+    determinant-one condition."""
+    names = re.findall(r"([A-Za-z]+)(\d+)", spec)
+    return group_product(*(F(k, int(n)) for k, n in names), det1=spec.endswith("!"))
+
+
+# the 37 tables one cold matching benchmark pass builds, in its order
+MATCHING_GROUPS = [_spec_group(spec) for spec in (
+    "GL1 GL1 O1!", "GL1 O2 O1!", "GL2 O1!", "O4 O1!", "O2 O2 O1!", "GL1 O3!", "O5!",
+    "GL1 GL1 GL1 O1!", "GL1 GL1 O2 O1!", "GL2 GL1 O1!", "GL1 O4 O1!", "GL1 O2 O2 O1!",
+    "GL2 O2 O1!", "GL3 O1!", "O6 O1!", "O4 O2 O1!", "GL1 GL2 O1!", "O2 O2 O2 O1!",
+    "GL1 GL1 O3!", "GL1 O3 O2!", "O3 O2 O2!", "GL1 GL1", "GL1 Sp2", "GL2", "Sp4",
+    "Sp2 Sp2", "GL1 O2!", "GL1 GL1 GL1", "GL1 GL1 Sp2", "GL2 GL1", "GL1 Sp4",
+    "GL1 Sp2 Sp2", "GL2 Sp2", "GL3", "Sp6", "Sp4 Sp2", "O3 O2!")]
+
+# GL0-GL3, Sp0-Sp6, SO0-SO6 and O0-O6
+SMALL_FACTORS = ([F("GL", n) for n in range(4)] + [F("Sp", n) for n in range(0, 7, 2)]
+                 + [F(kind, n) for kind in ("SO", "O") for n in range(7)])
+
+
+def _small_products():
+    """Every product of one or two small factors, in either order, with
+    and without the determinant-one condition."""
+    out = []
+    for factors in [(f,) for f in SMALL_FACTORS] + list(product(SMALL_FACTORS, repeat=2)):
+        out.append(group_product(*factors))
+        if any(f.kind == "O" for f in factors):
+            out.append(group_product(*factors, det1=True))
+    return out
+
+
+ORACLE_CORPORA = {
+    "small_products": _small_products(),
+    "pool": POOL_CENTRALIZERS,
+    "flip": FLIP_GROUPS,
+    "matching": MATCHING_GROUPS,
+}
+
+
+@pytest.mark.parametrize("corpus", ORACLE_CORPORA)
+def test_composed_tables_are_the_reader_tables(corpus):
+    # the composed table keeps the reader table's block order and row
+    # order (classes in unipotent_classes order, characters in
+    # characters() order, blocks first seen), and each row is the
+    # whole-class reading of its pair
+    _clear_read_memos()
+    for g in ORACLE_CORPORA[corpus]:
+        blocks, want = springer_blocks(g), reader_blocks(g)
+        assert list(blocks) == list(want), str(g)
+        for triple, rows in blocks.items():
+            assert rows == want[triple], (str(g), str(triple))
+            for u, ch, labels in rows:
+                assert whole_class_correspond(g, u, ch)[0] == (triple, labels), (
+                    str(g), str(u), str(ch))
+
+
+def test_small_products_cover_every_kind_and_the_flip():
+    groups = ORACLE_CORPORA["small_products"]
+    assert len(groups) == 22 + 22 * 22 + 7 + (22 * 22 - 15 * 15)
+    swaps = sum(whole_class_correspond(g, u, ch)[1] for g in groups if g.det1
+                for u, ch in enumerate_pairs(g))
+    assert swaps
+
+
+@pytest.mark.parametrize("g", [
+    group_product(F("Sp", 6), F("GL", 1)),
+    group_product(F("Sp", 6), F("O", 2), F("O", 1), det1=True),
+], ids=str)
+def test_product_tables_run_the_bijectivity_check(g, wrong_sp6_label):
+    # a product without det1 checks through its factors' own tables, a
+    # det-one product checks its whole table
+    with pytest.raises(SpringerError):
+        springer_blocks(g)
 
 
 # ---------------------------------------------------------------------------
