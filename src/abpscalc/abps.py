@@ -595,16 +595,17 @@ def correcting_cocharacters(G: PadicGroup, triple: InertialTriple):
     inertial action is the full product of the symmetric or
     hyperoctahedral groups of its coordinate blocks, so two such points
     share an orbit exactly when, block by block, their sorted exponents
-    agree, taken in absolute value on a signed block (where ``q^{c/2}``
-    meets ``q^{-c/2}``).  That normal form names the orbit, and no
-    element of the group is listed."""
+    agree, taken in absolute value on a hyperoctahedral block (where
+    ``q^{c/2}`` meets ``q^{-c/2}``).  That normal form names the orbit,
+    and no element of the group is listed."""
     data = mu(G, triple)
     blocks = data.inertial.action.blocks
     out = []
     seen = set()
     for e in data.entries:
-        form = tuple(tuple(sorted(abs(e.cochar[c]) if signed else e.cochar[c] for c in coords))
-                     for signed, coords in blocks)
+        form = tuple(tuple(sorted(abs(e.cochar[c]) if kind == "B" else e.cochar[c]
+                                  for c in coords))
+                     for kind, coords in blocks)
         if form in seen:
             continue
         seen.add(form)

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .combicore import Partition, sign_twist, staircase
 from .extquot import (
-    MAX_RANK, MINUS_ONE, ONE, free, hyperoctahedral_action, q_power, spectral_eq,
+    MAX_RANK, MINUS_ONE, ONE, RankOutOfRange, free, hyperoctahedral_action, q_power,
+    spectral_eq,
 )
 from .langlands import (
     DEFAULT_CATALOGUE,
@@ -248,7 +249,7 @@ def cuspidal_rows(family, bound):
 
 def extquot_rows(rank):
     if not 0 <= rank <= MAX_RANK:
-        raise ValueError(f"extquot covers ranks 0 to {MAX_RANK}, not {rank}")
+        raise RankOutOfRange(rank)
     action = hyperoctahedral_action(rank)
     rows = []
     for fam in spectral_eq(action):

@@ -30,11 +30,20 @@ from .combicore import (
     partitions,
     smith_normal_form,
 )
-from .springer import UnrecognizedStructure
+from .springer import RelativeWeylGroup, UnrecognizedStructure
 
 
 class RankMismatch(ValueError):
     """An element, point or coset met one of another rank."""
+
+
+class RankOutOfRange(ValueError):
+    """A rank that the stratification does not cover: below 0 or above
+    :data:`MAX_RANK`."""
+
+    def __init__(self, rank: int):
+        super().__init__(f"strata cover ranks 0 to {MAX_RANK}, not {rank}")
+        self.rank = rank
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +478,47 @@ def _piece_group(kind, data):
     """The coordinates (0-based) of a piece of a
     :class:`RecognizedSubgroup` and its elements restricted to them, as
     :func:`_local_group` gives them; an ``E2`` piece is the group its
-    flips generate on the coordinates they flip."""
-    if kind != "E2":
-        return data, _local_group(kind, data)
-    flips = {frozenset()}
-    for gen in data:
-        flips |= {f ^ frozenset(gen) for f in flips}
-    coords = tuple(sorted(set().union(*data)))
-    return (tuple(c - 1 for c in coords),
-            [(coords, tuple(-1 if c in f else 1 for c in coords)) for f in flips])
+    flips generate on the coordinates they flip, a ``BB`` piece the
+    elements of the two hyperoctahedral groups that invert an even number
+    of coordinates in all, and a ``tA`` piece the permutations of its
+    coordinates conjugated by the flip of its inverted ones."""
+    if kind == "E2":
+        flips = {frozenset()}
+        for gen in data:
+            flips |= {f ^ frozenset(gen) for f in flips}
+        coords = tuple(sorted(set().union(*data)))
+        return (tuple(c - 1 for c in coords),
+                [(coords, tuple(-1 if c in f else 1 for c in coords)) for f in flips])
+    if kind == "BB":
+        ones, minus = data
+        return ones + minus, [
+            (i1 + i2, s1 + s2)
+            for i1, s1 in _local_group("B", ones) for i2, s2 in _local_group("B", minus)
+            if (s1 + s2).count(-1) % 2 == 0]
+    if kind == "tA":
+        coords, inverted = data
+        # coordinate c goes to d with the sign that carries z^eps(c) to z^eps(d)
+        eps = {c + 1: -1 if c in inverted else 1 for c in coords}
+        return coords, [(images, tuple(eps[c + 1] * eps[d] for c, d in zip(coords, images)))
+                        for images, _ in _local_group("A", coords)]
+    return data, _local_group(kind, data)
+
+
+def _piece_coords(kind, data) -> tuple:
+    """The coordinates (0-based) of a piece other than ``E2``."""
+    if kind == "BB":
+        return data[0] + data[1]
+    return data[0] if kind == "tA" else data
+
+
+def _piece_order(kind, data) -> int:
+    if kind == "E2":
+        return 1 << len(data)
+    if kind == "BB":
+        a, b = map(len, data)
+        return factorial(a) * factorial(b) << (a + b - 1)
+    k = len(_piece_coords(kind, data))
+    return factorial(k) << {"A": 0, "tA": 0, "B": k, "D": k - 1}[kind]
 
 
 def _product_elements(n, factors):
@@ -495,33 +536,42 @@ def _product_elements(n, factors):
     return tuple(SignedPermutation.from_valid(*pair) for pair in pairs)
 
 
-def _is_reflection_generator(g: SignedPermutation) -> bool:
+def _is_block_generator(g: SignedPermutation, block_of) -> bool:
     """Whether ``g`` is a transposition (signs +1), the flip of one
-    coordinate, or the identity: the generators whose group is always
-    the full product over its coordinate blocks."""
+    coordinate, the flip of two coordinates in one block (``block_of``
+    maps each coordinate to its block), or the identity: the generators
+    whose group is always the full product over its coordinate
+    blocks."""
     moved = [i for i, (j, s) in enumerate(zip(g.images, g.signs)) if j != i + 1 or s != 1]
     if len(moved) != 2:
         return len(moved) < 2
     i, j = moved
+    if g.images[i] == i + 1:  # a flip of i and j
+        return block_of[i] == block_of[j]
     return g.images[i] == j + 1 and g.signs[i] == g.signs[j] == 1
 
 
 def _generator_blocks(rank, gens):
-    """The orbits of ``gens`` on the coordinates, as ``(signed, coords)``
+    """The orbits of ``gens`` on the coordinates, as ``(kind, coords)``
     with the coordinates ascending, in the order of their least
-    coordinates; a block is signed when some generator inverts one of
-    its coordinates."""
-    signed = {c for w in gens for c in range(rank) if w.signs[c] == -1}
-    return tuple((any(c in signed for c in coords), coords)
-                 for coords in _coordinate_blocks(range(rank), gens))
+    coordinates.  The kind names the full group on the block that
+    holds what the generators do there: ``"A"`` (symmetric) when no
+    generator inverts a coordinate of it, ``"D"`` (even-signed) when
+    every generator inverts an even number of them, ``"B"``
+    (hyperoctahedral) otherwise."""
+    blocks = []
+    for coords in _coordinate_blocks(range(rank), gens):
+        flipped = [sum(w.signs[c] == -1 for c in coords) for w in gens]
+        kind = "A" if not any(flipped) else "D" if all(f % 2 == 0 for f in flipped) else "B"
+        blocks.append((kind, coords))
+    return tuple(blocks)
 
 
 def _blocks_order(blocks) -> int:
-    """The order of the full product of the symmetric groups of the
-    unsigned blocks and the hyperoctahedral groups of the signed ones."""
+    """The order of the full product of the groups of the blocks."""
     order = 1
-    for signed, coords in blocks:
-        order *= factorial(len(coords)) << (len(coords) if signed else 0)
+    for kind, coords in blocks:
+        order *= _piece_order(kind, coords)
     return order
 
 
@@ -529,39 +579,45 @@ class MonomialAction:
     """The finite group of signed permutations of a rank-``rank`` torus
     generated by ``generators``.
 
-    When every generator is a transposition (signs +1) or the flip of
-    one coordinate, as for :func:`hyperoctahedral_action`,
-    :func:`permutation_action`, :func:`trivial_action` and every
-    inertial action of ``abps``, the group is the full product, over
-    the orbits of the generators on coordinates, of the symmetric group
-    of each orbit, or its hyperoctahedral group when a flip lies in it.
-    :attr:`blocks` holds those orbits and :attr:`order` is read off
-    them, with no element listed.  For other generators :attr:`blocks`
-    is ``None`` and the order is that of the listed group.
+    When every generator is a transposition (signs +1), the flip of one
+    coordinate, or the flip of two coordinates that the generators join
+    in one orbit, as for :func:`hyperoctahedral_action`,
+    :func:`even_sign_action`, :func:`permutation_action`,
+    :func:`trivial_action` and every inertial action of ``abps``, the
+    group is the full product, over the orbits of the generators on
+    coordinates, of the symmetric group of each orbit (``"A"``), its
+    hyperoctahedral group when a single flip lies in it (``"B"``), or
+    its even-signed group when only double flips do (``"D"``).
+    :attr:`blocks` holds those orbits as ``(kind, coords)`` and
+    :attr:`order` is read off them, with no element listed.  For other
+    generators :attr:`blocks` is ``None`` and the order is that of the
+    listed group.
 
     :attr:`elements` lists the group on first use, sorted by images,
     then signs: from the blocks when they are known, otherwise
     generated breadth first from the identity by left multiplication
     with the generators, about ``order * len(generators)`` products.
     Two actions are equal when their groups are, whatever generators
-    they were given.
+    they were given.  A generator of another rank raises
+    :class:`RankMismatch`.
     """
 
     def __init__(self, rank: int, generators=()):
         gens = tuple(generators)
         for g in gens:
             if g.rank != rank:
-                raise ValueError(f"generator {g} of rank {g.rank} for a rank {rank} action")
+                raise RankMismatch(f"generator {g} of rank {g.rank} for a rank {rank} action")
         self.rank = rank
         self.generators = gens
-        self.blocks = (_generator_blocks(rank, gens)
-                       if all(map(_is_reflection_generator, gens)) else None)
+        blocks = _generator_blocks(rank, gens)
+        block_of = {c: i for i, (_, coords) in enumerate(blocks) for c in coords}
+        self.blocks = (blocks if all(_is_block_generator(g, block_of) for g in gens)
+                       else None)
 
     @cached_property
     def elements(self) -> tuple:
         if self.blocks is not None:
-            return _product_elements(self.rank, [
-                _piece_group("B" if signed else "A", coords) for signed, coords in self.blocks])
+            return _product_elements(self.rank, [_piece_group(*block) for block in self.blocks])
         # g * x on (images, signs) tuples: images g[x[i]], signs x[i] g[x[i]],
         # read from the generator's tuples padded for 1-based lookup
         padded = [((0,) + g.images, (0,) + g.signs) for g in self.generators]
@@ -646,13 +702,33 @@ class RecognizedSubgroup:
     """A subgroup of signed permutations of a rank-``rank`` torus with
     recognized structure.
 
-    ``pieces`` is a tuple of factors: ``("A", coords)``, ``("B",
-    coords)``, ``("D", coords)`` for a full symmetric or
-    hyperoctahedral or even-signed group on the listed coordinates
-    (0-based), or ``("E2", generators)`` for an elementary abelian
-    2-group of diagonal sign flips, each generator given by its flipped
-    coordinate set (1-based).  The order is the product of the orders
-    of the pieces.
+    ``pieces`` is a tuple of factors on disjoint coordinates:
+
+    - ``("A", coords)``, ``("B", coords)``, ``("D", coords)``: the full
+      symmetric, hyperoctahedral or even-signed group on the listed
+      coordinates (0-based), labelled by partitions, bipartitions and
+      D-labels;
+    - ``("E2", generators)``: an elementary abelian 2-group of diagonal
+      sign flips, each generator given by its flipped coordinate set
+      (1-based), labelled by sign vectors;
+    - ``("BB", (ones, minus))``: the sign-coupled pair S(B_a x B_b), the
+      elements of W(B_a) x W(B_b) on the two coordinate tuples that
+      invert an even number of coordinates in all (the stabilizer in
+      W(D) of ``a >= 1`` coordinates at 1 and ``b >= 1`` at -1, ``a + b
+      >= 3``).  Tensoring with the sign-count character swaps each
+      bipartition, so its characters are the orbits of bipartition pairs
+      under that swap, a fixed pair counted twice, labelled as
+      :meth:`springer.RelativeWeylGroup.character_labels` labels a
+      coupled pair: ``((alpha, beta), None)`` by the least member of a
+      free orbit, ``((alpha, beta), 0)`` and ``((alpha, beta), 1)`` for
+      a fixed pair;
+    - ``("tA", (coords, inverted))``: the symmetric group of ``coords``
+      conjugated by the flip of ``inverted``, the stabilizer of a class
+      of equal generic coordinates some of which are inverted (the
+      split twin of a W(D) pattern); labelled by partitions, and every
+      swap in it, signed or not, has a connected fixed hyperplane.
+
+    The order is the product of the orders of the pieces.
 
     :func:`recognize_subgroup` keeps the elements it was given.  A
     subgroup given without ``elements`` is the direct product of its
@@ -679,12 +755,8 @@ class RecognizedSubgroup:
     @property
     def order(self) -> int:
         order = 1
-        for kind, data in self.pieces:
-            k = len(data)
-            if kind == "E2":
-                order <<= k
-            else:
-                order *= factorial(k) << {"A": 0, "B": k, "D": k - 1}[kind]
+        for piece in self.pieces:
+            order *= _piece_order(*piece)
         return order
 
     def __eq__(self, other) -> bool:
@@ -709,23 +781,27 @@ class RecognizedSubgroup:
         for kind, data in self.pieces:
             if kind == "E2":
                 names.extend(["Z/2"] * len(data))
-            elif kind == "A":
-                names.append(f"S{len(data)}")
+            elif kind == "BB":
+                names.append("S(B{}xB{})".format(*map(len, data)))
+            elif kind in ("A", "tA"):
+                names.append(f"S{len(_piece_coords(kind, data))}" + "~" * (kind == "tA"))
             else:
                 names.append(f"{kind}{len(data)}")
         return " x ".join(names)
 
     def irreps(self):
-        """Character labels: partitions, bipartitions, D-labels, or
-        sign vectors per piece; a product group yields label tuples."""
+        """Character labels per piece (see the class docstring); a
+        product group yields label tuples."""
         per_piece = []
         for kind, data in self.pieces:
-            if kind == "A":
-                per_piece.append(list(partitions(len(data))))
+            if kind in ("A", "tA"):
+                per_piece.append(list(partitions(len(_piece_coords(kind, data)))))
             elif kind == "B":
                 per_piece.append(list(bipartitions(len(data))))
             elif kind == "D":
                 per_piece.append(list(dlabels(len(data))))
+            elif kind == "BB":
+                per_piece.append(_coupled_labels(data))
             else:
                 per_piece.append([s for s in product((1, -1), repeat=len(data))])
         if not per_piece:
@@ -733,6 +809,12 @@ class RecognizedSubgroup:
         if len(per_piece) == 1:
             return per_piece[0]
         return [tuple(c) for c in product(*per_piece)]
+
+
+def _coupled_labels(data):
+    """The character labels of the BB piece on ``data``, those of a
+    coupled pair of hyperoctahedral factors of a relative Weyl group."""
+    return RelativeWeylGroup(tuple(("B", len(side)) for side in data), (0, 1)).character_labels()
 
 
 def _restrict(w: SignedPermutation, coords):
@@ -771,6 +853,19 @@ def _listing(elements) -> str:
     return ", ".join(str(w) for w in elements)
 
 
+def _flip_generators(flips) -> tuple:
+    """Generators of the group of diagonal flips whose flipped coordinate
+    sets (0-based, ascending) are ``flips``: the sets in sorted order,
+    each kept when the ones kept before do not generate it, 1-based."""
+    gens = []
+    seen = {frozenset()}
+    for v in sorted(flips):
+        if frozenset(v) not in seen:
+            gens.append(tuple(c + 1 for c in v))
+            seen |= {s ^ frozenset(v) for s in seen}
+    return tuple(gens)
+
+
 def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
     elems = tuple(sorted(set(elements), key=lambda w: (w.images, w.signs)))
     moved = [
@@ -807,20 +902,12 @@ def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
             )
         size *= len(restricted)
     if diag_coords:
-        vecs = sorted(
-            {
-                tuple(c for c in diag_coords if w.signs[c] == -1)
-                for w in elems
-                if w.images == tuple(range(1, rank + 1))
-            }
-        )
-        gens = []
-        seen = {frozenset()}
-        for v in vecs:
-            if frozenset(v) not in seen:
-                gens.append(v)
-                seen |= {frozenset(set(s) ^ set(v)) for s in seen}
-        pieces.append(("E2", tuple(tuple(c + 1 for c in g) for g in gens)))
+        gens = _flip_generators({
+            tuple(c for c in diag_coords if w.signs[c] == -1)
+            for w in elems
+            if w.images == tuple(range(1, rank + 1))
+        })
+        pieces.append(("E2", gens))
         size *= 2 ** len(gens)
     if size != len(elems):
         raise UnrecognizedStructure(
@@ -867,8 +954,8 @@ class Stratum:
             return [EQPoint(self.base, H, H.irreps()[0], "generic")]
         if self.dimension > 0:
             # the fixed torus is connected exactly when the stabilizer
-            # only permutes coordinates
-            connected = all(kind == "A" for kind, _ in H.pieces)
+            # only permutes coordinates, up to a flip of the torus
+            connected = all(kind in ("A", "tA") for kind, _ in H.pieces)
             trivial = H.irreps()[0]
             out = []
             for rho in H.irreps():
@@ -879,9 +966,10 @@ class Stratum:
                 out.append(EQPoint(self.base, H, rho, kind))
             return out
         # the reflections with a connected fixed hyperplane are the swaps
-        # (with equal signs) inside the A, B and D pieces; a character
-        # sends all of them to -1 exactly when it is sign-like on each
-        sign_like = [_sign_like(kind, len(data)) for kind, data in H.pieces]
+        # (with equal signs, or any signs in a tA piece) inside the
+        # pieces other than E2; a character sends all of them to -1
+        # exactly when it is sign-like on each
+        sign_like = [_sign_like(kind, data) for kind, data in H.pieces]
 
         def starts_a_family(rho):
             labels = rho if len(H.pieces) > 1 else (rho,)
@@ -911,17 +999,19 @@ MAX_RANK = 6
 
 
 def _product_blocks(action: MonomialAction):
-    """The coordinate blocks of the action, as ``(signed, coords)`` with
+    """The coordinate blocks of the action, as ``(kind, coords)`` with
     the coordinates ascending, when the action is the full product over
-    them of symmetric groups (``signed`` false) and hyperoctahedral
-    groups; ``None`` otherwise.
+    them of symmetric (``"A"``), hyperoctahedral (``"B"``) and
+    even-signed (``"D"``) groups; ``None`` otherwise.
 
-    An action generated by transpositions and single flips is that
-    product over :attr:`MonomialAction.blocks`, read off its generators.
-    Any other action lies in the product of the full groups on the
-    orbits of its generators, so it is that product exactly when its
-    listed order is ``prod k!`` over the unsigned blocks times ``prod
-    2^k k!`` over the signed ones.
+    An action generated by transpositions, single flips and double flips
+    inside one block is that product over :attr:`MonomialAction.blocks`,
+    read off its generators.  Any other action lies in the product of
+    the full groups on the orbits of its generators, a block being
+    even-signed when every generator inverts an even number of its
+    coordinates (the parity of the inverted coordinates of a block is a
+    character), so it is that product exactly when its listed order is
+    the product's.
     """
     if action.blocks is not None:
         return action.blocks
@@ -929,16 +1019,34 @@ def _product_blocks(action: MonomialAction):
     return blocks if _blocks_order(blocks) == action.order else None
 
 
-def _block_patterns(signed, k):
-    """The coordinate patterns of one block of size ``k``: how many
-    coordinates are 1, how many are -1, and the sizes of the classes of
-    equal generic coordinates (equal up to inversion on a signed
-    block).  A symmetric group fixes no value, so its coordinates are
-    all generic."""
-    if not signed:
-        return [(0, 0, lam.parts) for lam in partitions(k)]
-    return [(a, m - a, lam.parts)
-            for m in range(k + 1) for a in range(m + 1) for lam in partitions(k - m)]
+def _block_patterns(kind, k):
+    """The coordinate patterns of one block of size ``k``, as ``(a, b,
+    parts, twin)``: how many coordinates are 1, how many are -1, the
+    sizes of the classes of equal generic coordinates (equal up to
+    inversion on a signed block), and which of two split orbits is
+    meant.  A symmetric group fixes no value, so its coordinates are
+    all generic.
+
+    On an even-signed block, a lone coordinate at 1 or -1 is as generic
+    as any (W(D) has no single flip), so ``a + b = 1`` is left out.  A
+    W(B_k) orbit of patterns splits into two W(D_k) orbits exactly when
+    no odd element of W(B_k) maps its coset to itself: when no
+    coordinate is fixed (else its flip would) and every class is even
+    (else inverting an odd class would).  Such a pattern comes twice,
+    ``twin`` false for the orbit of uniform classes and true for its
+    image under one coordinate flip."""
+    if kind == "A":
+        return [(0, 0, lam.parts, False) for lam in partitions(k)]
+    out = []
+    for m in range(k + 1):
+        if kind == "D" and m == 1:
+            continue
+        for a in range(m + 1):
+            for lam in partitions(k - m):
+                out.append((a, m - a, lam.parts, False))
+                if kind == "D" and m == 0 and all(p % 2 == 0 for p in lam.parts):
+                    out.append((0, 0, lam.parts, True))
+    return out
 
 
 def _place(coords, parts, least):
@@ -981,31 +1089,61 @@ def _pattern_coset(n, classes, minus):
 
 
 def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
-    """The stabilizer of a generic point whose ``classes`` are uniform
-    and whose other coordinates are 1 or -1: the symmetric group of each
-    class times the hyperoctahedral group of each tuple in ``fixed``
-    (the 1 or the -1 coordinates of one block), as the direct product
-    of the pieces :func:`recognize_subgroup` gives it: its elements are
-    listed only when they are read."""
-    factors = [(tuple(c for c, _ in cls), False) for cls in classes if len(cls) > 1]
-    factors += [(fix, True) for fix in fixed if fix]
-    pieces = sorted((("B" if sign else "A", fix) for fix, sign in factors if len(fix) > 1),
-                    key=lambda piece: piece[1])
-    diag = sorted(fix[0] + 1 for fix, _ in factors if len(fix) == 1)
-    if diag:
-        # the sorted flip vectors of the diagonal sign group are greedily
-        # independent exactly along the prefixes of its coordinates
-        pieces.append(("E2", tuple(tuple(diag[:i + 1]) for i in range(len(diag)))))
+    """The stabilizer of a generic point whose generic coordinates form
+    ``classes`` and whose other coordinates are 1 or -1, listed in
+    ``fixed`` as ``(kind, ones, minus)`` per block.  Each class gives the
+    symmetric group of its coordinates, conjugated by the flip of its
+    inverted ones (``tA``) when it has any.  On a hyperoctahedral block
+    the ones and the minus ones each give their hyperoctahedral group,
+    on an even-signed block the elements of both that invert an even
+    number of coordinates: a ``D`` piece when one of them is empty, a
+    ``BB`` piece when neither is, or the flip of both when each is one
+    coordinate.  The pieces come as :func:`recognize_subgroup` gives
+    them, in the order of their least coordinates with the diagonal flips
+    last, and the elements are listed only when they are read."""
+    pieces, flips = [], []
+    for cls in classes:
+        if len(cls) > 1:
+            coords = tuple(c for c, _ in cls)
+            inverted = tuple(c for c, s in cls if s == -1)
+            pieces.append(("tA", (coords, inverted)) if inverted else ("A", coords))
+    for kind, ones, minus in fixed:
+        if kind == "D" and ones and minus:
+            if len(ones) + len(minus) == 2:
+                flips.append(ones + minus)
+            else:
+                pieces.append(("BB", (ones, minus)))
+            continue
+        for fix in (ones, minus):
+            if len(fix) > 1:
+                pieces.append((kind, fix))
+            elif fix:
+                flips.append(fix)
+    pieces.sort(key=lambda piece: _piece_coords(*piece)[0])
+    if all(len(f) == 1 for f in flips):
+        # the sorted flip vectors of single flips are greedily
+        # independent exactly along the prefixes of their coordinates
+        diag = sorted(f[0] + 1 for f in flips)
+        gens = tuple(tuple(diag[:i + 1]) for i in range(len(diag)))
+    else:
+        span = {()}
+        for f in flips:
+            span |= {tuple(sorted(set(v) ^ set(f))) for v in span}
+        gens = _flip_generators(span)
+    if gens:
+        pieces.append(("E2", gens))
     return RecognizedSubgroup(n, tuple(pieces))
 
 
 @lru_cache(maxsize=None)
 def _pattern_strata(n: int, blocks: tuple) -> tuple:
-    """The strata of the full product of symmetric and hyperoctahedral
-    groups on the rank-``n`` ``blocks`` of :func:`_product_blocks`, one
-    per choice of a coordinate pattern on every block.  They depend on
-    nothing else, so each block structure is stratified once for the
-    life of the process (finitely many up to ``MAX_RANK``).
+    """The strata of the full product of symmetric, hyperoctahedral and
+    even-signed groups on the rank-``n`` ``blocks`` of
+    :func:`_product_blocks`, one per choice of a coordinate pattern on
+    every block (:func:`_block_patterns`).  They depend on nothing else,
+    so each block structure is stratified once for the life of the
+    process (finitely many up to ``MAX_RANK``), with no fixed locus,
+    intersection, stabilizer scan or element listed.
 
     The stabilizer of a point is the product over the blocks of the
     stabilizers of its coordinates there, so the strata are the
@@ -1017,21 +1155,37 @@ def _pattern_strata(n: int, blocks: tuple) -> tuple:
     takes the largest class left, on the coordinates right after it and
     inverted, so that its row goes on with entries -1; each pivot of a
     symmetric block takes the smallest class left, on the last free
-    coordinates, so that its row goes on with zeros.  That member orders
-    the strata.  The representative is the least member whose
-    stabilizer has recognized structure, that is, whose classes are not
-    inverted: the symmetric placement on every block.
+    coordinates, so that its row goes on with zeros.  On an even-signed
+    block with a split pattern, the parity of the inverted coordinates
+    tells the two W(D) orbits apart, odd for the twin.  The signed
+    placement inverts ``k - l`` coordinates for ``l`` classes, as many as
+    ``l`` up to parity since ``k`` is even; when that is not the orbit's
+    parity, the least member of the orbit keeps the last coordinate of
+    the last class uninverted instead.  That member orders the strata.
+
+    The representative is the least member whose stabilizer is a
+    product of unconjugated pieces, that is, whose classes are not
+    inverted: the symmetric placement on every block.  An orbit that is
+    a twin on some block has no such member, since uniform classes lie
+    in the other orbit, and is represented by its least member, whose
+    inverted classes give ``tA`` pieces.
     """
     out = []
-    for choice in product(*(_block_patterns(sign, len(c)) for sign, c in blocks)):
+    for choice in product(*(_block_patterns(kind, len(c)) for kind, c in blocks)):
         fixed, minus, least, uniform = [], set(), [], []
-        for (sign, coords), (a, b, parts) in zip(blocks, choice):
-            fixed += [coords[:a], coords[a:a + b]]
+        for (kind, coords), (a, b, parts, twin) in zip(blocks, choice):
+            fixed.append((kind, coords[:a], coords[a:a + b]))
             minus.update(coords[a:a + b])
-            least += _place(coords[a + b:], parts, sign)
+            signed = _place(coords[a + b:], parts, kind != "A")
+            if kind == "D" and a + b == 0 and all(p % 2 == 0 for p in parts) \
+                    and len(parts) % 2 != twin:
+                c, _ = signed[-1][-1]
+                signed[-1][-1] = (c, 1)
+            least += signed
             uniform += _place(coords[a + b:], parts, False)
-        coset = _pattern_coset(n, uniform, minus)
-        group = _pattern_group(n, fixed, uniform)
+        rep = least if any(twin for *_, twin in choice) else uniform
+        coset = _pattern_coset(n, rep, minus)
+        group = _pattern_group(n, fixed, rep)
         key = _coset_key(_pattern_coset(n, least, minus))
         out.append((key, Stratum(coset, coset.generic_point(), group)))
     out.sort(key=lambda ks: ks[0])
@@ -1103,18 +1257,27 @@ def strata(action: MonomialAction):
     """Canonical representatives of the stabilizer strata of the action,
     one per orbit, ordered by the least coset of each orbit (decreasing
     dimension first).  Each representative is the least coset of its
-    orbit whose stabilizer has recognized Coxeter structure (conjugates
-    may act by twisted reflections).
+    orbit whose stabilizer is a product of unconjugated pieces
+    (conjugates may act by twisted reflections), or the least coset when
+    there is none.
 
-    An action that is the full product of symmetric and hyperoctahedral
-    groups over the coordinate blocks its generators move (every action
-    ``abps`` builds, ``hyperoctahedral_action``, ``permutation_action``,
-    ``trivial_action``) is stratified from coordinate patterns, with no
-    fixed locus, intersection or stabilizer scan; when its generators
-    are transpositions and single flips, as for all of those, no element
-    of the group is listed either.  Any other action
-    (``even_sign_action``, coupled sign groups) goes through the closure
-    of its fixed loci under intersection.  Both give the same strata.
+    An action that is the full product of symmetric, hyperoctahedral and
+    even-signed groups over the coordinate blocks its generators move
+    (every action ``abps`` builds, ``hyperoctahedral_action``,
+    ``even_sign_action``, ``permutation_action``, ``trivial_action``) is
+    stratified from coordinate patterns (:func:`_pattern_strata`), with
+    no fixed locus, intersection or stabilizer scan; when its generators
+    are transpositions, single flips and double flips inside a block, as
+    for all of those, no element of the group is listed either.  Any
+    other action (coupled sign groups, subgroups given by arbitrary
+    generators) goes through the closure of its fixed loci under
+    intersection, and raises ``UnrecognizedStructure`` when some orbit
+    has no representative whose stabilizer ``recognize_subgroup`` reads.
+    Both give the same strata where both answer.  The split twins of
+    W(D) have none: on the pattern path their representative is the
+    least coset of the orbit, with ``tA`` pieces.
+
+    A rank above :data:`MAX_RANK` raises :class:`RankOutOfRange`.
 
     Pattern strata are memoised per rank and coordinate blocks for the
     life of the process, so equal product actions share one set of
@@ -1125,7 +1288,7 @@ def strata(action: MonomialAction):
     their 132,573 stabilizer elements takes about 0.6 s.
     """
     if action.rank > MAX_RANK:
-        raise ValueError(f"stratification limited to rank {MAX_RANK}")
+        raise RankOutOfRange(action.rank)
     blocks = _product_blocks(action)
     if blocks is None:
         return _closure_strata(action)
@@ -1150,17 +1313,23 @@ class EQPoint:
         return f"({self.base}, {self.irrep}) [{self.kind}]"
 
 
-def _sign_like(kind: str, k: int):
-    """The characters of an A, B or D piece on ``k`` coordinates that
-    send its swaps to -1; ``None`` for an E2 piece, which has no swap."""
+def _sign_like(kind, data):
+    """The characters of a piece that send every swap in it to -1: the
+    sign characters of an A, tA, B or D group, and the characters of a
+    BB piece that are sign characters on each side with a swap; ``None``
+    for an E2 piece, which has no swap."""
     if kind == "E2":
         return None
-    ones = Partition((1,) * k)
-    if kind == "A":
+    if kind == "BB":
+        sides = [_sign_like("B", side) if len(side) > 1 else None for side in data]
+        return [label for label in _coupled_labels(data)
+                if all(ok is None or x in ok for ok, x in zip(sides, label[0]))]
+    ones, empty = Partition((1,) * len(_piece_coords(kind, data))), Partition(())
+    if kind in ("A", "tA"):
         return (ones,)
     if kind == "B":
-        return (Bipartition(ones, Partition(())), Bipartition(Partition(()), ones))
-    return (DLabel(ones, Partition(())),)
+        return (Bipartition(ones, empty), Bipartition(empty, ones))
+    return (DLabel(ones, empty),)
 
 
 def spectral_eq(action: MonomialAction):

@@ -440,6 +440,13 @@ class TestExitCodes:
         assert cli.run(["extquot", "--rank", "-1"]) == 1
         assert f"ranks 0 to {MAX_RANK}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", [-1, MAX_RANK + 1])
+    def test_extquot_names_the_rank_refusal(self, rank, capsys):
+        assert cli.run(["extquot", "--rank", str(rank)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"RankOutOfRange: strata cover ranks 0 to {MAX_RANK}, not {rank}\n"
+
     def test_extquot_refuses_large_rank_before_building(self):
         # in a subprocess, so that a rank-7 build cannot hang the suite
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -23,11 +23,13 @@ from abpscalc.combicore import (
 )
 from abpscalc import extquot
 from abpscalc.extquot import (
+    MAX_RANK,
     MINUS_ONE,
     ONE,
     GeoEQFamily,
     MonomialAction,
     RankMismatch,
+    RankOutOfRange,
     RecognizedSubgroup,
     SymbolicCoordinate,
     _canonical_coset,
@@ -137,6 +139,13 @@ def _acts_by_minus_one(group, irrep, w):
     piece that ``w`` moves must be its sign-like label."""
     labels = irrep if len(group.pieces) > 1 else (irrep,)
     for (kind, data), label in zip(group.pieces, labels):
+        if kind == "BB":
+            # the swap lies on the 1 side or on the -1 side; the label of
+            # a character is its orbit's least pair of bipartitions
+            side = 0 if any(w.images[c] != c + 1 for c in data[0]) else 1
+            kind, data, label = "B", data[side], label[0][side]
+        elif kind == "tA":
+            kind, data = "A", data[0]
         if kind == "E2" or all(w.images[c] == c + 1 and w.signs[c] == 1 for c in data):
             continue
         ones, empty = Partition((1,) * len(data)), Partition(())
@@ -176,6 +185,43 @@ def listed(monkeypatch):
 
 # the sign flips of an even number of coordinates of a rank-3 torus
 KLEIN_FOUR = MonomialAction(3, [sign_flip(3, (1, 2)), sign_flip(3, (0, 2))])
+# W(B1) x W(B2) cut down to its even flips by flips across the blocks:
+# no product of full groups on its generator orbits
+COUPLED = MonomialAction(3, [transposition(3, 1, 2), sign_flip(3, (0, 1)), sign_flip(3, (1, 2))])
+# W(D2) on coordinates 1, 2 times W(B2) on 3, 4, and W(D3) on 1, 3, 5 times
+# S2 on 2, 4: products with an even-signed block
+D2_B2 = MonomialAction(4, [transposition(4, 0, 1), sign_flip(4, (0, 1)),
+                           transposition(4, 2, 3), sign_flip(4, (2,))])
+D3_S2_INTERLEAVED = MonomialAction(5, [transposition(5, 0, 2), transposition(5, 2, 4),
+                                       sign_flip(5, (0, 4)), transposition(5, 1, 3)])
+EVEN_SIGN_ACTIONS = [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)] + [
+    ("D2xB2", D2_B2), ("D3xS2_interleaved", D3_S2_INTERLEAVED)]
+
+
+def scanned(action, t):
+    """The elements of the action that fix ``t``, by ``act`` on each."""
+    return tuple(w for w in action.elements if act(w, t) == t)
+
+
+def unconjugated(elements):
+    """Whether the group ``elements`` holds the permutation part of each
+    of its elements: true for products of symmetric groups of classes,
+    diagonal flips and signed groups of fixed coordinates, false once a
+    class has inverted members, whose swaps come with two signs."""
+    group = set(elements)
+    return all(SignedPermutation(w.images, (1,) * w.rank) in group for w in group)
+
+
+def conjugacy_class_count(elements):
+    """The number of conjugacy classes of the group ``elements``, by
+    conjugating every element by every element."""
+    left = set(elements)
+    count = 0
+    while left:
+        x = left.pop()
+        left -= {g * x * g.inverse() for g in elements}
+        count += 1
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -610,8 +656,8 @@ class TestClosureCheck:
         inertial = _inertial_action(inertial_triple(G, (line("zeta"),) * 5 + (line("eta"),) * 3))
         assert b8.order == 2 ** 8 * factorial(8)
         assert inertial.order == 2 ** 5 * factorial(5) * 2 ** 3 * factorial(3)
-        assert _product_blocks(b8) == ((True, tuple(range(8))),)
-        assert _product_blocks(inertial) == ((True, (0, 1, 2, 3, 4)), (True, (5, 6, 7)))
+        assert _product_blocks(b8) == (("B", tuple(range(8))),)
+        assert _product_blocks(inertial) == (("B", (0, 1, 2, 3, 4)), ("B", (5, 6, 7)))
         reordered = MonomialAction(8, reversed(b8.generators))
         assert b8 == reordered and hash(b8) == hash(reordered)
         assert b8 != inertial
@@ -622,6 +668,27 @@ class TestClosureCheck:
             MonomialAction(3, [S1])
         with pytest.raises(ValueError):
             MonomialAction(2, [S1, SignedPermutation.identity(3)])
+
+    def test_a_generator_of_another_rank_is_a_rank_mismatch(self):
+        with pytest.raises(RankMismatch, match="rank 2 for a rank 3 action"):
+            MonomialAction(3, [S1])
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_even_sign_blocks_are_read_off_the_generators(self, n, listed):
+        action = even_sign_action(n)
+        assert action.blocks == (("D", tuple(range(n))),)
+        assert action.order == 2 ** (n - 1) * factorial(n) and listed == []
+
+    def test_even_sign_blocks_of_other_generators_come_from_the_order(self):
+        # the swap of coordinates 1, 2 and that swap with both inverted
+        # generate W(D2); a double flip across two blocks is no
+        # reflection generator, and each block stays hyperoctahedral
+        signed_swap = SignedPermutation((2, 1, 3), (-1, -1, 1))
+        action = MonomialAction(3, [transposition(3, 0, 1), signed_swap, sign_flip(3, (2,))])
+        assert action.blocks is None
+        assert _product_blocks(action) == (("D", (0, 1)), ("B", (2,)))
+        across = MonomialAction(2, [sign_flip(2, (0,)), sign_flip(2, (0, 1))])
+        assert across.blocks is None and _product_blocks(across) == (("B", (0,)), ("B", (1,)))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_constructors_keep_their_elements(self, n):
@@ -730,6 +797,12 @@ class TestStrata:
         with pytest.raises(ValueError):
             strata(trivial_action(7))
 
+    def test_rank_bound_is_named(self):
+        rank = MAX_RANK + 1
+        with pytest.raises(RankOutOfRange, match=f"ranks 0 to {MAX_RANK}, not {rank}") as exc:
+            strata(even_sign_action(rank))
+        assert isinstance(exc.value, ValueError) and exc.value.rank == rank
+
     def test_closure_adds_intersections_of_fixed_loci(self):
         # each sign flip fixes four lines; lines of two flips meet in the
         # points (+-1, +-1, +-1), which no single fixed locus contains
@@ -749,12 +822,15 @@ class TestStrata:
     def test_hyperoctahedral_counts(self, n, count):
         assert len(strata(hyperoctahedral_action(n))) == count
 
-    @pytest.mark.parametrize("action", [B2, B3, KLEIN_FOUR], ids=["B2", "B3", "klein_four"])
+    @pytest.mark.parametrize("action", [B2, B3, KLEIN_FOUR] + [a for _, a in EVEN_SIGN_ACTIONS],
+                             ids=["B2", "B3", "klein_four"] + [n for n, _ in EVEN_SIGN_ACTIONS])
     def test_orbits_of_strata_are_the_closure_pool(self, action):
-        # strata() closes the pool from orbit representatives only; the
-        # oracle intersects every pair
-        orbits = {act_coset(w, s.coset) for s in strata(action) for w in action.elements}
-        assert orbits == set(closure_pool(action))
+        # strata() closes the pool from orbit representatives only, or
+        # reads it off coordinate patterns; the oracle intersects every
+        # pair.  The orbits of the strata partition the pool
+        orbits = [{act_coset(w, s.coset) for w in action.elements} for s in strata(action)]
+        assert set().union(*orbits) == set(closure_pool(action))
+        assert sum(map(len, orbits)) == len(closure_pool(action))
 
     @pytest.mark.parametrize("n, count", [(4, 26), (5, 45)])
     def test_b4_in_bounded_time(self, n, count):
@@ -781,9 +857,8 @@ class TestStrata:
             strata(KLEIN_FOUR)
 
     @pytest.mark.parametrize("action", [
-        even_sign_action(2), even_sign_action(3), KLEIN_FOUR,
-        MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))]),
-    ], ids=["D2", "D3", "klein_four", "swap_with_flip"])
+        KLEIN_FOUR, MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))]), COUPLED,
+    ], ids=["klein_four", "swap_with_flip", "coupled"])
     def test_other_actions_are_not_products(self, action):
         assert _product_blocks(action) is None
 
@@ -820,7 +895,7 @@ class TestStrataMemo:
 
     def test_unrecognized_structure_reads_as_signed_permutations(self):
         with pytest.raises(UnrecognizedStructure) as exc:
-            strata(even_sign_action(3))
+            strata(COUPLED)
         message = str(exc.value)
         assert "->" in message and "SignedPermutation(" not in message
         assert "order 8" in message and "(2, 3)" in message
@@ -902,7 +977,7 @@ CONNECTIVITY_ACTIONS = [
     ("S3", permutation_action(3)),
     ("T3", trivial_action(3)),
     ("V4", DIAGONAL_V4),
-] + INERTIAL_ACTIONS
+] + INERTIAL_ACTIONS + EVEN_SIGN_ACTIONS
 
 
 @pytest.mark.parametrize("name, action", CONNECTIVITY_ACTIONS, ids=[n for n, _ in CONNECTIVITY_ACTIONS])
@@ -987,6 +1062,86 @@ def test_pattern_strata_list_no_element(listed):
     assert len(spectral_eq(action)) > 0 and listed == []
 
 
+class TestEvenSignStrata:
+    """Strata of W(D_n) and of products with an even-signed block, from
+    coordinate patterns, against oracles that scan elements and cosets."""
+
+    @pytest.mark.parametrize("n, count", [(2, 6), (3, 10), (4, 22), (5, 35)])
+    def test_counts(self, n, count):
+        assert len(strata(even_sign_action(n))) == count
+
+    def test_rank_six_lists_no_element(self, listed):
+        extquot._pattern_strata.cache_clear()
+        action = even_sign_action(MAX_RANK)
+        sts = strata(action)
+        assert len(sts) == 64 and max(st.group.order for st in sts) == action.order
+        assert len(spectral_eq(action)) > 0 and listed == []
+
+    def test_d3_inventory(self):
+        assert [str(st) for st in strata(even_sign_action(3))] == [
+            "(z, z', z'') : 1", "(z, z', z') : S2", "(1, 1, z) : D2", "(1, -1, z) : Z/2",
+            "(-1, -1, z) : D2", "(z, z, z) : S3", "(1, 1, 1) : D3", "(1, 1, -1) : S(B2xB1)",
+            "(1, -1, -1) : S(B1xB2)", "(-1, -1, -1) : D3"]
+
+    def test_split_twins(self):
+        # (z, z) and (z, 1/z) lie in one W(B2) orbit but in two W(D2)
+        # orbits; no coset of the second has an unconjugated stabilizer
+        sts = strata(even_sign_action(2))
+        assert [str(st) for st in sts[1:3]] == ["(z, z^-1) : S2~", "(z, z) : S2"]
+        twin = sts[1]
+        assert twin.group.pieces == (("tA", ((0, 1), (1,))),)
+        assert twin.group.elements == (SignedPermutation((1, 2), (1, 1)),
+                                       SignedPermutation((2, 1), (-1, -1)))
+        assert [(f.irrep, f.kind) for f in twin.families()] == \
+            [(Partition((2,)), "sheet"), (Partition((1, 1)), "plane_generic")]
+
+    @pytest.mark.parametrize("name, action", EVEN_SIGN_ACTIONS, ids=[n for n, _ in EVEN_SIGN_ACTIONS])
+    def test_representatives_are_least_unconjugated_cosets(self, name, action):
+        # each representative is the least coset of its orbit whose
+        # scanned stabilizer is unconjugated, or the least coset when
+        # there is none; the strata come in the order of their orbits'
+        # least cosets
+        keys = []
+        for st in strata(action):
+            orbit = sorted({act_coset(w, st.coset) for w in action.elements}, key=_coset_key)
+            good = [c for c in orbit if unconjugated(scanned(action, c.generic_point()))]
+            assert st.coset == (good or orbit)[0], str(st)
+            assert st.base == st.coset.generic_point()
+            keys.append(_coset_key(orbit[0]))
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name, action", EVEN_SIGN_ACTIONS + [("D5", even_sign_action(5))],
+                             ids=[n for n, _ in EVEN_SIGN_ACTIONS] + ["D5"])
+    def test_stabilizers_are_their_element_scans(self, name, action):
+        for st in strata(action):
+            want = tuple(sorted(scanned(action, st.base), key=lambda w: (w.images, w.signs)))
+            assert st.group.order == len(want)
+            assert st.group.elements == want, str(st)
+            if not {"BB", "tA"} & {kind for kind, _ in st.group.pieces}:
+                assert st.group.pieces == recognize_subgroup(want, action.rank).pieces
+
+    @pytest.mark.parametrize("name, action", EVEN_SIGN_ACTIONS, ids=[n for n, _ in EVEN_SIGN_ACTIONS])
+    def test_one_irrep_per_conjugacy_class(self, name, action):
+        for st in strata(action):
+            labels = st.group.irreps()
+            assert len(labels) == len(set(labels)) == conjugacy_class_count(st.group.elements)
+
+    def test_coupled_pair_labels(self):
+        # S(B2 x B1) is dihedral of order 8: four free orbits of
+        # bipartition pairs and no fixed one; S(B1 x B1) is the flip of
+        # both coordinates, and S(B2 x B2) has one fixed pair
+        pair = RecognizedSubgroup(3, (("BB", ((0, 1), (2,))),))
+        assert pair.order == 8 and pair.structure() == "S(B2xB1)"
+        assert pair.irreps() == [
+            ((bp((1,), (1,)), bp((), (1,))), None), ((bp((), (2,)), bp((1,), ())), None),
+            ((bp((), (2,)), bp((), (1,))), None), ((bp((), (1, 1)), bp((1,), ())), None),
+            ((bp((), (1, 1)), bp((), (1,))), None)]
+        square = RecognizedSubgroup(4, (("BB", ((0, 1), (2, 3))),))
+        fixed = [label for label in square.irreps() if label[1] is not None]
+        assert fixed == [((bp((1,), (1,)), bp((1,), (1,))), 0),
+                         ((bp((1,), (1,)), bp((1,), (1,))), 1)]
+
+
 def test_subgroups_given_by_pieces_are_their_products():
     # an E2 piece is the group its flips generate, here the even flips
     klein = RecognizedSubgroup(3, (("E2", ((2, 3), (1, 3))),))
@@ -1010,7 +1165,8 @@ def assert_point_families_follow_the_connected_hyperplane_rule(st):
     assert [f.irrep for f in st.families()] == want, str(st)
 
 
-FAMILY_ACTIONS = PATTERN_ACTIONS + [("B5", hyperoctahedral_action(5)), ("klein_four", KLEIN_FOUR)]
+FAMILY_ACTIONS = PATTERN_ACTIONS + [("B5", hyperoctahedral_action(5)), ("klein_four", KLEIN_FOUR)] \
+    + EVEN_SIGN_ACTIONS
 
 
 @pytest.mark.parametrize("name, action", FAMILY_ACTIONS, ids=[n for n, _ in FAMILY_ACTIONS])
@@ -1020,12 +1176,20 @@ def test_point_families_follow_the_connected_hyperplane_rule(name, action):
             assert_point_families_follow_the_connected_hyperplane_rule(st)
 
 
+def test_point_families_of_a_flip_conjugated_symmetric_group():
+    # no stratum has a tA piece at a point, so the rule is checked on one
+    # built by hand: the signed swap of S2~ fixes the connected x1 x2 = 1
+    c = _canonical_coset(2, [], [0, 0])
+    H = RecognizedSubgroup(2, (("tA", ((0, 1), (1,))),))
+    st = extquot.Stratum(c, c.generic_point(), H)
+    assert [f.irrep for f in st.families()] == [Partition((1, 1))]
+    assert_point_families_follow_the_connected_hyperplane_rule(st)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_point_families_of_an_even_sign_group(n):
-    # strata() does not yet recognize every stabilizer of W(D_n), but its
-    # stabilizer at the point 1 is all of W(D_n), one D piece
-    c = _canonical_coset(n, [], [0] * n)
-    st = extquot.Stratum(c, c.generic_point(), stabilizer(even_sign_action(n), c.generic_point()))
+    # the stabilizer of W(D_n) at the point 1 is all of W(D_n), one D piece
+    st = next(s for s in strata(even_sign_action(n)) if s.base == point(*[1] * n))
     assert [kind for kind, _ in st.group.pieces] == ["D"]
     assert_point_families_follow_the_connected_hyperplane_rule(st)
 
