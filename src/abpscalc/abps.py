@@ -428,23 +428,46 @@ def mu(G: PadicGroup, triple: InertialTriple) -> MuData:
 # the twisting maps
 
 
-def _orbit(action: MonomialAction, t: SymbolicTorusPoint):
-    return frozenset(act(w, t) for w in action.elements)
+def _coordinate_key(c: SymbolicCoordinate):
+    return c.torsion, c.qexp, c.monomial
 
 
-def theta(z: SymbolicCoordinate, entry: MuEntry, mu_data: MuData):
+def _orbit_form(action: MonomialAction, t: SymbolicTorusPoint) -> tuple:
+    """The normal form of the orbit of ``t``, read off the blocks of the
+    action: per block, its coordinates sorted by ``(torsion, qexp,
+    monomial)``, each coordinate of a hyperoctahedral (``"B"``) block
+    first replaced by the lesser of it and its inverse.
+
+    An inertial action is the full product of the symmetric or
+    hyperoctahedral groups of its blocks (its generators swap members
+    of one class and flip single coordinates), so a group element moves
+    each block's coordinates within it, inverting any of them on a
+    ``"B"`` block.  Two points thus share an orbit exactly when they
+    share this form, and no element of the group is listed."""
+    out = []
+    for kind, coords in action.blocks:
+        values = [t.coords[c] for c in coords]
+        if kind == "B":
+            values = [min(c, c.inverse(), key=_coordinate_key) for c in values]
+        out.append(tuple(sorted(values, key=_coordinate_key)))
+    return tuple(out)
+
+
+def theta(z: SymbolicCoordinate, entry: MuEntry, mu_data: MuData) -> tuple:
     """Shift the base point by the correcting cocharacter evaluated at
-    ``z`` and take the orbit; at z = 1 this is the plain projection."""
+    ``z`` and name its orbit by :func:`_orbit_form`; at z = 1 this is
+    the plain projection.  Two entries' images compare as orbits."""
     base = entry.stratum.base
     shifted = SymbolicTorusPoint(tuple(
         c * z ** e for c, e in zip(base.coords, entry.cochar)
     ))
-    return _orbit(mu_data.inertial.action, shifted)
+    return _orbit_form(mu_data.inertial.action, shifted)
 
 
-def support_orbit(entry: MuEntry, mu_data: MuData):
+def support_orbit(entry: MuEntry, mu_data: MuData) -> tuple:
     """The orbit of the cuspidal-support coordinates, placed on the
-    torus slots by character class."""
+    torus slots by character class, named by :func:`_orbit_form`, so it
+    compares with :func:`theta` at ``q^{1/2}``."""
     triple = mu_data.inertial.triple
     values = [l.twist * q_power(e) for l, e in entry.support.coordinates]
     placed = []
@@ -458,7 +481,7 @@ def support_orbit(entry: MuEntry, mu_data: MuData):
             raise MatchingError("support does not fill the torus slots")
         placed.append(values[pick])
         values[pick] = None
-    return _orbit(mu_data.inertial.action, SymbolicTorusPoint(tuple(placed)))
+    return _orbit_form(mu_data.inertial.action, SymbolicTorusPoint(tuple(placed)))
 
 
 # ---------------------------------------------------------------------------
@@ -591,26 +614,19 @@ def correcting_cocharacters(G: PadicGroup, triple: InertialTriple):
     one representative per orbit, each tagged with the unipotent
     component label it comes from.
 
-    An exponent vector ``c`` stands for the point ``(q^{c_i/2})``.  The
-    inertial action is the full product of the symmetric or
-    hyperoctahedral groups of its coordinate blocks, so two such points
-    share an orbit exactly when, block by block, their sorted exponents
-    agree, taken in absolute value on a hyperoctahedral block (where
-    ``q^{c/2}`` meets ``q^{-c/2}``).  That normal form names the orbit,
-    and no element of the group is listed."""
+    An exponent vector ``c`` stands for the point ``(q^{c_i/2})``, and
+    :func:`_orbit_form` of that point names its orbit, so no element of
+    the group is listed.  Entries repeat their vectors, so each distinct
+    vector is read once, with the component of its first entry."""
     data = mu(G, triple)
-    blocks = data.inertial.action.blocks
-    out = []
-    seen = set()
+    action = data.inertial.action
+    firsts, forms = {}, {}
     for e in data.entries:
-        form = tuple(tuple(sorted(abs(e.cochar[c]) if kind == "B" else e.cochar[c]
-                                  for c in coords))
-                     for kind, coords in blocks)
-        if form in seen:
-            continue
-        seen.add(form)
-        out.append((e.component, e.cochar))
-    return out
+        firsts.setdefault(e.cochar, e.component)
+    for cochar, component in firsts.items():
+        point = SymbolicTorusPoint(tuple(map(q_power, cochar)))
+        forms.setdefault(_orbit_form(action, point), (component, cochar))
+    return list(forms.values())
 
 
 def fiber(G: PadicGroup, triple: InertialTriple):

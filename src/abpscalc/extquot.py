@@ -442,23 +442,6 @@ def intersect_cosets(c1: TorusCoset, c2: TorusCoset):
     return _solve_torus(E1 + E2, b1 + b2, c1.rank)
 
 
-def _signed_image(w: SignedPermutation, v):
-    """The vector ``w v``: entry ``i`` of ``v`` moves to ``w(i)`` with
-    the sign of ``w`` there."""
-    out = [0] * len(v)
-    for x, i, s in zip(v, w.images, w.signs):
-        out[i - 1] = s * x
-    return out
-
-
-def act_coset(w: SignedPermutation, c: TorusCoset) -> TorusCoset:
-    if w.rank != c.rank:
-        raise RankMismatch(f"rank {w.rank} element on rank {c.rank} coset")
-    L, t = c._scaled_translation
-    rows = [_signed_image(w, row) for row in c.basis]
-    return _canonical_coset(c.rank, rows, _signed_image(w, t), L)
-
-
 # ---------------------------------------------------------------------------
 # group actions
 
@@ -981,15 +964,6 @@ class Stratum:
         return f"{self.base} : {self.group.structure()}"
 
 
-def _coset_orbit(action: MonomialAction, c: TorusCoset):
-    """The orbit of ``c``, sorted, reached from ``c`` by the generators."""
-    orbit, frontier = {c}, {c}
-    while frontier:
-        frontier = {act_coset(g, x) for x in frontier for g in action.generators} - orbit
-        orbit |= frontier
-    return sorted(orbit, key=_coset_key)
-
-
 # the largest rank that strata accepts: extquot --rank 6 answers in
 # about 0.15 s and 18 MiB in a fresh process (2-CPU VM, Python 3.11),
 # with no element of W(B6) (46,080) or of a stabilizer listed.  The
@@ -1192,67 +1166,6 @@ def _pattern_strata(n: int, blocks: tuple) -> tuple:
     return tuple(st for _, st in out)
 
 
-def _closure_strata(action: MonomialAction):
-    """The strata of any action, from the pool of the full torus and
-    every fixed locus, closed under intersection.
-
-    The pool is W-stable, because ``v Fix(w) = Fix(v w v^-1)``, and so
-    is every intersection of its members.  So when ``c1 = v r`` for an
-    orbit representative ``r``, the intersection ``c1 & c2 = v (r &
-    v^-1 c2)`` is known up to W from representatives alone: each new
-    orbit's representative meets the pool, whatever the meeting adds
-    joins with its whole orbit, and this repeats until nothing new
-    appears.  Two new representatives need to meet only one of the two
-    orbits, for the same reason.
-    """
-    n = action.rank
-    pool = {full_torus(n)}
-    for w in action.elements:
-        if w != action.identity():
-            pool.update(fixed_locus(w))
-    orbit_of = {}
-    orbits = []
-
-    def new_orbits(cosets):
-        reps = []
-        for c in cosets:
-            if c not in orbit_of:
-                orbit = _coset_orbit(action, c)
-                orbit_of.update(dict.fromkeys(orbit, orbit))
-                orbits.append(orbit)
-                reps.append(orbit[0])
-        return reps
-
-    met = []
-    fresh = new_orbits(pool)
-    while fresh:
-        found = set()
-        # each new representative meets the older orbits, its own, and
-        # the orbits of the new representatives after it
-        for r in reversed(fresh):
-            met += orbit_of[r]
-            for c in met:
-                if c != r:
-                    found.update(intersect_cosets(r, c))
-        fresh = new_orbits(found)
-    orbits.sort(key=lambda orbit: _coset_key(orbit[0]))
-    out = []
-    for orbit in orbits:
-        # prefer the representative whose stabilizer has recognized
-        # Coxeter structure (conjugates may act by twisted reflections)
-        last = None
-        for c in orbit:
-            base = c.generic_point()
-            try:
-                out.append(Stratum(c, base, stabilizer(action, base)))
-                break
-            except UnrecognizedStructure as exc:
-                last = exc
-        else:
-            raise last
-    return out
-
-
 def strata(action: MonomialAction):
     """Canonical representatives of the stabilizer strata of the action,
     one per orbit, ordered by the least coset of each orbit (decreasing
@@ -1261,21 +1174,20 @@ def strata(action: MonomialAction):
     (conjugates may act by twisted reflections), or the least coset when
     there is none.
 
-    An action that is the full product of symmetric, hyperoctahedral and
-    even-signed groups over the coordinate blocks its generators move
-    (every action ``abps`` builds, ``hyperoctahedral_action``,
-    ``even_sign_action``, ``permutation_action``, ``trivial_action``) is
-    stratified from coordinate patterns (:func:`_pattern_strata`), with
-    no fixed locus, intersection or stabilizer scan; when its generators
-    are transpositions, single flips and double flips inside a block, as
-    for all of those, no element of the group is listed either.  Any
-    other action (coupled sign groups, subgroups given by arbitrary
-    generators) goes through the closure of its fixed loci under
-    intersection, and raises ``UnrecognizedStructure`` when some orbit
-    has no representative whose stabilizer ``recognize_subgroup`` reads.
-    Both give the same strata where both answer.  The split twins of
-    W(D) have none: on the pattern path their representative is the
-    least coset of the orbit, with ``tA`` pieces.
+    The action must be the full product of symmetric, hyperoctahedral
+    and even-signed groups over the coordinate blocks its generators
+    move (:func:`_product_blocks`): every action ``abps`` builds,
+    ``hyperoctahedral_action``, ``even_sign_action``,
+    ``permutation_action`` and ``trivial_action``.  It is stratified
+    from coordinate patterns (:func:`_pattern_strata`), with no fixed
+    locus, intersection or stabilizer scan; when its generators are
+    transpositions, single flips and double flips inside a block, as for
+    all of those, no element of the group is listed either.  The split
+    twins of W(D) have no representative with an unconjugated
+    stabilizer, so theirs is the least coset of the orbit, with ``tA``
+    pieces.  Any other action (coupled sign groups, subgroups given by
+    arbitrary generators) raises ``UnrecognizedStructure``, naming its
+    order, its generators and its coordinate blocks.
 
     A rank above :data:`MAX_RANK` raises :class:`RankOutOfRange`.
 
@@ -1291,7 +1203,11 @@ def strata(action: MonomialAction):
         raise RankOutOfRange(action.rank)
     blocks = _product_blocks(action)
     if blocks is None:
-        return _closure_strata(action)
+        coords = ", ".join(_one_based(c) for _, c in _generator_blocks(action.rank, action.generators))
+        raise UnrecognizedStructure(
+            f"the action of order {action.order} generated by {_listing(action.generators)} "
+            f"is not the full product over its coordinate blocks {coords}, so it has no "
+            f"coordinate patterns to stratify")
     return list(_pattern_strata(action.rank, blocks))
 
 

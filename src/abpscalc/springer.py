@@ -304,7 +304,6 @@ class _Symbol(NamedTuple):
     intervals: MappingProxyType
 
 
-@lru_cache
 def _symbol(kind: str, lam: Partition) -> _Symbol:
     """The symbol of ``lam`` at the trivial character, and the interval
     of each markable part value.
@@ -314,9 +313,9 @@ def _symbol(kind: str, lam: Partition) -> _Symbol:
     exactly one row, paired in ascending order.  For ``Sp`` the run
     containing 0 belongs to no part.
 
-    Memoised by value on ``(kind, lam)``, with the default 128 entries,
-    for the life of the process.  The result is frozen and shared
-    between callers: rows and intervals are sorted tuples and the
+    Not memoised: :func:`_class_reads` reads each symbol once per
+    factor class, and a one-factor table reads each of its classes once.
+    The result is frozen: rows and intervals are sorted tuples and the
     interval map is read-only.
     """
     parts = lam.ascending()

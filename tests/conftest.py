@@ -47,7 +47,7 @@ def _clear_springer_memos():
     Springer reader holds its class's rows, and a memoised centralizer
     carries the shared reader of its class, which the class memo keeps
     too."""
-    for memo in (springer._symbol, springer._class_reads, springer.springer_blocks,
+    for memo in (springer._class_reads, springer.springer_blocks,
                  springer.class_reader, langlands.centralizer_restriction):
         memo.cache_clear()
 

@@ -3,7 +3,8 @@
 import re
 from collections import Counter
 from dataclasses import fields
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -28,6 +29,7 @@ from abpscalc.abps import (
     weyl_order,
     weyl_structure,
     _core_group,
+    _orbit_form,
     _rebuild,
     _reference,
     _restriction_parameter,
@@ -37,7 +39,22 @@ from abpscalc.abps import (
 )
 from abpscalc.combicore import Bipartition, Partition
 from abpscalc import extquot
-from abpscalc.extquot import ONE, SymbolicTorusPoint, act, q_power
+from abpscalc.extquot import (
+    MINUS_ONE,
+    ONE,
+    MonomialAction,
+    RecognizedSubgroup,
+    SymbolicTorusPoint,
+    act,
+    free,
+    hyperoctahedral_action,
+    permutation_action,
+    q_power,
+    root_of_unity,
+    sign_flip,
+    transposition,
+    trivial_action,
+)
 from abpscalc.langlands import (
     DimensionMismatch,
     FormalParameter,
@@ -229,11 +246,11 @@ class TestMatching:
 
 class TestTwistingMaps:
     def test_theta_one_is_projection(self):
+        # every listed image of the base reads the form of theta at 1
         for e in MD.entries:
-            base = frozenset(
-                act(w, e.stratum.base) for w in DATA.action.elements
-            )
-            assert theta(ONE, e, MD) == base
+            images = {_orbit_form(DATA.action, act(w, e.stratum.base))
+                      for w in DATA.action.elements}
+            assert images == {theta(ONE, e, MD)}
 
     def test_support_is_sqrt_q_shift(self):
         for e in MD.entries:
@@ -241,8 +258,9 @@ class TestTwistingMaps:
 
     def test_steinberg_shift(self):
         e = entry("(z, z)", P((1, 1)))
-        orbit = {str(t) for t in theta(q_power(1), e, MD)}
-        assert "(q^{1/2}*z, q^{-1/2}*z)" in orbit
+        shifted = SymbolicTorusPoint((q_power(1) * free("z"), q_power(-1) * free("z")))
+        assert str(shifted) == "(q^{1/2}*z, q^{-1/2}*z)"
+        assert theta(q_power(1), e, MD) == _orbit_form(DATA.action, shifted)
 
     def test_trivial_label_never_moves(self):
         e = entry("(z, z')", ())
@@ -452,6 +470,67 @@ def _triple_id(spec):
 def test_cocharacter_normal_form_is_the_orbit(spec):
     G, j = _answering_triple(*spec)
     assert correcting_cocharacters(G, j) == orbit_classes(mu(G, j))
+
+
+# coordinates with free variables, torsion and q-powers: 1 and -1 are
+# their own inverses, z and 1/z are each other's, and the others order
+# differently from their inverses in torsion, in qexp or in the monomial
+_FORM_COORDS = (
+    ONE, MINUS_ONE, free("z"), free("z").inverse(), free("w") * q_power(1),
+    root_of_unity(Fraction(1, 3)), root_of_unity(Fraction(1, 3)) * q_power(-1),
+    free("z") ** 2 * q_power(-1), root_of_unity(Fraction(3, 4)) * q_power(2),
+)
+# products of symmetric and hyperoctahedral groups on blocks of rank <= 3,
+# some of them interleaved, as inertial actions are
+_FORM_ACTIONS = [
+    ("B1", hyperoctahedral_action(1)), ("B2", hyperoctahedral_action(2)),
+    ("B3", hyperoctahedral_action(3)), ("S2", permutation_action(2)),
+    ("S3", permutation_action(3)), ("T2", trivial_action(2)),
+    ("S2xB1", MonomialAction(3, [transposition(3, 0, 1), sign_flip(3, (2,))])),
+    ("B1^3", MonomialAction(3, [sign_flip(3, (c,)) for c in range(3)])),
+    ("B2xS1_interleaved", MonomialAction(3, [transposition(3, 0, 2), sign_flip(3, (2,))])),
+    ("S2xB1_interleaved", MonomialAction(3, [transposition(3, 0, 2), sign_flip(3, (1,))])),
+]
+
+
+@pytest.mark.parametrize("name, action", _FORM_ACTIONS, ids=[n for n, _ in _FORM_ACTIONS])
+def test_orbit_form_names_the_listed_orbit(name, action):
+    # two points share a form exactly when one lies in the listed orbit
+    # of the other: each form is read on one orbit, and there are as many
+    # forms as orbits
+    assert {kind for kind, _ in action.blocks} <= {"A", "B"}
+    orbits_of = {}
+    for coords in product(_FORM_COORDS, repeat=action.rank):
+        t = SymbolicTorusPoint(coords)
+        orbit = frozenset(act(w, t) for w in action.elements)
+        assert t in orbit
+        orbits_of.setdefault(_orbit_form(action, t), set()).add(orbit)
+    assert all(len(orbits) == 1 for orbits in orbits_of.values())
+    assert len(set().union(*orbits_of.values())) == len(orbits_of)
+    if action.order > 1:
+        assert len(orbits_of) < len(_FORM_COORDS) ** action.rank
+
+
+@pytest.fixture
+def unlisted(monkeypatch):
+    """Refuse to list the elements of any action or stabilizer."""
+    def refuse(self):
+        raise AssertionError(f"elements of {type(self).__name__} listed")
+
+    monkeypatch.setattr(MonomialAction, "elements", property(refuse))
+    monkeypatch.setattr(RecognizedSubgroup, "elements", property(refuse))
+
+
+@pytest.mark.parametrize("spec", [ANSWERING[0], ANSWERING[2]], ids=_triple_id)
+def test_twisting_maps_list_no_element(spec, unlisted):
+    # mu and the twisting maps read orbits off normal forms, so they
+    # answer with every listing refused
+    G, j = _answering_triple(*spec)
+    md = mu(G, j)
+    assert len(md.entries) == sum(len(st.group.irreps()) for st in md.inertial.strata)
+    for e in md.entries:
+        assert theta(ONE, e, md) == _orbit_form(md.inertial.action, e.stratum.base)
+        assert theta(q_power(1), e, md) == support_orbit(e, md), str(e)
 
 
 class TestOneCentralizerPerParameter:
@@ -688,11 +767,10 @@ def _oracle_corpus():
                 "from a factor that lacks them")))
         elif family == "SO" and size % 2 == 0:
             marks.append(pytest.mark.xfail(strict=True, raises=MatchingError, reason=(
-                "ROADMAP item 3: SO(2n) acts by W(B) instead of W(D)")))
-        out.append(pytest.param(spec, True, marks=marks, id=_triple_id(spec)))
-    # the largest triple: its theta checks alone take about 11 s
-    sp8 = ("Sp", 8, ("zeta",) * 4)
-    return out + [pytest.param(sp8, False, id=_triple_id(sp8))]
+                "ROADMAP item 4: SO(2n) acts by W(B) instead of W(D)")))
+        out.append(pytest.param(spec, marks=marks, id=_triple_id(spec)))
+    sp8 = ("Sp", 8, ("zeta",) * 4)  # the largest triple
+    return out + [pytest.param(sp8, id=_triple_id(sp8))]
 
 
 ORACLE_CORPUS = _oracle_corpus()
@@ -715,8 +793,8 @@ def test_every_stratum_has_a_valid_restriction(spec):
         assert validate(G, restriction) == restriction, str(st.base)
 
 
-@pytest.mark.parametrize("spec, twisting", ORACLE_CORPUS)
-def test_abps_oracle(spec, twisting):
+@pytest.mark.parametrize("spec", ORACLE_CORPUS)
+def test_abps_oracle(spec):
     G, j = _oracle_triple(spec)
     md = mu(G, j)
     entries = md.entries
@@ -731,12 +809,14 @@ def test_abps_oracle(spec, twisting):
     for p in ps:
         assert {e.param for e in p.members} == {p.members[0].param}
         assert p.size == len(enhancements(G, p.members[0].param)[1]) >= len(p.members)
-    if not twisting:
-        return
-    # theta at 1 is the projection; theta at q^{1/2} is the support
-    elements = md.inertial.action.elements
+    # theta at 1 is the projection: every listed image of the base reads
+    # its form, listed once per stratum; theta at q^{1/2} is the support
+    action, images = md.inertial.action, {}
     for e in entries:
-        assert theta(ONE, e, md) == frozenset(act(w, e.stratum.base) for w in elements), str(e)
+        base = e.stratum.base
+        if base not in images:
+            images[base] = {_orbit_form(action, act(w, base)) for w in action.elements}
+        assert images[base] == {theta(ONE, e, md)}, str(e)
         assert theta(q_power(1), e, md) == support_orbit(e, md), str(e)
     tempered = tempered_points(md)
     assert tempered == tuple(e for e in entries if is_tempered(G, e.param))

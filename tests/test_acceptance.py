@@ -12,6 +12,7 @@ from abpscalc import abps, cli
 from abpscalc.combicore import SignedPermutation, all_signed_permutations
 from abpscalc.extquot import (
     ONE,
+    act,
     fixed_locus,
     hyperoctahedral_action,
     q_power,
@@ -247,9 +248,12 @@ def test_criterion_08_matching_bijection_and_twists():
             key = (str(e.param), str(e.eta))
             assert key not in seen
             seen.add(key)
+        action = md.inertial.action
         for e in md.entries:
-            base = abps._orbit(md.inertial.action, e.stratum.base)
-            assert abps.theta(ONE, e, md) == base
+            # every listed image of the base reads the form of theta at 1
+            images = {abps._orbit_form(action, act(w, e.stratum.base))
+                      for w in action.elements}
+            assert images == {abps.theta(ONE, e, md)}
             assert abps.support_orbit(e, md) == abps.theta(q_power(1), e, md)
 
     _check(8, "matched inventory with identity and shifted twisting maps",

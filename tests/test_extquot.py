@@ -32,13 +32,12 @@ from abpscalc.extquot import (
     RankOutOfRange,
     RecognizedSubgroup,
     SymbolicCoordinate,
+    Stratum,
     _canonical_coset,
-    _closure_strata,
     _coset_key,
     _product_blocks,
     _solve_torus,
     act,
-    act_coset,
     eq_pairs,
     even_sign_action,
     fixed_locus,
@@ -83,6 +82,105 @@ def smith_fixed_locus(w):
     M = signed_matrix(w)
     A = [[M[i][j] - (i == j) for j in range(n)] for i in range(n)]
     return _solve_torus(A, [0] * n, n)
+
+
+def _signed_image(w: SignedPermutation, v):
+    """The vector ``w v``: entry ``i`` of ``v`` moves to ``w(i)`` with
+    the sign of ``w`` there."""
+    out = [0] * len(v)
+    for x, i, s in zip(v, w.images, w.signs):
+        out[i - 1] = s * x
+    return out
+
+
+def act_coset(w: SignedPermutation, c):
+    """The image of the coset ``c`` under ``w``, made canonical through
+    ``extquot._canonical_coset``, looked up on the module so that
+    ``test_walk_moves_no_coset`` can refuse it."""
+    if w.rank != c.rank:
+        raise RankMismatch(f"rank {w.rank} element on rank {c.rank} coset")
+    L, t = c._scaled_translation
+    rows = [_signed_image(w, row) for row in c.basis]
+    return extquot._canonical_coset(c.rank, rows, _signed_image(w, t), L)
+
+
+def _coset_orbit(action, c):
+    """The orbit of ``c``, sorted, reached from ``c`` by the generators."""
+    orbit, frontier = {c}, {c}
+    while frontier:
+        frontier = {act_coset(g, x) for x in frontier for g in action.generators} - orbit
+        orbit |= frontier
+    return sorted(orbit, key=_coset_key)
+
+
+def _closure_strata(action):
+    """The strata of any action, from the pool of the full torus and
+    every fixed locus, closed under intersection: the oracle of the
+    coordinate patterns of :func:`strata`, and the only stratification
+    of the actions that are not products.
+
+    The pool is W-stable, because ``v Fix(w) = Fix(v w v^-1)``, and so
+    is every intersection of its members.  So when ``c1 = v r`` for an
+    orbit representative ``r``, the intersection ``c1 & c2 = v (r &
+    v^-1 c2)`` is known up to W from representatives alone: each new
+    orbit's representative meets the pool, whatever the meeting adds
+    joins with its whole orbit, and this repeats until nothing new
+    appears.  Two new representatives need to meet only one of the two
+    orbits, for the same reason.  Each orbit is represented by its least
+    coset whose stabilizer ``recognize_subgroup`` reads, and an orbit
+    with none raises its ``UnrecognizedStructure``.
+    """
+    n = action.rank
+    pool = {full_torus(n)}
+    for w in action.elements:
+        if w != action.identity():
+            pool.update(fixed_locus(w))
+    orbit_of = {}
+    orbits = []
+
+    def new_orbits(cosets):
+        reps = []
+        for c in cosets:
+            if c not in orbit_of:
+                orbit = _coset_orbit(action, c)
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+                orbits.append(orbit)
+                reps.append(orbit[0])
+        return reps
+
+    met = []
+    fresh = new_orbits(pool)
+    while fresh:
+        found = set()
+        # each new representative meets the older orbits, its own, and
+        # the orbits of the new representatives after it
+        for r in reversed(fresh):
+            met += orbit_of[r]
+            for c in met:
+                if c != r:
+                    found.update(intersect_cosets(r, c))
+        fresh = new_orbits(found)
+    orbits.sort(key=lambda orbit: _coset_key(orbit[0]))
+    out = []
+    for orbit in orbits:
+        # prefer the representative whose stabilizer has recognized
+        # Coxeter structure (conjugates may act by twisted reflections)
+        last = None
+        for c in orbit:
+            base = c.generic_point()
+            try:
+                out.append(Stratum(c, base, stabilizer(action, base)))
+                break
+            except UnrecognizedStructure as exc:
+                last = exc
+        else:
+            raise last
+    return out
+
+
+def any_strata(action):
+    """The strata of a product action, or the closure of any other."""
+    return _closure_strata(action) if _product_blocks(action) is None else strata(action)
 
 
 def brute_force_geometric_eq(action):
@@ -811,7 +909,12 @@ class TestStrata:
                  for s in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]]
         pool = {c for w in flips for c in fixed_locus(w)}
         assert len(pool) == 13
-        sts = strata(MonomialAction(3, flips))
+        # not a product of groups on coordinate blocks: the closure oracle
+        # stratifies it, and strata refuses it
+        action = MonomialAction(3, flips)
+        with pytest.raises(UnrecognizedStructure):
+            strata(action)
+        sts = _closure_strata(action)
         assert len(sts) == 21
         points = [s for s in sts if s.dimension == 0]
         assert {s.base for s in points} == {point(*p) for p in product((1, -1), repeat=3)}
@@ -825,10 +928,10 @@ class TestStrata:
     @pytest.mark.parametrize("action", [B2, B3, KLEIN_FOUR] + [a for _, a in EVEN_SIGN_ACTIONS],
                              ids=["B2", "B3", "klein_four"] + [n for n, _ in EVEN_SIGN_ACTIONS])
     def test_orbits_of_strata_are_the_closure_pool(self, action):
-        # strata() closes the pool from orbit representatives only, or
-        # reads it off coordinate patterns; the oracle intersects every
-        # pair.  The orbits of the strata partition the pool
-        orbits = [{act_coset(w, s.coset) for w in action.elements} for s in strata(action)]
+        # strata() reads the pool off coordinate patterns and the closure
+        # oracle closes it from orbit representatives only; closure_pool
+        # intersects every pair.  The orbits of the strata partition the pool
+        orbits = [{act_coset(w, s.coset) for w in action.elements} for s in any_strata(action)]
         assert set().union(*orbits) == set(closure_pool(action))
         assert sum(map(len, orbits)) == len(closure_pool(action))
 
@@ -853,7 +956,8 @@ class TestStrata:
         for name in ("fixed_locus", "intersect_cosets", "stabilizer"):
             monkeypatch.setattr(extquot, name, refuse)
         assert len(strata(B3)) == 14
-        with pytest.raises(AssertionError, match="closure step"):
+        # an action that is not a product is refused before any such step
+        with pytest.raises(UnrecognizedStructure):
             strata(KLEIN_FOUR)
 
     @pytest.mark.parametrize("action", [
@@ -861,6 +965,14 @@ class TestStrata:
     ], ids=["klein_four", "swap_with_flip", "coupled"])
     def test_other_actions_are_not_products(self, action):
         assert _product_blocks(action) is None
+
+    @pytest.mark.parametrize("action", [KLEIN_FOUR, COUPLED], ids=["klein_four", "coupled"])
+    def test_other_actions_are_refused_by_name(self, action):
+        with pytest.raises(UnrecognizedStructure) as exc:
+            strata(action)
+        message = str(exc.value)
+        assert f"order {action.order} generated by " in message
+        assert all(str(g) in message for g in action.generators)
 
 
 class TestStrataMemo:
@@ -1171,7 +1283,7 @@ FAMILY_ACTIONS = PATTERN_ACTIONS + [("B5", hyperoctahedral_action(5)), ("klein_f
 
 @pytest.mark.parametrize("name, action", FAMILY_ACTIONS, ids=[n for n, _ in FAMILY_ACTIONS])
 def test_point_families_follow_the_connected_hyperplane_rule(name, action):
-    for st in strata(action):
+    for st in any_strata(action):
         if st.dimension == 0 and st.group.order > 1:
             assert_point_families_follow_the_connected_hyperplane_rule(st)
 
@@ -1253,11 +1365,16 @@ class TestGeometricQuotient:
         assert len(geometric_eq(build(n))) == count
 
     def test_walk_moves_no_coset(self, monkeypatch):
-        # the centralizer acts on the picks of 0 or 1/2, not on cosets
+        # the centralizer acts on the picks of 0 or 1/2, not on cosets:
+        # every coset comes from fixed_locus as it stands, and none is
+        # moved and put back in canonical form, as act_coset does
         def refuse(*args):
-            raise AssertionError("act_coset in geometric_eq")
+            raise AssertionError("a coset made canonical in geometric_eq")
 
-        monkeypatch.setattr(extquot, "act_coset", refuse)
+        line = fixed_locus(S1)[0]
+        monkeypatch.setattr(extquot, "_canonical_coset", refuse)
+        with pytest.raises(AssertionError, match="canonical in geometric_eq"):
+            act_coset(S2, line)
         assert len(geometric_eq(hyperoctahedral_action(3))) == 22
 
 

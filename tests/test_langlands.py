@@ -623,14 +623,20 @@ class TestSegmentMemo:
         assert infinitesimal_character(G, phi) == want
 
 
-def test_cuspidal_support_builds_each_symbol_once():
+def test_cuspidal_support_builds_each_symbol_once(monkeypatch):
     # a change that rebuilt the symbols of a class for every pair would
-    # miss the symbol memo once per enhancement, not once per class; the
+    # build a symbol once per enhancement, not once per class; the
     # symbols are read through the class-read memo and the shared
     # readers, so those start empty too
-    for memo in (springer._symbol, springer._class_reads, springer.class_reader,
-                 centralizer_restriction):
+    for memo in (springer._class_reads, springer.class_reader, centralizer_restriction):
         memo.cache_clear()
+    built, real = [], springer._symbol
+
+    def counted(kind, lam):
+        built.append((kind, lam))
+        return real(kind, lam)
+
+    monkeypatch.setattr(springer, "_symbol", counted)
     met, tables = set(), set()
     rng = random.Random(20261019)
     for family, size in (("Sp", 6), ("SO", 7), ("SO", 8)):
@@ -645,8 +651,7 @@ def test_cuspidal_support_builds_each_symbol_once():
                     if f.kind != "GL"}
             for ch in chars:
                 cuspidal_support(G, phi, ch)
-    assert len(met) < springer._symbol.cache_info().maxsize
-    assert 0 < springer._symbol.cache_info().misses <= len(met)
+    assert 0 < len(built) == len(set(built)) <= len(met)
     assert 0 < springer._class_reads.cache_info().misses <= len(tables)
 
 
@@ -720,7 +725,7 @@ class TestSharedClassReader:
         corpus = list(_seeded_parameters())
         for memo in ("cold", "warm"):
             if memo == "cold":
-                for f in (springer.class_reader, springer._symbol, centralizer_restriction):
+                for f in (springer.class_reader, springer._class_reads, centralizer_restriction):
                     f.cache_clear()
             for G, phi in corpus:
                 data = centralizer_restriction(G, phi)

@@ -557,8 +557,7 @@ def whole_class_correspond(group, u, char):
 
 
 def _clear_read_memos():
-    for memo in (springer._symbol, springer._class_reads, springer.class_reader,
-                 springer_blocks):
+    for memo in (springer._class_reads, springer.class_reader, springer_blocks):
         memo.cache_clear()
 
 
@@ -632,17 +631,18 @@ class TestClassTable:
     """Each reader reads its class once, on first use, and a read is a
     lookup in its rows."""
 
-    def test_symbol_memo_keeps_the_default_size(self):
-        assert springer._symbol.cache_info().maxsize == 128
+    def test_class_read_memo_keeps_the_default_size(self):
+        assert springer._class_reads.cache_info().maxsize == 128
+        assert not hasattr(springer._symbol, "cache_info")
 
     def test_twin_partitions_hit_by_value(self):
-        springer._symbol.cache_clear()
+        springer._class_reads.cache_clear()
         lam, twin = Partition((4, 2)), Partition((2, 4))
         assert lam == twin and lam is not twin
-        symbol = springer._symbol("Sp", lam)
-        before = springer._symbol.cache_info()
-        assert springer._symbol("Sp", twin) is symbol
-        after = springer._symbol.cache_info()
+        reads = springer._class_reads("Sp", lam, "")
+        before = springer._class_reads.cache_info()
+        assert springer._class_reads("Sp", twin, "") is reads
+        after = springer._class_reads.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
         # the (4,2) row of the frozen Sp6 table marked at 2: the core Sp6
         g = Sp(6)
