@@ -34,7 +34,11 @@ from abpscalc.extquot import (
     SymbolicCoordinate,
     Stratum,
     _canonical_coset,
+    _coordinate_blocks,
     _coset_key,
+    _flip_generators,
+    _listing,
+    _one_based,
     _product_blocks,
     _solve_torus,
     act,
@@ -49,7 +53,7 @@ from abpscalc.extquot import (
     irreps,
     permutation_action,
     point,
-    recognize_subgroup,
+    q_power,
     root_of_unity,
     sign_flip,
     spectral_eq,
@@ -127,8 +131,8 @@ def _closure_strata(action):
     joins with its whole orbit, and this repeats until nothing new
     appears.  Two new representatives need to meet only one of the two
     orbits, for the same reason.  Each orbit is represented by its least
-    coset whose stabilizer ``recognize_subgroup`` reads, and an orbit
-    with none raises its ``UnrecognizedStructure``.
+    coset whose scanned stabilizer :func:`recognize_subgroup` reads, and
+    an orbit with none raises its ``UnrecognizedStructure``.
     """
     n = action.rank
     pool = {full_torus(n)}
@@ -169,7 +173,7 @@ def _closure_strata(action):
         for c in orbit:
             base = c.generic_point()
             try:
-                out.append(Stratum(c, base, stabilizer(action, base)))
+                out.append(Stratum(c, base, scanned_stabilizer(action, base)))
                 break
             except UnrecognizedStructure as exc:
                 last = exc
@@ -286,6 +290,9 @@ KLEIN_FOUR = MonomialAction(3, [sign_flip(3, (1, 2)), sign_flip(3, (0, 2))])
 # W(B1) x W(B2) cut down to its even flips by flips across the blocks:
 # no product of full groups on its generator orbits
 COUPLED = MonomialAction(3, [transposition(3, 1, 2), sign_flip(3, (0, 1)), sign_flip(3, (1, 2))])
+# the swap of coordinates 1, 2 with the flip of 3: a twisted diagonal of
+# order 2, no product of groups on its coordinate blocks
+SWAP_WITH_FLIP = MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))])
 # W(D2) on coordinates 1, 2 times W(B2) on 3, 4, and W(D3) on 1, 3, 5 times
 # S2 on 2, 4: products with an even-signed block
 D2_B2 = MonomialAction(4, [transposition(4, 0, 1), sign_flip(4, (0, 1)),
@@ -299,6 +306,71 @@ EVEN_SIGN_ACTIONS = [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)] + [
 def scanned(action, t):
     """The elements of the action that fix ``t``, by ``act`` on each."""
     return tuple(w for w in action.elements if act(w, t) == t)
+
+
+def _restrict(w: SignedPermutation, coords):
+    """``w`` on the coordinates ``coords`` (0-based), which it maps into
+    themselves, as images (1-based positions in ``coords``) and signs."""
+    pos = {c: i for i, c in enumerate(coords)}
+    images = tuple(pos[w.images[c] - 1] + 1 for c in coords)
+    signs = tuple(w.signs[c] for c in coords)
+    return images, signs
+
+
+def recognize_subgroup(elements, rank: int) -> RecognizedSubgroup:
+    """The structure of the listed group ``elements``, read off the
+    elements alone: the oracle of :func:`stabilizer`, which reads it off
+    coordinate patterns.
+
+    Each orbit of the group on the coordinates it moves is an ``A``,
+    ``B`` or ``D`` piece when the group restricted to it has the order
+    and the sign condition of that full group there; the orbits on which
+    it only flips signs give one ``E2`` piece, generated by its diagonal
+    flips, and none when it has no diagonal flip.  A restriction that is
+    none of those, or a group that is not the product of its pieces,
+    raises ``UnrecognizedStructure``.  So it never answers for ``BB`` or
+    ``tA`` pieces, whose restrictions are none of those groups."""
+    elems = tuple(sorted(set(elements), key=lambda w: (w.images, w.signs)))
+    moved = [c for c in range(rank)
+             if any(w.images[c] != c + 1 or w.signs[c] != 1 for w in elems)]
+    pieces, diag_coords = [], []
+    blocks = _coordinate_blocks(moved, elems)
+    for block in blocks:
+        restricted = {_restrict(w, block) for w in elems}
+        k = len(block)
+        if all(im == tuple(range(1, k + 1)) for im, _ in restricted):
+            diag_coords.extend(block)
+            continue
+        # the restriction is a subgroup of W(B_k): it is S_k, W(B_k) or
+        # W(D_k) exactly when it has that group's order and sign condition
+        order, negatives = len(restricted), [s.count(-1) for _, s in restricted]
+        if order == factorial(k) and not any(negatives):
+            pieces.append(("A", block))
+        elif order == 2 ** k * factorial(k):
+            pieces.append(("B", block))
+        elif order == 2 ** (k - 1) * factorial(k) and all(n % 2 == 0 for n in negatives):
+            pieces.append(("D", block))
+        else:
+            raise UnrecognizedStructure(
+                f"unrecognized block of order {order} on coordinates "
+                f"{_one_based(block)} of a subgroup of order {len(elems)}: {_listing(elems)}")
+    gens = _flip_generators({
+        tuple(c for c in diag_coords if w.signs[c] == -1)
+        for w in elems if w.images == tuple(range(1, rank + 1))})
+    if gens:
+        pieces.append(("E2", gens))
+    group = RecognizedSubgroup(rank, tuple(pieces))
+    if group.elements != elems:
+        raise UnrecognizedStructure(
+            f"subgroup of order {len(elems)} is not the product of its "
+            f"coordinate blocks {', '.join(_one_based(b) for b in blocks)}: {_listing(elems)}")
+    return group
+
+
+def scanned_stabilizer(action, t) -> RecognizedSubgroup:
+    """The stabilizer of ``t`` scanned from the elements of the action
+    and recognized from them alone: the oracle of :func:`stabilizer`."""
+    return recognize_subgroup(scanned(action, t), action.rank)
 
 
 def unconjugated(elements):
@@ -961,18 +1033,25 @@ class TestStrata:
             strata(KLEIN_FOUR)
 
     @pytest.mark.parametrize("action", [
-        KLEIN_FOUR, MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))]), COUPLED,
+        KLEIN_FOUR, SWAP_WITH_FLIP, COUPLED,
     ], ids=["klein_four", "swap_with_flip", "coupled"])
     def test_other_actions_are_not_products(self, action):
         assert _product_blocks(action) is None
 
-    @pytest.mark.parametrize("action", [KLEIN_FOUR, COUPLED], ids=["klein_four", "coupled"])
-    def test_other_actions_are_refused_by_name(self, action):
+    @pytest.mark.parametrize("action, blocks", [
+        (KLEIN_FOUR, "(1,), (2,), (3,)"), (COUPLED, "(1,), (2, 3)"),
+    ], ids=["klein_four", "coupled"])
+    def test_other_actions_are_refused_by_name(self, action, blocks):
         with pytest.raises(UnrecognizedStructure) as exc:
             strata(action)
         message = str(exc.value)
         assert f"order {action.order} generated by " in message
         assert all(str(g) in message for g in action.generators)
+        assert f"coordinate blocks {blocks}," in message
+        # stabilizer refuses it with the same message
+        with pytest.raises(UnrecognizedStructure) as refused:
+            stabilizer(action, point(*["z"] * action.rank))
+        assert str(refused.value) == message
 
 
 class TestStrataMemo:
@@ -1254,6 +1333,138 @@ class TestEvenSignStrata:
                          ((bp((1,), (1,)), bp((1,), (1,))), 1)]
 
 
+Z = free("z")
+# coordinate values for stabilizer points: 1, -1, +-i, a cube root of
+# unity, z and its inverse, another free w, and q^{+-1/2}
+STABILIZER_VALUES = (ONE, MINUS_ONE, root_of_unity(Fraction(1, 4)), root_of_unity(Fraction(3, 4)),
+                     root_of_unity(Fraction(1, 3)), Z, Z.inverse(), free("w"), q_power(1), q_power(-1))
+# the inertial action of Sp10 on (zeta, eta, zeta, 1): W(B2) on
+# coordinates 1, 3 between single flips of 2 and of 4
+SP10_INTERLEAVED = _inertial_action(inertial_triple(
+    PadicGroup("Sp", 10), tuple(line(n) for n in ("zeta", "eta", "zeta", "1"))))
+# every point over STABILIZER_VALUES is checked on these
+NARROW_STABILIZER_ACTIONS = (
+    [(f"B{n}", hyperoctahedral_action(n)) for n in range(4)]
+    + [(f"D{n}", even_sign_action(n)) for n in (2, 3)]
+    + [(f"S{n}", permutation_action(n)) for n in (1, 2, 3)]
+    + [("T3", trivial_action(3))]
+)
+# points drawn from a few of STABILIZER_VALUES are checked on these
+WIDE_STABILIZER_ACTIONS = [
+    ("B4", hyperoctahedral_action(4)), ("D4", even_sign_action(4)), ("S4", permutation_action(4)),
+    ("Sp10_interleaved", SP10_INTERLEAVED), ("D2xB2", D2_B2),
+    ("D3xS2_interleaved", D3_S2_INTERLEAVED),
+    ("B2xS2_interleaved", product_action(4, [((0, 2), True), ((1, 3), False)])),
+]
+
+
+def assert_stabilizer_is_the_scan(action, t):
+    """The stabilizer read off the pattern of ``t`` lists the scanned
+    elements; where the oracle recognizes them, it has the oracle's
+    pieces, equality, hash and ``repr``.  The oracle answers exactly
+    when no piece is ``BB`` or ``tA``."""
+    H = stabilizer(action, t)
+    assert H.elements == scanned(action, t), str(t)
+    assert H.order == len(H.elements)
+    twisted = {"BB", "tA"} & {kind for kind, _ in H.pieces}
+    try:
+        want = scanned_stabilizer(action, t)
+    except UnrecognizedStructure:
+        assert twisted, str(t)
+        return
+    assert not twisted and H.pieces == want.pieces, str(t)
+    assert H == want and hash(H) == hash(want) and repr(H) == repr(want)
+
+
+class TestStabilizersFromPatterns:
+    """``stabilizer`` reads a point's coordinate pattern, against the
+    scan of the action's elements and the oracle recognizer."""
+
+    @pytest.mark.parametrize("name, action", NARROW_STABILIZER_ACTIONS,
+                             ids=[n for n, _ in NARROW_STABILIZER_ACTIONS])
+    def test_every_point_of_small_rank(self, name, action):
+        for coords in product(STABILIZER_VALUES, repeat=action.rank):
+            assert_stabilizer_is_the_scan(action, point(*coords))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_points_of_ranks_four_and_five(self, data):
+        _, action = data.draw(st.sampled_from(WIDE_STABILIZER_ACTIONS))
+        # a few values per point, so that classes, inverse pairs and
+        # fixed coordinates come often
+        values = data.draw(st.lists(st.sampled_from(STABILIZER_VALUES), min_size=1, max_size=4))
+        coords = data.draw(st.lists(st.sampled_from(values), min_size=action.rank,
+                                    max_size=action.rank))
+        assert_stabilizer_is_the_scan(action, point(*coords))
+
+    def test_inverse_pair_is_a_flip_conjugated_swap(self):
+        # the scanned group is the identity and the swap with both
+        # coordinates inverted, which the oracle does not recognize
+        t = point(Z, Z.inverse())
+        H = stabilizer(B2, t)
+        assert H.structure() == "S2~" and H.pieces == (("tA", ((0, 1), (1,))),)
+        assert H.elements == scanned(B2, t) == (SignedPermutation((1, 2), (1, 1)),
+                                                SignedPermutation((2, 1), (-1, -1)))
+        with pytest.raises(UnrecognizedStructure):
+            scanned_stabilizer(B2, t)
+
+    def test_lone_one_on_an_even_sign_block_fixes_nothing(self):
+        # W(D2) has no single flip, so (1, z) is fixed by the identity alone
+        H = stabilizer(even_sign_action(2), point(1, "z"))
+        assert H.pieces == () and H.order == 1 and H.structure() == "1"
+        assert H == RecognizedSubgroup(2, ())
+
+    def test_point_of_another_rank(self):
+        with pytest.raises(RankMismatch, match="rank 1 point under rank 2 action"):
+            stabilizer(B2, point("z"))
+
+    def test_rank_twelve_lists_no_element(self, listed):
+        # W(B12) has 1,961,990,553,600 elements; the stabilizer of four
+        # coordinates at 1, four at z and four at -1 is read off them
+        t = point(*[1] * 4 + ["z"] * 4 + [-1] * 4)
+        H = stabilizer(hyperoctahedral_action(12), t)
+        assert H.structure() == "B4 x S4 x B4" and H.order == 3538944
+        assert listed == []
+
+
+# every product action of this module, each name once
+PRODUCT_ACTIONS = list(dict(
+    PATTERN_ACTIONS + EVEN_SIGN_ACTIONS + WIDE_STABILIZER_ACTIONS
+    + [("V4", DIAGONAL_V4)]
+    + [(f"B{n}", hyperoctahedral_action(n)) for n in (5, 6)]
+    + [(f"D{n}", even_sign_action(n)) for n in (5, 6)]
+).items())
+
+
+@pytest.mark.parametrize("name, action", PRODUCT_ACTIONS, ids=[n for n, _ in PRODUCT_ACTIONS])
+def test_stabilizers_of_strata_are_their_groups(name, action):
+    for st in strata(action):
+        assert stabilizer(action, st.base) == st.group, str(st)
+
+
+def test_oracle_refuses_a_twisted_diagonal():
+    # the swap of coordinates 1, 2 with the flip of 3 moves every
+    # coordinate, yet no element only flips 3: the product of an S2
+    # piece and an empty E2 piece is not the group, and its fixed locus
+    # has two components where S2 fixes one
+    assert len(fixed_locus(SWAP_WITH_FLIP.generators[0])) == 2
+    with pytest.raises(UnrecognizedStructure, match="not the product of its coordinate blocks"):
+        recognize_subgroup(SWAP_WITH_FLIP.elements, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_lists())
+def test_oracle_answers_only_with_the_listed_group(elements):
+    # whatever list it is given, the oracle answers only with a product of
+    # pieces that is the group listed, and never with an empty E2 piece
+    try:
+        H = recognize_subgroup(elements, elements[0].rank)
+    except UnrecognizedStructure:
+        return
+    assert set(H.elements) == set(elements)
+    assert ("E2", ()) not in H.pieces
+
+
 def test_subgroups_given_by_pieces_are_their_products():
     # an E2 piece is the group its flips generate, here the even flips
     klein = RecognizedSubgroup(3, (("E2", ((2, 3), (1, 3))),))
@@ -1324,7 +1535,7 @@ GEOMETRIC_ACTIONS = (
     + [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)]
     + [(f"S{n}", permutation_action(n)) for n in (2, 3, 4)]
     + [("T3", trivial_action(3)), ("rank0", MonomialAction(0, [SignedPermutation.identity(0)])), ("klein_four", KLEIN_FOUR),
-       ("swap_with_flip", MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))]))]
+       ("swap_with_flip", SWAP_WITH_FLIP)]
     + seeded_subgroups()
     + INERTIAL_ACTIONS
 )
