@@ -11,10 +11,9 @@ support map as an orbit map, temperedness and discreteness filters,
 packet grouping, and the block decomposition of an inertial packet.
 """
 
-from dataclasses import dataclass, replace
 from math import factorial
 
-from .combicore import Bipartition, DLabel, Partition
+from .combicore import Bipartition, DLabel, Partition, value_type
 from .extquot import (
     MonomialAction,
     SymbolicCoordinate,
@@ -65,8 +64,8 @@ class UnsupportedPeriod(ValueError):
 # inertial triples and their torus
 
 
-@dataclass(frozen=True)
-class InertialTriple:
+class InertialTriple(value_type("InertialTriple", "group coordinates core core_char",
+                                 defaults=(None,))):
     """A dual Levi GL(1)^k x (core) with a cuspidal core datum.
 
     ``coordinates`` lists the character line carried by each GL(1)
@@ -75,10 +74,7 @@ class InertialTriple:
     ``core_char`` its cuspidal character (``None`` for a trivial core).
     """
 
-    group: PadicGroup
-    coordinates: tuple
-    core: FormalParameter
-    core_char: object = None
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -114,14 +110,11 @@ def _inertial_action(triple: InertialTriple) -> MonomialAction:
     return MonomialAction(n, gens)
 
 
-@dataclass(frozen=True)
-class InertialData:
+class InertialData(value_type("InertialData", "triple action strata")):
     """A checked inertial triple with the group acting on its torus and
     the stabilizer strata of that action, open stratum first."""
 
-    triple: InertialTriple
-    action: MonomialAction
-    strata: tuple
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -231,20 +224,16 @@ def _support_signature(tri, factors):
     )
 
 
-@dataclass(frozen=True)
-class MuEntry:
-    """One matched point: a stabilizer character of a stratum paired
-    with an enhanced parameter supported in the triple."""
+class MuEntry(value_type("MuEntry", "stratum irrep family param eta u support cochar component")):
+    """One matched point: a stabilizer character ``irrep`` of a
+    stratum paired with an enhanced parameter ``(param, eta)`` supported
+    in the triple, of unipotent class ``u`` and cuspidal ``support``.
+    ``family`` is the :class:`EQPoint` when this pair starts a spectral
+    family, ``cochar`` the correcting exponent per coordinate, in
+    sqrt-q units, and ``component`` the :class:`Partition` that labels
+    the unipotent component for display."""
 
-    stratum: object
-    irrep: object
-    family: object  # the EQPoint when this pair starts a spectral family
-    param: FormalParameter
-    eta: object
-    u: object
-    support: object
-    cochar: tuple  # correcting exponent per coordinate, in sqrt-q units
-    component: Partition  # display label of the unipotent component
+    __slots__ = ()
 
     @property
     def enhanced(self) -> EnhancedParameter:
@@ -254,10 +243,8 @@ class MuEntry:
         return f"({self.stratum.base}, {self.irrep}) <-> ({self.param}, {self.eta})"
 
 
-@dataclass(frozen=True)
-class MuData:
-    inertial: InertialData
-    entries: tuple
+class MuData(value_type("MuData", "inertial entries")):
+    __slots__ = ()
 
     @property
     def families(self):
@@ -412,7 +399,7 @@ def mu(G: PadicGroup, triple: InertialTriple) -> MuData:
                 )
             phi, res, cochar, component = built
             if res.labels != labels:
-                res = replace(res, labels=labels)
+                res = res._replace(labels=labels)
             entries.append(MuEntry(
                 st, irrep, families.get(irrep),
                 phi, eta, u, res, cochar, component,
@@ -500,15 +487,11 @@ def discrete_points(mu_data: MuData):
     return tuple(e for e in mu_data.entries if is_discrete(G, e.param))
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(value_type("Packet", "stratum u members size")):
     """All enhanced parameters sharing one underlying parameter: the
     matched members plus the cuspidal enhancements of the same datum."""
 
-    stratum: object
-    u: object
-    members: tuple
-    size: int
+    __slots__ = ()
 
 
 def packets(mu_data: MuData):

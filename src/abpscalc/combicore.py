@@ -11,10 +11,110 @@ convention relating a row to a partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
 from operator import sub
+
+
+# ---------------------------------------------------------------------------
+# frozen value types
+
+
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+def _eq(self, other):
+    return other.__class__ is self.__class__ and _tuple_eq(self, other)
+
+
+def _ne(self, other):
+    return other.__class__ is not self.__class__ or _tuple_ne(self, other)
+
+
+def _comparison(op, symbol):
+    """An order comparison that ``op`` answers between two values of one
+    class (``None``: unanswered) and that refuses any other tuple, so
+    that the reflected order of a plain tuple cannot answer."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return NotImplemented if op is None else op(self, other)
+        if isinstance(other, tuple):
+            raise TypeError(f"'{symbol}' not supported between instances of "
+                            f"{type(self).__name__!r} and {type(other).__name__!r}")
+        return NotImplemented
+    return compare
+
+
+_SYMBOLS = {"__lt__": "<", "__le__": "<=", "__gt__": ">", "__ge__": ">="}
+_ORDERED = {name: _comparison(getattr(tuple, name), s) for name, s in _SYMBOLS.items()}
+_UNORDERED = {name: _comparison(None, s) for name, s in _SYMBOLS.items()}
+
+
+def _no_operator(self, other):
+    return NotImplemented
+
+
+def _frozen_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_del(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _reduce(self):
+    return self.__class__, tuple(tuple.__iter__(self))
+
+
+def _replace(self, **changes):
+    cls, args = self.__reduce__()
+    return cls(**{**dict(zip(self._fields, args)), **changes})
+
+
+def value_type(name: str, fields: str, defaults=(), order: bool = False):
+    """The base of the frozen value type ``name``: a
+    ``collections.namedtuple`` of the space-separated ``fields`` (the
+    last ones defaulting to ``defaults``), declared once with
+
+        class Name(value_type("Name", "a b")):
+            __slots__ = ()
+
+    A value is the tuple of its fields, so hashing, construction and
+    field reads run in C, and importing a module of value types
+    generates no methods.  The base keeps the value semantics of a
+    frozen dataclass:
+
+    - ``==`` and ``!=`` hold only between values of one class, never
+      with a plain tuple or another class with equal fields;
+    - the hash is the tuple's, that of the tuple of the fields;
+    - with ``order``, ``<``, ``<=``, ``>`` and ``>=`` compare two values
+      of one class by their fields; without it they are left to the
+      class, and a value never compares with another tuple;
+    - the tuple's ``+`` and ``*`` are refused;
+    - fields cannot be assigned or deleted, and neither can any other
+      attribute (a class without ``__slots__ = ()`` keeps an instance
+      ``__dict__``, which only the class writes, through a
+      ``cached_property`` or in ``__new__``);
+    - ``repr`` reads ``Name(a=1, b=2)``;
+    - ``_replace(**changes)``, ``pickle`` and ``copy`` rebuild a value
+      through the class, so a ``__new__`` that normalises and validates
+      its arguments sees them again (a class whose constructor takes
+      fewer arguments than its fields overrides ``__reduce__``);
+    - the namedtuple's ``_make`` and ``_asdict`` are removed: the one
+      builds a value without ``__new__``, the other reads the fields
+      through the class's own ``__iter__`` (a ``Partition`` iterates its
+      parts).
+    """
+    base = namedtuple(name, fields, defaults=defaults)
+    del base._make, base._asdict
+    base.__eq__, base.__ne__, base.__hash__ = _eq, _ne, tuple.__hash__
+    for attr, compare in (_ORDERED if order else _UNORDERED).items():
+        setattr(base, attr, compare)
+    base.__add__ = base.__mul__ = base.__rmul__ = _no_operator
+    base.__setattr__, base.__delattr__ = _frozen_set, _frozen_del
+    base.__reduce__, base._replace = _reduce, _replace
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -30,14 +130,14 @@ def _normalize_parts(parts) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """A partition, stored as a weakly decreasing tuple of positive ints."""
+class Partition(value_type("Partition", "parts", order=True)):
+    """A partition, stored as a weakly decreasing tuple of positive ints.
+    It measures, iterates, indexes and tests membership as its parts."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        object.__setattr__(self, "parts", _normalize_parts(parts))
+    def __new__(cls, parts=()):
+        return tuple.__new__(cls, (_normalize_parts(parts),))
 
     @property
     def size(self) -> int:
@@ -48,6 +148,12 @@ class Partition:
 
     def __iter__(self):
         return iter(self.parts)
+
+    def __getitem__(self, i):
+        return self.parts[i]
+
+    def __contains__(self, value) -> bool:
+        return value in self.parts
 
     def __bool__(self) -> bool:
         return bool(self.parts)
@@ -91,12 +197,11 @@ def _partition_tuples(n: int, max_part: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True, order=True)
-class Bipartition:
+class Bipartition(value_type("Bipartition", "alpha beta",
+                             defaults=(Partition(), Partition()), order=True)):
     """An ordered pair of partitions."""
 
-    alpha: Partition = Partition()
-    beta: Partition = Partition()
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -123,8 +228,7 @@ def bipartitions(n: int) -> tuple[Bipartition, ...]:
                  for a in partitions(k) for b in partitions(n - k))
 
 
-@dataclass(frozen=True, order=True)
-class DLabel:
+class DLabel(value_type("DLabel", "alpha beta primed", order=True)):
     """An unordered pair of partitions, with a primed tag for split pairs.
 
     Used for irreducible characters of even-signed permutation groups:
@@ -132,17 +236,13 @@ class DLabel:
     splits into an unprimed and a primed label.
     """
 
-    alpha: Partition
-    beta: Partition
-    primed: bool = False
+    __slots__ = ()
 
-    def __init__(self, alpha, beta, primed=False):
+    def __new__(cls, alpha, beta, primed=False):
         a, b = sorted([alpha, beta])
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
         if primed and a != b:
             raise ValueError("primed tag only applies when the two partitions agree")
-        object.__setattr__(self, "primed", bool(primed))
+        return tuple.__new__(cls, (a, b, bool(primed)))
 
     @property
     def split(self) -> bool:
@@ -215,8 +315,7 @@ def unstaircase(row, offset: int = 0) -> Partition:
 # signed permutations
 
 
-@dataclass(frozen=True, order=True)
-class SignedPermutation:
+class SignedPermutation(value_type("SignedPermutation", "images signs", order=True)):
     """An element of the hyperoctahedral group on ``k`` coordinates.
 
     ``images[i]`` is the (1-based) coordinate that coordinate ``i + 1``
@@ -226,10 +325,9 @@ class SignedPermutation:
     ``signs[i]``.
     """
 
-    images: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, images, signs):
+    def __new__(cls, images, signs):
         images = tuple(int(x) for x in images)
         signs = tuple(int(s) for s in signs)
         k = len(images)
@@ -237,18 +335,14 @@ class SignedPermutation:
             raise ValueError(f"not a permutation of 1..{k}: {images}")
         if len(signs) != k or any(s not in (-1, 1) for s in signs):
             raise ValueError(f"signs must be +-1 of length {k}: {signs}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "signs", signs)
+        return tuple.__new__(cls, (images, signs))
 
     @classmethod
     def from_valid(cls, images: tuple, signs: tuple) -> "SignedPermutation":
         """The element with these ``images`` and ``signs``, tuples of
         ints already known to form a signed permutation: nothing is
         converted or checked."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "images", images)
-        object.__setattr__(w, "signs", signs)
-        return w
+        return tuple.__new__(cls, (images, signs))
 
     @property
     def rank(self) -> int:

@@ -11,7 +11,6 @@ irreducible characters can be labelled combinatorially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
@@ -29,6 +28,7 @@ from .combicore import (
     identity_matrix,
     partitions,
     smith_normal_form,
+    value_type,
 )
 from .springer import RelativeWeylGroup, UnrecognizedStructure
 
@@ -58,33 +58,27 @@ def _norm_monomial(monomial):
     return tuple(sorted((n, e) for n, e in acc.items() if e))
 
 
-@dataclass(frozen=True)
-class SymbolicCoordinate:
+class SymbolicCoordinate(value_type("SymbolicCoordinate", "torsion qexp monomial")):
     """One coordinate of a symbolic torus point.
 
     The value denoted is ``e^{2 pi i torsion} * (q^{1/2})^qexp * prod
     v^e`` over the monomial, with the named variables ``v`` generic.
     """
 
-    torsion: Fraction = Fraction(0)
-    qexp: int = 0
-    monomial: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = self.torsion
-        if type(t) is not Fraction or not 0 <= t.numerator < t.denominator:
-            object.__setattr__(self, "torsion", Fraction(t) % 1)
-        object.__setattr__(self, "qexp", int(self.qexp))
-        m = self.monomial
-        object.__setattr__(self, "monomial", _norm_monomial(m) if m else ())
+    def __new__(cls, torsion=Fraction(0), qexp=0, monomial=()):
+        if type(torsion) is not Fraction or not 0 <= torsion.numerator < torsion.denominator:
+            torsion = Fraction(torsion) % 1
+        return tuple.__new__(cls, (torsion, int(qexp), _norm_monomial(monomial) if monomial else ()))
 
     def __hash__(self) -> int:
-        """Hash of the fields the dataclass ``__eq__`` compares, with the
-        torsion as its numerator and denominator.  ``__post_init__``
-        stores the torsion as a ``Fraction`` in [0, 1), always in lowest
-        terms, so equal coordinates have equal numerators and
-        denominators, and hashing the two integers agrees with ``__eq__``
-        without the cost of ``Fraction.__hash__``."""
+        """Hash of the fields ``__eq__`` compares, with the torsion as
+        its numerator and denominator.  ``__new__`` stores the torsion
+        as a ``Fraction`` in [0, 1), always in lowest terms, so equal
+        coordinates have equal numerators and denominators, and hashing
+        the two integers agrees with ``__eq__`` without the cost of
+        ``Fraction.__hash__``."""
         t = self.torsion
         return hash((t.numerator, t.denominator, self.qexp, self.monomial))
 
@@ -111,11 +105,8 @@ class SymbolicCoordinate:
         # in lowest terms, and negating the exponents keeps the monomial
         # sorted and free of zeros, so nothing is reduced or renormalised
         t = self.torsion
-        inv = object.__new__(SymbolicCoordinate)
-        object.__setattr__(inv, "torsion", 1 - t if t else t)
-        object.__setattr__(inv, "qexp", -self.qexp)
-        object.__setattr__(inv, "monomial", tuple((n, -e) for n, e in self.monomial))
-        return inv
+        return tuple.__new__(SymbolicCoordinate, (
+            1 - t if t else t, -self.qexp, tuple((n, -e) for n, e in self.monomial)))
 
     @property
     def is_unitary(self) -> bool:
@@ -156,12 +147,11 @@ def q_power(half_exponent: int) -> SymbolicCoordinate:
     return SymbolicCoordinate(qexp=half_exponent)
 
 
-@dataclass(frozen=True)
-class SymbolicTorusPoint:
-    coords: tuple
+class SymbolicTorusPoint(value_type("SymbolicTorusPoint", "coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __new__(cls, coords):
+        return tuple.__new__(cls, (tuple(coords),))
 
     @property
     def rank(self) -> int:
@@ -207,8 +197,7 @@ def act(w: SignedPermutation, t: SymbolicTorusPoint) -> SymbolicTorusPoint:
 # torus cosets and the integral solver
 
 
-@dataclass(frozen=True)
-class TorusCoset:
+class TorusCoset(value_type("TorusCoset", "rank basis translation")):
     """A translated subtorus: ``exp(2 pi i (translation + span(basis)))``.
 
     ``basis`` rows generate the cocharacter lattice of the identity
@@ -227,11 +216,10 @@ class TorusCoset:
     if ``E (x - t)`` is integral, some integer vector has the same image,
     and ``x - t`` lies in the span of ``L`` plus ``Z^n``: one coset, not
     a union of parallel components.
-    """
 
-    rank: int
-    basis: tuple
-    translation: tuple
+    The class keeps an instance ``__dict__`` for the equations and the
+    scaled translation, computed on first use.
+    """
 
     @property
     def dimension(self) -> int:
@@ -716,9 +704,8 @@ class RecognizedSubgroup:
     group its flips generate, and its order is the product of the orders
     of the pieces.  It lists its elements from the pieces on first read,
     sorted by images, then signs.  Equality and hash read the rank and
-    the pieces; ``repr`` is that of a frozen dataclass of the fields
-    ``elements`` and ``pieces``, and is the only one to list the
-    elements.
+    the pieces; ``repr`` reads ``RecognizedSubgroup(elements=...,
+    pieces=...)``, and is the only one to list the elements.
     """
 
     __slots__ = ("rank", "pieces", "_elements")
@@ -842,11 +829,8 @@ def _flip_generators(flips) -> tuple:
 # stratification
 
 
-@dataclass(frozen=True)
-class Stratum:
-    coset: TorusCoset
-    base: SymbolicTorusPoint
-    group: RecognizedSubgroup
+class Stratum(value_type("Stratum", "coset base group")):
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -1197,15 +1181,11 @@ def stabilizer(action: MonomialAction, t: SymbolicTorusPoint) -> RecognizedSubgr
 # extended quotients
 
 
-@dataclass(frozen=True)
-class EQPoint:
+class EQPoint(value_type("EQPoint", "base group irrep kind")):
     """One family of the spectral extended quotient: a stratum together
     with an irreducible character of its stabilizer."""
 
-    base: SymbolicTorusPoint
-    group: RecognizedSubgroup
-    irrep: object
-    kind: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.base}, {self.irrep}) [{self.kind}]"
@@ -1257,13 +1237,11 @@ def eq_pairs(action: MonomialAction):
     return out
 
 
-@dataclass(frozen=True)
-class GeoEQFamily:
+class GeoEQFamily(value_type("GeoEQFamily", "element component")):
     """A family of the geometric extended quotient: a group element with
     one component of its fixed locus, up to simultaneous conjugation."""
 
-    element: SignedPermutation
-    component: TorusCoset
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"(w={self.element.images}/{self.element.signs}, {self.component})"

@@ -11,12 +11,11 @@ data with exact arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, starmap
 
-from .combicore import Partition
+from .combicore import Partition, value_type
 from .extquot import ONE, SymbolicCoordinate, q_power
 from .springer import (
     ClassReader,
@@ -51,16 +50,11 @@ class UnknownCharacter(KeyError):
 # the character catalogue
 
 
-@dataclass(frozen=True)
-class CharacterClass:
+class CharacterClass(value_type("CharacterClass", "name ramified order dim selfdual period",
+                                 defaults=(True, 2, 1, "orthogonal", 1))):
     """A declared inertial class of irreducible Weil-group characters."""
 
-    name: str
-    ramified: bool = True
-    order: int = 2
-    dim: int = 1
-    selfdual: str = "orthogonal"
-    period: int = 1
+    __slots__ = ()
 
 
 _CHOICES = {"kind": ("ramified", "unramified"),
@@ -118,37 +112,44 @@ DEFAULT_CATALOGUE = parse_catalogue(
 )
 
 
-@dataclass(frozen=True)
-class WFLine:
+class WFLine(value_type("WFLine", "base twist name")):
     """A catalogue character with a symbolic unramified twist.
 
     ``name`` is the rendered line, stored at construction: printing,
     hashing and the summand orders read it instead of rendering the
-    twist again.  Equal lines have equal names, so hashing the name
-    agrees with the field-wise ``__eq__``."""
+    twist again.  It is no argument and stays out of ``repr``.  Equal
+    lines have equal names, so comparing it with the other fields
+    changes no equality, and hashing the name agrees with ``__eq__``."""
 
-    base: CharacterClass
-    twist: SymbolicCoordinate = ONE
-    name: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = str(self.twist)
+    def __new__(cls, base, twist=ONE):
+        t = str(twist)
         if t == "1":
-            name = self.base.name
-        elif self.base.order == 1 and self.base.name == "1":
+            name = base.name
+        elif base.order == 1 and base.name == "1":
             name = t
         else:
-            name = f"{t}*{self.base.name}" if t != "-1" else f"{self.base.name}*xi"
-        object.__setattr__(self, "name", name)
+            name = f"{t}*{base.name}" if t != "-1" else f"{base.name}*xi"
+        return tuple.__new__(cls, (base, twist, name))
 
     def __hash__(self) -> int:
         return hash(self.name)
+
+    def __repr__(self) -> str:
+        return f"WFLine(base={self.base!r}, twist={self.twist!r})"
+
+    def __reduce__(self):
+        return WFLine, (self.base, self.twist)
 
     def __lt__(self, other: "WFLine") -> bool:
         """A total order on lines by value, the name first: two lines
         with one name (``zeta`` and the trivial character twisted by a
         variable ``zeta``) compare by their catalogue fields and then by
-        their twists."""
+        their twists.  Any other value is left to the base, which refuses
+        a tuple."""
+        if other.__class__ is not WFLine:
+            return super().__lt__(other)
         return _line_order(self) < _line_order(other)
 
     @property
@@ -199,18 +200,17 @@ def line(name: str, twist: SymbolicCoordinate = ONE, catalogue=None) -> WFLine:
 # groups and parameters
 
 
-@dataclass(frozen=True)
-class PadicGroup:
+class PadicGroup(value_type("PadicGroup", "family size")):
     """A split classical p-adic group, named by family and matrix size."""
 
-    family: str
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("Sp", "SO", "GL"):
-            raise ValueError(f"unsupported family {self.family}")
-        if self.family == "Sp" and self.size % 2:
+    def __new__(cls, family, size):
+        if family not in ("Sp", "SO", "GL"):
+            raise ValueError(f"unsupported family {family}")
+        if family == "Sp" and size % 2:
             raise ValueError("symplectic groups have even size")
+        return tuple.__new__(cls, (family, size))
 
     def dual(self) -> ComplexGroup:
         return ComplexGroup((GroupFactor(self.dual_kind, self.dual_dim),))
@@ -235,8 +235,7 @@ class PadicGroup:
         return f"{self.family}{self.size}(F)"
 
 
-@dataclass(frozen=True)
-class FormalParameter:
+class FormalParameter(value_type("FormalParameter", "summands")):
     """A formal sum of summands ``line x S_a``.
 
     The summands are stored in a canonical order, by line name, then
@@ -246,20 +245,16 @@ class FormalParameter:
     construction: the memos keyed by a parameter look it up several
     times.  It depends on the process's string hashing, so a parameter
     pickles and copies as its summands, and loading one computes the
-    hash again."""
+    hash again.  The hash is kept in the instance ``__dict__``."""
 
-    summands: tuple
-
-    def __post_init__(self):
-        canon = tuple(sorted(self.summands, key=lambda s: (s[0].name, s[1], s[0])))
-        object.__setattr__(self, "summands", canon)
-        object.__setattr__(self, "_hash", hash(canon))
+    def __new__(cls, summands):
+        canon = tuple(sorted(summands, key=lambda s: (s[0].name, s[1], s[0])))
+        self = tuple.__new__(cls, (canon,))
+        self.__dict__["_hash"] = hash(canon)
+        return self
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return FormalParameter, (self.summands,)
 
     @property
     def dim(self) -> int:
@@ -281,10 +276,8 @@ def parameter(*summands) -> FormalParameter:
     return FormalParameter(tuple(out))
 
 
-@dataclass(frozen=True)
-class EnhancedParameter:
-    param: FormalParameter
-    enhancement: SignCharacter
+class EnhancedParameter(value_type("EnhancedParameter", "param enhancement")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.param}, {self.enhancement})"
@@ -333,24 +326,22 @@ def is_discrete(G: PadicGroup, phi: FormalParameter) -> bool:
 # centralizers
 
 
-@dataclass(frozen=True)
-class IsotypicFactor:
-    line: WFLine
-    partner: object  # the dual line for GL pairs, None otherwise
-    kind: str  # "O", "Sp" or "GL"
-    parts: Partition
+class IsotypicFactor(value_type("IsotypicFactor", "line partner kind parts")):
+    """The factor of a centralizer on the isotypic part of ``line``:
+    ``partner`` is the dual line for ``GL`` pairs and ``None``
+    otherwise, ``kind`` is ``"O"``, ``"Sp"`` or ``"GL"``, and ``parts``
+    is the partition of the ``S`` multiplicities."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CentralizerData:
+class CentralizerData(value_type("CentralizerData", "group factors")):
     """The centralizer ``group`` of a parameter's Weil restriction, with
     the isotypic factor behind each of its factors.  The unipotent class
     of the parameter and the Springer reader of that class are computed
     on first use and kept on the instance, so a memoised centralizer
-    reads each of them once."""
-
-    group: ComplexGroup
-    factors: tuple  # IsotypicFactor per group factor, in order
+    reads each of them once, in the instance ``__dict__``.  ``factors``
+    holds the :class:`IsotypicFactor` of each group factor, in order."""
 
     @cached_property
     def unipotent(self) -> UnipotentClass:
@@ -455,11 +446,8 @@ def connected_centralizer(data: CentralizerData) -> ComplexGroup:
     return identity_component(data.group)
 
 
-@dataclass(frozen=True)
-class ComponentGroups:
-    a_group: object
-    a_connected: object
-    s_order: int
+class ComponentGroups(value_type("ComponentGroups", "a_group a_connected s_order")):
+    __slots__ = ()
 
 
 def _central_image_nontrivial(G: PadicGroup, A) -> bool:
@@ -543,14 +531,16 @@ def _weight_expansion(parts):
     return out
 
 
-@dataclass(frozen=True)
-class CuspidalSupportResult:
-    levi_dual: ComplexGroup
-    coordinates: tuple  # (WFLine, half-q exponent) per GL(1) coordinate
-    core: FormalParameter
-    core_triple: CuspidalTriple
-    labels: tuple  # relative-Weyl character labels of the enhancement
-    factors: tuple = ()  # the IsotypicFactor list the labels refer to
+class CuspidalSupportResult(value_type(
+        "CuspidalSupportResult", "levi_dual coordinates core core_triple labels factors",
+        defaults=((),))):
+    """The cuspidal support of an enhanced parameter: the dual Levi, a
+    ``(WFLine, half-q exponent)`` per GL(1) coordinate, the core
+    parameter and its triple, the relative-Weyl character ``labels`` of
+    the enhancement, and the :class:`IsotypicFactor` tuple ``factors``
+    that the labels refer to."""
+
+    __slots__ = ()
 
     @property
     def correcting(self):

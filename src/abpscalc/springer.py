@@ -27,7 +27,6 @@ symbol gives the block, and the rows less a staircase give the label.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import factorial
@@ -43,6 +42,7 @@ from .combicore import (
     bipartitions,
     dlabels,
     unstaircase,
+    value_type,
 )
 
 
@@ -61,32 +61,33 @@ class UnrecognizedStructure(SpringerError):
 _KINDS = ("GL", "Sp", "SO", "O")
 
 
-@dataclass(frozen=True, order=True)
-class GroupFactor:
-    kind: str
-    n: int  # GL(n)/SO(n)/O(n); for Sp, n is the (even) matrix size
+class GroupFactor(value_type("GroupFactor", "kind n", order=True)):
+    """A classical factor ``kind`` of size ``n``: GL(n), SO(n) or O(n),
+    and for ``Sp``, ``n`` is the (even) matrix size."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise SpringerError(f"unknown factor kind {self.kind!r}")
-        if self.n < 0 or (self.kind == "Sp" and self.n % 2):
-            raise SpringerError(f"bad size for {self.kind}: {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, kind, n):
+        if kind not in _KINDS:
+            raise SpringerError(f"unknown factor kind {kind!r}")
+        if n < 0 or (kind == "Sp" and n % 2):
+            raise SpringerError(f"bad size for {kind}: {n}")
+        return tuple.__new__(cls, (kind, n))
 
     def __str__(self) -> str:
         return f"{self.kind}{self.n}"
 
 
-@dataclass(frozen=True, order=True)
-class ComplexGroup:
+class ComplexGroup(value_type("ComplexGroup", "factors det1", order=True)):
     """A product of classical factors, optionally with a joint
     determinant-one condition on the orthogonal (``O``) factors."""
 
-    factors: tuple[GroupFactor, ...]
-    det1: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.det1 and not any(f.kind == "O" for f in self.factors):
+    def __new__(cls, factors, det1=False):
+        if det1 and not any(f.kind == "O" for f in factors):
             raise SpringerError("det1 coupling requires O factors")
+        return tuple.__new__(cls, (factors, det1))
 
     def __str__(self) -> str:
         plain = [str(f) for f in self.factors if f.kind != "O"]
@@ -121,10 +122,11 @@ def group_product(*factors: GroupFactor, det1: bool = False) -> ComplexGroup:
 # unipotent classes
 
 
-@dataclass(frozen=True, order=True)
-class UnipotentClass:
-    partitions: tuple[Partition, ...]
-    tags: tuple[str, ...]  # "", "I" or "II" per factor (very even classes)
+class UnipotentClass(value_type("UnipotentClass", "partitions tags", order=True)):
+    """A partition per factor, with a tag per factor: ``""``, or
+    ``"I"`` or ``"II"`` for the halves of a very even class."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         bits = []
@@ -186,18 +188,16 @@ def unipotent_classes(group: ComplexGroup):
 # component groups and their sign characters
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(value_type("ComponentGroup", "generators keys classes")):
     """The component group of a unipotent centralizer, presented by
     commuting involutive generators, one per qualifying Jordan block
     size.  ``classes`` holds one tuple of generator indices per
     even-product constraint: the generators of each ``SO`` factor, and
     those of the ``O`` factors of a determinant-one product; the other
-    generators are free."""
+    generators are free.  ``keys`` holds the ``(factor index, part
+    value)`` of each generator."""
 
-    generators: tuple[str, ...]
-    keys: tuple[tuple[int, int], ...]  # (factor index, part value) per generator
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -230,21 +230,19 @@ class ComponentGroup:
                 if all(vals[i] == 1 for i in lasts)]
 
 
-@dataclass(frozen=True)
-class SignCharacter:
-    values: tuple[int, ...]
-    group: ComponentGroup
+class SignCharacter(value_type("SignCharacter", "values group")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.generators):
+    def __new__(cls, values, group):
+        if len(values) != len(group.generators):
             raise SpringerError("character length mismatch")
         # negating every generator of a constraint class leaves the
         # character unchanged: store the representative with +1 on the
         # last generator of each class, so equal characters read equal
-        flip = {i for c in self.group.classes if self.values[c[-1]] == -1 for i in c}
+        flip = {i for c in group.classes if values[c[-1]] == -1 for i in c}
         if flip:
-            object.__setattr__(self, "values", tuple(
-                -v if i in flip else v for i, v in enumerate(self.values)))
+            values = tuple(-v if i in flip else v for i, v in enumerate(values))
+        return tuple.__new__(cls, (values, group))
 
     def value(self, key) -> int:
         for k, v in zip(self.group.keys, self.values):
@@ -437,15 +435,12 @@ def _o_core_marks(d: int, sign: int):
 # cuspidal triples and relative Weyl groups
 
 
-@dataclass(frozen=True, order=True)
-class CuspidalTriple:
+class CuspidalTriple(value_type("CuspidalTriple", "group ds signs", order=True)):
     """A cuspidal support datum: per factor, the size parameter ``d`` of
     the cuspidal core inside the quasi-Levi ``GL(1)^k x core``, plus the
     lifting sign for disconnected orthogonal cores."""
 
-    group: ComplexGroup
-    ds: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def is_principal(self) -> bool:
@@ -530,8 +525,7 @@ def cuspidal_triples(group: ComplexGroup):
     return out
 
 
-@dataclass(frozen=True)
-class RelativeWeylGroup:
+class RelativeWeylGroup(value_type("RelativeWeylGroup", "pieces coupled", defaults=((),))):
     """The relative Weyl group of a cuspidal triple, as a product of
     recognized pieces.  Piece types: ``A`` (symmetric group on n+1
     letters, labels = partitions; ``A`` of rank -1 is the trivial S0),
@@ -542,8 +536,7 @@ class RelativeWeylGroup:
     under a joint even-sign condition, the pieces that the
     determinant-one flip swaps; empty means uncoupled."""
 
-    pieces: tuple[tuple[str, int], ...]
-    coupled: tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -2,7 +2,6 @@
 
 import re
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -548,9 +547,9 @@ class TestOneCentralizerPerParameter:
                 assert pdata.group == fresh.group, (st.base, u)
                 assert len(pdata.factors) == len(fresh.factors), (st.base, u)
                 for mine, theirs in zip(pdata.factors, fresh.factors):
-                    for f in fields(mine):
-                        assert getattr(mine, f.name) == getattr(theirs, f.name), (
-                            st.base, u, f.name)
+                    for name in mine._fields:
+                        assert getattr(mine, name) == getattr(theirs, name), (
+                            st.base, u, name)
 
     @pytest.mark.parametrize("spec", ANSWERING[:-1], ids=_triple_id)
     def test_mu_computes_one_centralizer_per_stratum(self, spec, centralizer_calls):
@@ -573,9 +572,9 @@ class TestSupportsFromTheBlockTable:
         G, j = _answering_triple(*spec)
         for e in mu(G, j).entries:
             want = cuspidal_support(G, e.param, e.eta)
-            for f in fields(want):
-                assert getattr(e.support, f.name) == getattr(want, f.name), (
-                    str(e), f.name)
+            for name in want._fields:
+                assert getattr(e.support, name) == getattr(want, name), (
+                    str(e), name)
             fresh = centralizer_restriction(G, e.param)
             assert generalized_springer(fresh.group, fresh.unipotent, e.eta) == (
                 e.support.core_triple, e.support.labels), str(e)

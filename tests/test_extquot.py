@@ -1235,14 +1235,21 @@ DataclassSubgroup.__qualname__ = "RecognizedSubgroup"
 
 @pytest.mark.parametrize("name, action", PATTERN_ACTIONS, ids=[n for n, _ in PATTERN_ACTIONS])
 def test_pattern_groups_are_their_stabilizers(name, action):
-    # each pattern stabilizer, listed from its pieces, is the stabilizer
-    # scan of its base, with the same order, equality, hash and repr
+    # each stratum's group, read off its coordinate pattern and listed
+    # from its pieces, lists the elements that the scan of the action
+    # finds fixing its base; where no piece is BB or tA, the oracle
+    # recognizes the scan, and the group has the oracle's pieces,
+    # equality, hash and repr, which is that of a frozen dataclass
+    # of the elements and pieces
     for st in strata(action):
-        H, scanned = st.group, stabilizer(action, st.base)
-        assert H.order == scanned.order == len(scanned.elements)
-        assert H == scanned and hash(H) == hash(scanned)
-        assert (H.elements, H.pieces) == (scanned.elements, scanned.pieces)
-        assert repr(H) == repr(DataclassSubgroup(scanned.elements, scanned.pieces))
+        H, want = st.group, scanned(action, st.base)
+        assert H.order == len(want) and H.elements == want, str(st)
+        if {"BB", "tA"} & {kind for kind, _ in H.pieces}:
+            continue
+        oracle = scanned_stabilizer(action, st.base)
+        assert H.pieces == oracle.pieces, str(st)
+        assert H == oracle and hash(H) == hash(oracle)
+        assert repr(H) == repr(oracle) == repr(DataclassSubgroup(want, H.pieces))
 
 
 def test_pattern_strata_list_no_element(listed):

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -675,9 +674,9 @@ def test_support_is_the_block_support_of_the_generalized_springer_read():
             got = cuspidal_support(G, phi, eta)
             want = block_support(G, data, *springer.generalized_springer(
                 data.group, data.unipotent, eta))
-            for f in fields(want):
-                assert getattr(got, f.name) == getattr(want, f.name), (
-                    str(phi), str(eta), f.name)
+            for name in want._fields:
+                assert getattr(got, name) == getattr(want, name), (
+                    str(phi), str(eta), name)
             checked += 1
     assert checked >= 40
 
