@@ -496,7 +496,9 @@ def _piece_order(kind, data) -> int:
 def _product_elements(n, factors):
     """The elements of rank ``n`` of the direct product of groups on
     disjoint coordinate sets, each factor ``(coords, elements)`` as
-    :func:`_piece_group` gives it, sorted by images, then signs."""
+    :func:`_piece_group` gives it, sorted by images, then signs; or of
+    the product of any sets of elements so given, such as the least
+    elements of classes (:func:`_block_classes`)."""
     pairs = []
     for maps in product(*(elements for _, elements in factors)):
         images, signs = list(range(1, n + 1)), [1] * n
@@ -953,6 +955,10 @@ def _place(coords, parts, least):
     return classes
 
 
+# the translation entries of every pattern coset, shared
+_HALF, _ZERO = Fraction(1, 2), Fraction(0)
+
+
 def _pattern_coset(n, classes, minus):
     """The canonical coset whose generic coordinates form ``classes``
     and whose other coordinates are 1, or -1 on ``minus``.  Rows with
@@ -964,9 +970,7 @@ def _pattern_coset(n, classes, minus):
         for c, s in cls:
             row[c] = s
         rows.append(tuple(row))
-    half = Fraction(1, 2)
-    return TorusCoset(n, tuple(rows),
-                      tuple(half if c in minus else Fraction(0) for c in range(n)))
+    return TorusCoset(n, tuple(rows), tuple(_HALF if c in minus else _ZERO for c in range(n)))
 
 
 def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
@@ -1247,99 +1251,94 @@ class GeoEQFamily(value_type("GeoEQFamily", "element component")):
         return f"(w={self.element.images}/{self.element.signs}, {self.component})"
 
 
-def _conjugate(g, ginv, x):
-    """``g x g^-1`` on ``(images, signs)`` tuples, with ``g`` padded for
-    1-based lookup and ``ginv[k]`` the coordinate ``g`` sends to ``k``:
-    coordinate ``g(i)`` goes to ``g(x(i))`` with the signs of ``g^-1``,
-    ``x`` and ``g`` picked up on the way."""
-    g_images, g_signs = g
-    images, signs = x
-    return (tuple(g_images[images[i]] for i in ginv),
-            tuple(g_signs[i + 1] * signs[i] * g_signs[images[i]] for i in ginv))
+def _block_classes(kind, coords):
+    """The conjugacy classes of the symmetric (``"A"``), hyperoctahedral
+    (``"B"``) or even-signed (``"D"``) group of ``coords`` (0-based,
+    ascending), each as the images (1-based) and signs of ``coords``
+    under its least element in ``(images, signs)`` order, as
+    :func:`_local_group` gives the elements.
+
+    A class of W(B_k) is a bipartition ``(alpha, beta)``: the lengths of
+    the cycles whose signs multiply to +1 and to -1 (Carter, *Conjugacy
+    classes in the Weyl group*, 1972).  Its least element lays the
+    cycles out on consecutive coordinates, shortest first, each sending
+    every coordinate to the next and its last back to its first.  Every
+    sign is -1 but each cycle's last, which its parity fixes; among
+    cycles of one length, those whose last sign is -1 come first.  A
+    class of S_k is a partition, with every sign +1.  W(D_k) keeps the
+    bipartitions with an even number of negative cycles, and one with no
+    negative cycle and every cycle even splits into two classes; the
+    second one's least element is the first one's with the signs of the
+    last two coordinates +1."""
+    k = len(coords)
+    if kind == "A":
+        types = [(lam.parts, ()) for lam in partitions(k)]
+    else:
+        types = [(bp.alpha.parts, bp.beta.parts) for bp in bipartitions(k)
+                 if kind == "B" or len(bp.beta.parts) % 2 == 0]
+    out = []
+    for alpha, beta in types:
+        # (length, last sign) per cycle: the signs before the last give
+        # (-1)^(m-1), so the last is -1 for an odd negative cycle or an
+        # even positive one
+        cycles = [(m, 1 if kind == "A" or m % 2 else -1) for m in alpha] \
+            + [(m, -1 if m % 2 else 1) for m in beta]
+        images, signs = [], []
+        for m, last in sorted(cycles):
+            s = len(images)
+            images += coords[s + 1:s + m] + coords[s:s + 1]
+            signs += [1 if kind == "A" else -1] * (m - 1) + [last]
+        images = tuple(c + 1 for c in images)
+        out.append((images, tuple(signs)))
+        if kind == "D" and not beta and all(m % 2 == 0 for m in alpha):
+            out.append((images, tuple(signs[:-2]) + (1, 1)))
+    return out
 
 
 def geometric_eq(action: MonomialAction):
     """Orbit representatives of pairs (element, component of its fixed
-    locus); per element class the families are the centralizer orbits
-    on components.
+    locus) under simultaneous conjugation, read off the conjugacy classes
+    of the action's coordinate blocks with no element listed.
 
-    The classes and centralizers come from the generators, not from the
-    elements.  Each class is reached breadth first from its least
-    element ``w`` (the first of :attr:`MonomialAction.elements` not yet
-    seen) by conjugating with the generators, keeping the transversal
-    ``T[x]`` (``x = T[x] w T[x]^-1``) as the image under ``T[x]`` of
-    each cycle of ``w``.  The Schreier generators ``T[y]^-1 g T[x]``,
-    for ``y = g x g^-1``, generate the centralizer of ``w``.  The
-    components of its fixed locus are the picks of 0 or 1/2 on its
-    cycles whose signs multiply to -1 (see :func:`fixed_locus`), and a
-    centralizer element moves them by permuting those cycles.  So the
-    families of ``w`` are the orbits of picks under the cycle
-    permutations of the Schreier generators, each family with the least
-    component of its orbit, in the order of those components.
+    The action must be a full product over its coordinate blocks, as for
+    :func:`strata`, which refuses every other action the same way.  A
+    class of the product is a class per block (:func:`_block_classes`),
+    and its least element in ``(images, signs)`` order puts each block's
+    least element on that block's coordinates.  The classes come in the
+    order of their least elements ``w``.  The components of the fixed
+    locus of ``w`` are the picks of 0 or 1/2 on its cycles whose signs
+    multiply to -1 (see :func:`fixed_locus`), and its centralizer, the
+    product over the blocks, permutes such cycles of equal length in one
+    block in every way (on a W(D) block, composing with a negative cycle
+    of ``w``, which moves no pick, restores the parity of the signs).
+    So there is one family per choice, for each block and length, of
+    how many of those cycles take 1/2.  The least component of a family
+    gives 1/2 to the later cycles of each length, and the families of
+    ``w`` come in the order of their components, which differ only in
+    translation.
 
-    About ``order * len(generators)`` conjugations in all.  Measured in
-    a fresh process on a 2-CPU VM (Python 3.11), against conjugating
-    every element by every element and scanning the group for each
-    centralizer: W(B4) about 8 ms (0.19 s), W(B5) with 108 families
-    about 0.1 s (3.7 s), W(D5) with 52 about 0.05 s (0.8 s), and W(B6)
-    (46,080 elements) with 221 about 1 s.
+    W(B10) (2,640 families) takes about 0.02 s and W(B12) (7,868) about
+    0.07 s, their fresh processes about 0.05 s and 18 MiB, 0.11 s and
+    22 MiB (2-CPU VM, Python 3.11), where walking the classes of the
+    listed group took 20 s and 418 MiB for W(B7).
     """
     n = action.rank
-    gens = []
-    for g in action.generators:
-        ginv = [0] * n
-        for i, j in enumerate(g.images):
-            ginv[j - 1] = i
-        gens.append((((0,) + g.images, (0,) + g.signs), ginv))
-    seen = set()
+    blocks = _product_blocks_or_refuse(action)
+    block_of = {c: b for b, (_, coords) in enumerate(blocks) for c in coords}
     out = []
-    for w in action.elements:
-        x = (w.images, w.signs)
-        if x in seen:
-            continue
-        _, negative = _signed_cycles(w)
-        label = [-1] * n
-        for j, cycle in enumerate(negative):
-            for c, _ in cycle:
-                label[c] = j
-        # labels[x][k]: the index of the cycle of w (-1 past the
-        # negative ones) that T[x] carries onto coordinate k; this is all
-        # of the transversal that the cycle permutations need
-        labels = {x: tuple(label)}
-        moves = set()
-        frontier = [x]
-        while frontier:
-            fresh = []
-            for u in frontier:
-                lu = labels[u]
-                for g, ginv in gens:
-                    y = _conjugate(g, ginv, u)
-                    ly = tuple(lu[i] for i in ginv)
-                    if y not in labels:
-                        labels[y] = ly
-                        fresh.append(y)
-                    elif labels[y] != ly:
-                        # T[y]^-1 g T[u] sends cycle a of w to cycle b,
-                        # and with it the pick on a to b
-                        move = [0] * len(negative)
-                        for a, b in zip(ly, labels[y]):
-                            if a >= 0:
-                                move[b] = a
-                        moves.add(tuple(move))
-            frontier = fresh
-        seen.update(labels)
-        firsts = [cycle[0][0] for cycle in negative]
-        done = set()
-        for c in fixed_locus(w):
-            pick = tuple(c.translation[f] for f in firsts)
-            if pick in done:
-                continue
-            orbit, frontier = {pick}, {pick}
-            while frontier:
-                frontier = {tuple(map(p.__getitem__, m)) for p in frontier for m in moves} - orbit
-                orbit |= frontier
-            done |= orbit
-            out.append(GeoEQFamily(w, c))
+    for w in _product_elements(n, [(coords, _block_classes(kind, coords)) for kind, coords in blocks]):
+        positive, negative = _signed_cycles(w)
+        # the negative cycles of each block and length, by least coordinate
+        groups = {}
+        for cycle in negative:
+            groups.setdefault((block_of[cycle[0][0]], len(cycle)), []).append(cycle)
+        groups = list(groups.values())
+        components = []
+        for halves in product(*(range(len(g) + 1) for g in groups)):
+            minus = {c for g, h in zip(groups, halves) for cycle in g[len(g) - h:] for c, _ in cycle}
+            components.append(_pattern_coset(n, positive, minus))
+        components.sort(key=lambda c: c.translation)
+        out += [GeoEQFamily(w, c) for c in components]
     return out
 
 

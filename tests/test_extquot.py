@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from abpscalc.combicore import (
     Partition,
     SignedPermutation,
     all_signed_permutations,
+    bipartitions,
 )
 from abpscalc import extquot
 from abpscalc.extquot import (
@@ -40,6 +41,7 @@ from abpscalc.extquot import (
     _listing,
     _one_based,
     _product_blocks,
+    _signed_cycles,
     _solve_torus,
     act,
     eq_pairs,
@@ -190,8 +192,9 @@ def any_strata(action):
 def brute_force_geometric_eq(action):
     """The geometric extended quotient from every element conjugated by
     every element, each centralizer scanned from all elements and the
-    components moved by ``act_coset``: the oracle of the class walk of
-    :func:`geometric_eq`."""
+    components moved by ``act_coset``: the oracle of
+    :func:`walked_geometric_eq` on every action, and of
+    :func:`geometric_eq` on the products it answers."""
     elems = action.elements
     key = lambda w: (w.images, w.signs)
     seen = set()
@@ -210,6 +213,94 @@ def brute_force_geometric_eq(action):
             orbit = {act_coset(z, c) for z in centralizer}
             done |= orbit
             out.append(GeoEQFamily(rep, min(orbit, key=_coset_key)))
+    return out
+
+
+def _conjugate(g, ginv, x):
+    """``g x g^-1`` on ``(images, signs)`` tuples, with ``g`` padded for
+    1-based lookup and ``ginv[k]`` the coordinate ``g`` sends to ``k``:
+    coordinate ``g(i)`` goes to ``g(x(i))`` with the signs of ``g^-1``,
+    ``x`` and ``g`` picked up on the way."""
+    g_images, g_signs = g
+    images, signs = x
+    return (tuple(g_images[images[i]] for i in ginv),
+            tuple(g_signs[i + 1] * signs[i] * g_signs[images[i]] for i in ginv))
+
+
+def walked_geometric_eq(action):
+    """The geometric extended quotient of any action, its classes and
+    centralizers found from the generators: the oracle of
+    :func:`geometric_eq` up to rank 6.  Like the brute force, it also
+    answers an action that is no product over its coordinate blocks.
+
+    Each class is reached breadth first from its least element ``w``
+    (the first of :attr:`MonomialAction.elements` not yet seen) by
+    conjugating with the generators, keeping the transversal ``T[x]``
+    (``x = T[x] w T[x]^-1``) as the image under ``T[x]`` of each cycle
+    of ``w``.  The Schreier generators ``T[y]^-1 g T[x]``, for ``y = g x
+    g^-1``, generate the centralizer of ``w``, and a centralizer element
+    moves the components of its fixed locus by permuting the cycles
+    whose signs multiply to -1.  So the families of ``w`` are the orbits
+    of picks of 0 or 1/2 on those cycles under the Schreier generators'
+    cycle permutations, each with the least component of its orbit, in
+    the order of those components.  About ``order * len(generators)``
+    conjugations in all: W(B6) takes about 1 s."""
+    n = action.rank
+    gens = []
+    for g in action.generators:
+        ginv = [0] * n
+        for i, j in enumerate(g.images):
+            ginv[j - 1] = i
+        gens.append((((0,) + g.images, (0,) + g.signs), ginv))
+    seen = set()
+    out = []
+    for w in action.elements:
+        x = (w.images, w.signs)
+        if x in seen:
+            continue
+        _, negative = _signed_cycles(w)
+        label = [-1] * n
+        for j, cycle in enumerate(negative):
+            for c, _ in cycle:
+                label[c] = j
+        # labels[x][k]: the index of the cycle of w (-1 past the
+        # negative ones) that T[x] carries onto coordinate k; this is all
+        # of the transversal that the cycle permutations need
+        labels = {x: tuple(label)}
+        moves = set()
+        frontier = [x]
+        while frontier:
+            fresh = []
+            for u in frontier:
+                lu = labels[u]
+                for g, ginv in gens:
+                    y = _conjugate(g, ginv, u)
+                    ly = tuple(lu[i] for i in ginv)
+                    if y not in labels:
+                        labels[y] = ly
+                        fresh.append(y)
+                    elif labels[y] != ly:
+                        # T[y]^-1 g T[u] sends cycle a of w to cycle b,
+                        # and with it the pick on a to b
+                        move = [0] * len(negative)
+                        for a, b in zip(ly, labels[y]):
+                            if a >= 0:
+                                move[b] = a
+                        moves.add(tuple(move))
+            frontier = fresh
+        seen.update(labels)
+        firsts = [cycle[0][0] for cycle in negative]
+        done = set()
+        for c in fixed_locus(w):
+            pick = tuple(c.translation[f] for f in firsts)
+            if pick in done:
+                continue
+            orbit, frontier = {pick}, {pick}
+            while frontier:
+                frontier = {tuple(map(p.__getitem__, m)) for p in frontier for m in moves} - orbit
+                orbit |= frontier
+            done |= orbit
+            out.append(GeoEQFamily(w, c))
     return out
 
 
@@ -1537,12 +1628,42 @@ def seeded_subgroups():
     return out
 
 
+def closed_form_count(n):
+    """The number of families of W(B_n): each class ``(alpha, beta)``
+    gives ``m_k(beta) + 1`` choices per length ``k``, how many of its
+    ``m_k(beta)`` negative cycles of length ``k`` take 1/2."""
+    return sum(prod(m + 1 for m in Counter(bp.beta.parts).values()) for bp in bipartitions(n))
+
+
+@st.composite
+def block_products(draw):
+    """A full product of symmetric, hyperoctahedral and even-signed
+    groups of rank at most 6, on blocks of shuffled coordinates so that
+    blocks interleave, with its ``(kind, coords)`` blocks."""
+    n = draw(st.integers(0, 6))
+    rest = draw(st.permutations(range(n)))
+    gens, blocks = [], []
+    while rest:
+        k = draw(st.integers(1, len(rest)))
+        coords, rest = tuple(sorted(rest[:k])), rest[k:]
+        kind = draw(st.sampled_from("ABD" if k > 1 else "AB"))
+        gens += [transposition(n, i, j) for i, j in zip(coords, coords[1:])]
+        if kind != "A":
+            gens.append(sign_flip(n, coords[:1] if kind == "B" else coords[:2]))
+        blocks.append((kind, coords))
+    return MonomialAction(n, gens), tuple(sorted(blocks, key=lambda b: b[1][0]))
+
+
 GEOMETRIC_ACTIONS = (
     [(f"B{n}", hyperoctahedral_action(n)) for n in (1, 2, 3, 4)]
     + [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)]
     + [(f"S{n}", permutation_action(n)) for n in (2, 3, 4)]
     + [("T3", trivial_action(3)), ("rank0", MonomialAction(0, [SignedPermutation.identity(0)])), ("klein_four", KLEIN_FOUR),
        ("swap_with_flip", SWAP_WITH_FLIP)]
+    # interleaved blocks, where the families of a class come in another
+    # order than the picks per block and length
+    + [("B2xB1_interleaved", product_action(3, [((0, 2), True), ((1,), True)])),
+       ("D2xB2", D2_B2), ("D3xS2_interleaved", D3_S2_INTERLEAVED)]
     + seeded_subgroups()
     + INERTIAL_ACTIONS
 )
@@ -1571,21 +1692,72 @@ class TestGeometricQuotient:
     @pytest.mark.parametrize("name, action", GEOMETRIC_ACTIONS,
                              ids=[n for n, _ in GEOMETRIC_ACTIONS])
     def test_class_walk_agrees_with_the_brute_force(self, name, action):
-        # same families in the same order: same representatives, same
-        # least components
-        assert geometric_eq(action) == brute_force_geometric_eq(action)
+        # the walk gives the brute force's families in the same order,
+        # same representatives and least components, on every action;
+        # geometric_eq gives them too on a product over coordinate
+        # blocks, and refuses any other action as strata does
+        walked = walked_geometric_eq(action)
+        assert walked == brute_force_geometric_eq(action)
+        if _product_blocks(action) is None:
+            with pytest.raises(UnrecognizedStructure) as refused:
+                geometric_eq(action)
+            with pytest.raises(UnrecognizedStructure) as by_strata:
+                strata(action)
+            assert str(refused.value) == str(by_strata.value)
+        else:
+            got = geometric_eq(action)
+            assert got == walked and [str(f) for f in got] == [str(f) for f in walked]
+
+    @given(block_products())
+    @settings(max_examples=40, deadline=None)
+    def test_block_products_agree_with_the_walk(self, drawn):
+        action, blocks = drawn
+        assert action.blocks == blocks
+        got, walked = geometric_eq(action), walked_geometric_eq(action)
+        assert got == walked and [str(f) for f in got] == [str(f) for f in walked]
 
     @pytest.mark.parametrize("build, n, count", [
         (hyperoctahedral_action, 5, 108), (even_sign_action, 5, 52),
     ], ids=["B5", "D5"])
     def test_rank_five_counts(self, build, n, count):
-        # checked once against the brute force, which takes seconds here
-        assert len(geometric_eq(build(n))) == count
+        # the brute force takes seconds here; the walk under a second
+        action = build(n)
+        got = geometric_eq(action)
+        assert len(got) == count and got == walked_geometric_eq(action)
+
+    def test_split_even_sign_classes(self):
+        # a class of W(B_n) with no negative cycle and only even cycles
+        # splits into two classes of W(D_n), whose least elements differ
+        # in the signs of the last two coordinates: one class of W(B4)
+        d2 = {f.element for f in geometric_eq(even_sign_action(2))}
+        assert {SignedPermutation((2, 1), (-1, -1)), SignedPermutation((2, 1), (1, 1))} <= d2
+        first = SignedPermutation((2, 1, 4, 3), (-1, -1, -1, -1))
+        twin = SignedPermutation((2, 1, 4, 3), (-1, -1, 1, 1))
+        assert {first, twin} <= {f.element for f in geometric_eq(even_sign_action(4))}
+        b4 = {f.element for f in geometric_eq(hyperoctahedral_action(4))}
+        assert first in b4 and twin not in b4
+
+    @pytest.mark.parametrize("n, count", enumerate([1, 3, 9, 22, 51, 108, 221, 429]))
+    def test_hyperoctahedral_counts(self, n, count):
+        assert len(geometric_eq(hyperoctahedral_action(n))) == count == closed_form_count(n)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_hyperoctahedral_counts_past_the_walk(self, n):
+        assert len(geometric_eq(hyperoctahedral_action(n))) == closed_form_count(n)
+
+    def test_lists_no_element(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an element list read")
+
+        monkeypatch.setattr(MonomialAction, "elements", property(refuse))
+        with pytest.raises(AssertionError, match="element list read"):
+            hyperoctahedral_action(6).elements
+        assert len(geometric_eq(hyperoctahedral_action(6))) == 221
 
     def test_walk_moves_no_coset(self, monkeypatch):
         # the centralizer acts on the picks of 0 or 1/2, not on cosets:
-        # every coset comes from fixed_locus as it stands, and none is
-        # moved and put back in canonical form, as act_coset does
+        # every coset is built as it stands by _pattern_coset, and none
+        # is moved and put back in canonical form, as act_coset does
         def refuse(*args):
             raise AssertionError("a coset made canonical in geometric_eq")
 
