@@ -21,9 +21,7 @@ from .extquot import (
     act,
     full_torus,
     q_power,
-    sign_flip,
     strata,
-    transposition,
 )
 from .langlands import (
     CentralizerData,
@@ -92,22 +90,16 @@ def inertial_triple(group, coordinates, core=FormalParameter(())) -> InertialTri
 def _inertial_action(triple: InertialTriple) -> MonomialAction:
     """Signed permutations preserving the coordinate classes: a slot may
     move to a slot of the same class, and inversion needs a self-dual
-    class (for GL targets no dual is available at all).  Per class that
-    is a symmetric or hyperoctahedral group, generated by the swaps of
-    consecutive members and, when inversion is allowed, the flip of the
-    first member."""
-    coords = triple.coordinates
-    n = len(coords)
+    class (for GL targets no dual is available at all).  So each class
+    is one block, hyperoctahedral (``"B"``) when inversion is allowed
+    and symmetric (``"A"``) otherwise."""
     invertible = triple.group.family != "GL"
     classes = {}
-    for i, l in enumerate(coords):
+    for i, l in enumerate(triple.coordinates):
         classes.setdefault(l.base, []).append(i)
-    gens = []
-    for members in classes.values():
-        gens += [transposition(n, i, j) for i, j in zip(members, members[1:])]
-        if invertible and coords[members[0]].base.selfdual != "none":
-            gens.append(sign_flip(n, (members[0],)))
-    return MonomialAction(n, gens)
+    return MonomialAction(triple.rank, [
+        ("B" if invertible and base.selfdual != "none" else "A", members)
+        for base, members in classes.items()])
 
 
 class InertialData(value_type("InertialData", "triple action strata")):
@@ -425,10 +417,9 @@ def _orbit_form(action: MonomialAction, t: SymbolicTorusPoint) -> tuple:
     monomial)``, each coordinate of a hyperoctahedral (``"B"``) block
     first replaced by the lesser of it and its inverse.
 
-    An inertial action is the full product of the symmetric or
-    hyperoctahedral groups of its blocks (its generators swap members
-    of one class and flip single coordinates), so a group element moves
-    each block's coordinates within it, inverting any of them on a
+    An inertial action declares one symmetric or hyperoctahedral block
+    per coordinate class, so a group element moves each block's
+    coordinates within it, in every way, inverting any of them on a
     ``"B"`` block.  Two points thus share an orbit exactly when they
     share this form, and no element of the group is listed."""
     out = []

@@ -3,10 +3,15 @@
 A signed permutation acts on ``(C^*)^n`` by permuting coordinates and
 inverting some of them.  Everything here is exact: torus points are
 symbolic (roots of unity, powers of ``q^{1/2}``, and free monomial
-variables), fixed loci are read off signed cycles, intersections of
-cosets are solved by Smith normal form over the integers, and the
-stabilizer strata come back with recognized Coxeter structure so their
-irreducible characters can be labelled combinatorially.
+variables), and fixed loci are read off signed cycles.  An action is
+declared by its coordinate blocks, each with the symmetric,
+hyperoctahedral or even-signed group, and its stabilizer strata,
+stabilizers and geometric extended quotient are read off the
+coordinate patterns and cycle types of those blocks, with recognized
+Coxeter structure so that irreducible characters are labelled
+combinatorially.  Intersections of cosets are solved by Smith normal
+form over the integers, in :func:`intersect_cosets`, which only the
+tests and the benchmark call.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .combicore import (
@@ -30,7 +35,7 @@ from .combicore import (
     smith_normal_form,
     value_type,
 )
-from .springer import RelativeWeylGroup, UnrecognizedStructure
+from .springer import RelativeWeylGroup
 
 
 class RankMismatch(ValueError):
@@ -510,158 +515,78 @@ def _product_elements(n, factors):
     return tuple(SignedPermutation.from_valid(*pair) for pair in pairs)
 
 
-def _is_block_generator(g: SignedPermutation, block_of) -> bool:
-    """Whether ``g`` is a transposition (signs +1), the flip of one
-    coordinate, the flip of two coordinates in one block (``block_of``
-    maps each coordinate to its block), or the identity: the generators
-    whose group is always the full product over its coordinate
-    blocks."""
-    moved = [i for i, (j, s) in enumerate(zip(g.images, g.signs)) if j != i + 1 or s != 1]
-    if len(moved) != 2:
-        return len(moved) < 2
-    i, j = moved
-    if g.images[i] == i + 1:  # a flip of i and j
-        return block_of[i] == block_of[j]
-    return g.images[i] == j + 1 and g.signs[i] == g.signs[j] == 1
-
-
-def _generator_blocks(rank, gens):
-    """The orbits of ``gens`` on the coordinates, as ``(kind, coords)``
-    with the coordinates ascending, in the order of their least
-    coordinates.  The kind names the full group on the block that
-    holds what the generators do there: ``"A"`` (symmetric) when no
-    generator inverts a coordinate of it, ``"D"`` (even-signed) when
-    every generator inverts an even number of them, ``"B"``
-    (hyperoctahedral) otherwise."""
-    blocks = []
-    for coords in _coordinate_blocks(range(rank), gens):
-        flipped = [sum(w.signs[c] == -1 for c in coords) for w in gens]
-        kind = "A" if not any(flipped) else "D" if all(f % 2 == 0 for f in flipped) else "B"
-        blocks.append((kind, coords))
-    return tuple(blocks)
-
-
-def _blocks_order(blocks) -> int:
-    """The order of the full product of the groups of the blocks."""
-    order = 1
-    for kind, coords in blocks:
-        order *= _piece_order(kind, coords)
-    return order
-
-
 class MonomialAction:
-    """The finite group of signed permutations of a rank-``rank`` torus
-    generated by ``generators``.
+    """The group of signed permutations of a rank-``rank`` torus that is
+    the full product, over the coordinate ``blocks``, of the symmetric
+    (``"A"``), hyperoctahedral (``"B"``) or even-signed (``"D"``) group
+    of each block.  Each block is ``(kind, coords)`` with the
+    coordinates 0-based.
 
-    When every generator is a transposition (signs +1), the flip of one
-    coordinate, or the flip of two coordinates that the generators join
-    in one orbit, as for :func:`hyperoctahedral_action`,
-    :func:`even_sign_action`, :func:`permutation_action`,
-    :func:`trivial_action` and every inertial action of ``abps``, the
-    group is the full product, over the orbits of the generators on
-    coordinates, of the symmetric group of each orbit (``"A"``), its
-    hyperoctahedral group when a single flip lies in it (``"B"``), or
-    its even-signed group when only double flips do (``"D"``).
-    :attr:`blocks` holds those orbits as ``(kind, coords)`` and
-    :attr:`order` is read off them, with no element listed.  For other
-    generators :attr:`blocks` is ``None`` and the order is that of the
-    listed group.
+    :attr:`blocks` is canonical, so two actions are equal, and hash
+    equally, exactly when their groups are: each block is ascending,
+    the blocks come in the order of their least coordinates, a
+    coordinate in no block is a block ``("A", (c,))`` of its own, and a
+    ``"D"`` block on fewer than two coordinates, whose group is trivial,
+    reads ``"A"``.  :attr:`order` is read off the blocks, and
+    :attr:`elements` lists the group from them on first use, sorted by
+    images, then signs.
 
-    :attr:`elements` lists the group on first use, sorted by images,
-    then signs: from the blocks when they are known, otherwise
-    generated breadth first from the identity by left multiplication
-    with the generators, about ``order * len(generators)`` products.
-    Two actions are equal when their groups are, whatever generators
-    they were given.  A generator of another rank raises
-    :class:`RankMismatch`.
+    A kind other than ``A``, ``B`` or ``D``, or blocks that overlap,
+    raise ``ValueError``, and a coordinate outside ``range(rank)``
+    raises :class:`RankMismatch`; each message names the blocks and the
+    rank.
     """
 
-    def __init__(self, rank: int, generators=()):
-        gens = tuple(generators)
-        for g in gens:
-            if g.rank != rank:
-                raise RankMismatch(f"generator {g} of rank {g.rank} for a rank {rank} action")
+    def __init__(self, rank: int, blocks=()):
+        blocks = [(kind, tuple(sorted(coords))) for kind, coords in blocks]
+        where = f"blocks {blocks} of a rank {rank} action"
+        covered = []
+        for kind, coords in blocks:
+            if kind not in ("A", "B", "D"):
+                raise ValueError(f"kind {kind!r} is not A, B or D in the {where}")
+            if coords and (coords[0] < 0 or coords[-1] >= rank):
+                raise RankMismatch(f"a coordinate outside range({rank}) in the {where}")
+            covered += coords
+        if len(set(covered)) < len(covered):
+            raise ValueError(f"overlapping coordinates in the {where}")
+        blocks += [("A", (c,)) for c in sorted(set(range(rank)) - set(covered))]
         self.rank = rank
-        self.generators = gens
-        blocks = _generator_blocks(rank, gens)
-        block_of = {c: i for i, (_, coords) in enumerate(blocks) for c in coords}
-        self.blocks = (blocks if all(_is_block_generator(g, block_of) for g in gens)
-                       else None)
+        self.blocks = tuple(sorted(
+            (("A" if kind == "D" and len(coords) < 2 else kind, coords)
+             for kind, coords in blocks if coords), key=lambda block: block[1]))
 
     @cached_property
     def elements(self) -> tuple:
-        if self.blocks is not None:
-            return _product_elements(self.rank, [_piece_group(*block) for block in self.blocks])
-        # g * x on (images, signs) tuples: images g[x[i]], signs x[i] g[x[i]],
-        # read from the generator's tuples padded for 1-based lookup
-        padded = [((0,) + g.images, (0,) + g.signs) for g in self.generators]
-        identity = SignedPermutation.identity(self.rank)
-        group = {(identity.images, identity.signs)}
-        frontier = list(group)
-        while frontier:
-            fresh = []
-            for images, signs in frontier:
-                for g_images, g_signs in padded:
-                    y = (tuple(map(g_images.__getitem__, images)),
-                         tuple(map(mul, signs, map(g_signs.__getitem__, images))))
-                    if y not in group:
-                        group.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        return tuple(SignedPermutation.from_valid(*pair) for pair in sorted(group))
+        return _product_elements(self.rank, [_piece_group(*block) for block in self.blocks])
 
     @cached_property
     def order(self) -> int:
-        if self.blocks is not None:
-            return _blocks_order(self.blocks)
-        return len(self.elements)
+        return prod(_piece_order(*block) for block in self.blocks)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialAction) or \
-                (self.rank, self.order) != (other.rank, other.order):
-            return False
-        if self.blocks is not None and other.blocks is not None:
-            return self.blocks == other.blocks
-        return self.elements == other.elements
+        if not isinstance(other, MonomialAction):
+            return NotImplemented
+        return (self.rank, self.blocks) == (other.rank, other.blocks)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.order))
+        return hash((self.rank, self.blocks))
 
     def identity(self) -> SignedPermutation:
         return SignedPermutation.identity(self.rank)
 
 
-def transposition(n: int, i: int, j: int) -> SignedPermutation:
-    """The swap of the coordinates ``i`` and ``j`` (0-based) of rank ``n``."""
-    images = list(range(1, n + 1))
-    images[i], images[j] = j + 1, i + 1
-    return SignedPermutation(images, (1,) * n)
-
-
-def sign_flip(n: int, coords) -> SignedPermutation:
-    """The inversion of the coordinates ``coords`` (0-based) of rank ``n``."""
-    return SignedPermutation(range(1, n + 1), [-1 if c in coords else 1 for c in range(n)])
-
-
-def _adjacent_transpositions(n: int):
-    return [transposition(n, i, i + 1) for i in range(n - 1)]
-
-
 def hyperoctahedral_action(n: int) -> MonomialAction:
-    """W(B_n): the adjacent transpositions and the flip of coordinate 1."""
-    flips = [sign_flip(n, (0,))] if n else []
-    return MonomialAction(n, _adjacent_transpositions(n) + flips)
+    """W(B_n): one hyperoctahedral block."""
+    return MonomialAction(n, [("B", range(n))])
 
 
 def even_sign_action(n: int) -> MonomialAction:
-    """W(D_n): the adjacent transpositions and the flip of coordinates 1
-    and 2."""
-    flips = [sign_flip(n, (0, 1))] if n > 1 else []
-    return MonomialAction(n, _adjacent_transpositions(n) + flips)
+    """W(D_n): one even-signed block."""
+    return MonomialAction(n, [("D", range(n))])
 
 
 def permutation_action(n: int) -> MonomialAction:
-    return MonomialAction(n, _adjacent_transpositions(n))
+    return MonomialAction(n, [("A", range(n))])
 
 
 def trivial_action(n: int) -> MonomialAction:
@@ -785,35 +710,6 @@ def _coupled_labels(data):
     return RelativeWeylGroup(tuple(("B", len(side)) for side in data), (0, 1)).character_labels()
 
 
-def _coordinate_blocks(coords, elements):
-    """The orbits on ``coords`` (0-based, ascending, mapped into
-    themselves by every element) of the group the ``elements``
-    generate: each ascending, in the order of their least coordinates."""
-    parent = {c: c for c in coords}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for w in elements:
-        for c in coords:
-            parent[find(c)] = find(w.images[c] - 1)
-    blocks = {}
-    for c in coords:
-        blocks.setdefault(find(c), []).append(c)
-    return [tuple(block) for block in blocks.values()]
-
-
-def _one_based(coords) -> str:
-    return str(tuple(c + 1 for c in coords))
-
-
-def _listing(elements) -> str:
-    return ", ".join(str(w) for w in elements)
-
-
 def _flip_generators(flips) -> tuple:
     """Generators of the group of diagonal flips whose flipped coordinate
     sets (0-based, ascending) are ``flips``: the sets in sorted order,
@@ -879,27 +775,6 @@ class Stratum(value_type("Stratum", "coset base group")):
 # 120 pattern strata of W(B7) (645,120 elements) take about 0.02 s,
 # but no oracle checks rank 7 yet
 MAX_RANK = 6
-
-
-def _product_blocks(action: MonomialAction):
-    """The coordinate blocks of the action, as ``(kind, coords)`` with
-    the coordinates ascending, when the action is the full product over
-    them of symmetric (``"A"``), hyperoctahedral (``"B"``) and
-    even-signed (``"D"``) groups; ``None`` otherwise.
-
-    An action generated by transpositions, single flips and double flips
-    inside one block is that product over :attr:`MonomialAction.blocks`,
-    read off its generators.  Any other action lies in the product of
-    the full groups on the orbits of its generators, a block being
-    even-signed when every generator inverts an even number of its
-    coordinates (the parity of the inverted coordinates of a block is a
-    character), so it is that product exactly when its listed order is
-    the product's.
-    """
-    if action.blocks is not None:
-        return action.blocks
-    blocks = _generator_blocks(action.rank, action.generators)
-    return blocks if _blocks_order(blocks) == action.order else None
 
 
 def _block_patterns(kind, k):
@@ -1025,8 +900,8 @@ def _pattern_group(n, fixed, classes) -> RecognizedSubgroup:
 @lru_cache(maxsize=None)
 def _pattern_strata(n: int, blocks: tuple) -> tuple:
     """The strata of the full product of symmetric, hyperoctahedral and
-    even-signed groups on the rank-``n`` ``blocks`` of
-    :func:`_product_blocks`, one per choice of a coordinate pattern on
+    even-signed groups on the rank-``n`` ``blocks`` of a
+    :class:`MonomialAction`, one per choice of a coordinate pattern on
     every block (:func:`_block_patterns`).  They depend on nothing else,
     so each block structure is stratified once for the life of the
     process (finitely many up to ``MAX_RANK``), with no fixed locus,
@@ -1087,25 +962,17 @@ def strata(action: MonomialAction):
     (conjugates may act by twisted reflections), or the least coset when
     there is none.
 
-    The action must be the full product of symmetric, hyperoctahedral
-    and even-signed groups over the coordinate blocks its generators
-    move (:func:`_product_blocks`): every action ``abps`` builds,
-    ``hyperoctahedral_action``, ``even_sign_action``,
-    ``permutation_action`` and ``trivial_action``.  It is stratified
-    from coordinate patterns (:func:`_pattern_strata`), with no fixed
-    locus, intersection or stabilizer scan; when its generators are
-    transpositions, single flips and double flips inside a block, as for
-    all of those, no element of the group is listed either.  The split
+    The action is stratified from the coordinate patterns of its
+    blocks (:func:`_pattern_strata`), with no fixed locus, intersection
+    or stabilizer scan, and no element of the group listed.  The split
     twins of W(D) have no representative with an unconjugated
     stabilizer, so theirs is the least coset of the orbit, with ``tA``
-    pieces.  Any other action (coupled sign groups, subgroups given by
-    arbitrary generators) raises ``UnrecognizedStructure``, naming its
-    order, its generators and its coordinate blocks.
+    pieces.
 
     A rank above :data:`MAX_RANK` raises :class:`RankOutOfRange`.
 
     Pattern strata are memoised per rank and coordinate blocks for the
-    life of the process, so equal product actions share one set of
+    life of the process, so equal actions share one set of
     frozen strata; every call returns a fresh list.  Their stabilizers
     keep only their pieces and list their elements on first read, so
     the memo holds no element until then.  The 75 strata of W(B6) take
@@ -1114,36 +981,20 @@ def strata(action: MonomialAction):
     """
     if action.rank > MAX_RANK:
         raise RankOutOfRange(action.rank)
-    return list(_pattern_strata(action.rank, _product_blocks_or_refuse(action)))
-
-
-def _product_blocks_or_refuse(action: MonomialAction):
-    """The blocks of :func:`_product_blocks`; an action that is no such
-    product raises ``UnrecognizedStructure``, naming its order, its
-    generators and its coordinate blocks."""
-    blocks = _product_blocks(action)
-    if blocks is None:
-        coords = ", ".join(_one_based(c) for _, c in _generator_blocks(action.rank, action.generators))
-        raise UnrecognizedStructure(
-            f"the action of order {action.order} generated by {_listing(action.generators)} "
-            f"is not the full product over its coordinate blocks {coords}, so it has no "
-            f"coordinate patterns to stratify")
-    return blocks
+    return list(_pattern_strata(action.rank, action.blocks))
 
 
 def stabilizer(action: MonomialAction, t: SymbolicTorusPoint) -> RecognizedSubgroup:
     """All elements fixing ``t`` with its free variables generic, read
     off the coordinate pattern of ``t`` with no element listed.
 
-    The action must be a full product over its coordinate blocks, as for
-    :func:`strata`, which refuses every other action the same way.  The
-    stabilizer is then the product over the blocks of the stabilizers of
-    the coordinates there.  On a hyperoctahedral or even-signed block
-    the coordinates at 1 and at -1 are fixed, and the others fall into
-    classes equal up to inversion: the least coordinate of a class is
-    uninverted, and the members equal to its inverse are the inverted
-    ones of a ``tA`` piece, as :func:`_place` orients them.  On a
-    symmetric block every class is of equal coordinates.  A lone
+    The stabilizer is the product over the blocks of the action of the
+    stabilizers of the coordinates there.  On a hyperoctahedral or
+    even-signed block the coordinates at 1 and at -1 are fixed, and the
+    others fall into classes equal up to inversion: the least coordinate
+    of a class is uninverted, and the members equal to its inverse are
+    the inverted ones of a ``tA`` piece, as :func:`_place` orients them.
+    On a symmetric block every class is of equal coordinates.  A lone
     coordinate at 1 or -1 of an even-signed block fixes nothing, since
     W(D) has no single flip.  :func:`_pattern_group` builds the group,
     as it builds the group of each stratum, so ``stabilizer(action,
@@ -1158,7 +1009,7 @@ def stabilizer(action: MonomialAction, t: SymbolicTorusPoint) -> RecognizedSubgr
     if t.rank != action.rank:
         raise RankMismatch(f"rank {t.rank} point under rank {action.rank} action")
     fixed, classes = [], []
-    for kind, coords in _product_blocks_or_refuse(action):
+    for kind, coords in action.blocks:
         ones = minus = ()
         if kind != "A":
             ones = tuple(c for c in coords if t.coords[c] == ONE)
@@ -1300,9 +1151,7 @@ def geometric_eq(action: MonomialAction):
     locus) under simultaneous conjugation, read off the conjugacy classes
     of the action's coordinate blocks with no element listed.
 
-    The action must be a full product over its coordinate blocks, as for
-    :func:`strata`, which refuses every other action the same way.  A
-    class of the product is a class per block (:func:`_block_classes`),
+    A class of the action is a class per block (:func:`_block_classes`),
     and its least element in ``(images, signs)`` order puts each block's
     least element on that block's coordinates.  The classes come in the
     order of their least elements ``w``.  The components of the fixed
@@ -1323,7 +1172,7 @@ def geometric_eq(action: MonomialAction):
     listed group took 20 s and 418 MiB for W(B7).
     """
     n = action.rank
-    blocks = _product_blocks_or_refuse(action)
+    blocks = action.blocks
     block_of = {c: b for b, (_, coords) in enumerate(blocks) for c in coords}
     out = []
     for w in _product_elements(n, [(coords, _block_classes(kind, coords)) for kind, coords in blocks]):

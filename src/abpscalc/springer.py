@@ -50,10 +50,6 @@ class SpringerError(ValueError):
     pass
 
 
-class UnrecognizedStructure(SpringerError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # groups
 

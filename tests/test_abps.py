@@ -28,6 +28,7 @@ from abpscalc.abps import (
     weyl_order,
     weyl_structure,
     _core_group,
+    _inertial_action,
     _orbit_form,
     _rebuild,
     _reference,
@@ -50,8 +51,6 @@ from abpscalc.extquot import (
     permutation_action,
     q_power,
     root_of_unity,
-    sign_flip,
-    transposition,
     trivial_action,
 )
 from abpscalc.langlands import (
@@ -75,6 +74,7 @@ from abpscalc.springer import (
     springer_blocks,
     unipotent_classes,
 )
+from test_extquot import GeneratedGroup, eq_size, recognized_action, sign_flip, transposition
 
 SP4 = PadicGroup("Sp", 4)
 J = inertial_triple(
@@ -485,10 +485,10 @@ _FORM_ACTIONS = [
     ("B1", hyperoctahedral_action(1)), ("B2", hyperoctahedral_action(2)),
     ("B3", hyperoctahedral_action(3)), ("S2", permutation_action(2)),
     ("S3", permutation_action(3)), ("T2", trivial_action(2)),
-    ("S2xB1", MonomialAction(3, [transposition(3, 0, 1), sign_flip(3, (2,))])),
-    ("B1^3", MonomialAction(3, [sign_flip(3, (c,)) for c in range(3)])),
-    ("B2xS1_interleaved", MonomialAction(3, [transposition(3, 0, 2), sign_flip(3, (2,))])),
-    ("S2xB1_interleaved", MonomialAction(3, [transposition(3, 0, 2), sign_flip(3, (1,))])),
+    ("S2xB1", MonomialAction(3, [("A", (0, 1)), ("B", (2,))])),
+    ("B1^3", MonomialAction(3, [("B", (c,)) for c in range(3)])),
+    ("B2xS1_interleaved", MonomialAction(3, [("B", (0, 2)), ("A", (1,))])),
+    ("S2xB1_interleaved", MonomialAction(3, [("A", (0, 2)), ("B", (1,))])),
 ]
 
 
@@ -792,13 +792,38 @@ def test_every_stratum_has_a_valid_restriction(spec):
         assert validate(G, restriction) == restriction, str(st.base)
 
 
+def _class_generators(triple):
+    """Generators of the inertial action of ``triple``: the swaps of
+    consecutive members of each coordinate class, with the flip of its
+    first member when the class is self-dual and the target is not
+    GL."""
+    n, gens, classes = triple.rank, [], {}
+    for i, l in enumerate(triple.coordinates):
+        classes.setdefault(l.base, []).append(i)
+    for base, members in classes.items():
+        gens += [transposition(n, i, j) for i, j in zip(members, members[1:])]
+        if triple.group.family != "GL" and base.selfdual != "none":
+            gens.append(sign_flip(n, members[:1]))
+    return gens
+
+
+@pytest.mark.parametrize("spec", [p.values[0] for p in ORACLE_CORPUS], ids=_triple_id)
+def test_inertial_action_is_the_recognized_one(spec):
+    # the declared blocks are those recognized from the generators
+    _, j = _oracle_triple(spec)
+    recognized = recognized_action(GeneratedGroup(j.rank, _class_generators(j)))
+    assert _inertial_action(j) == recognized
+
+
 @pytest.mark.parametrize("spec", ORACLE_CORPUS)
 def test_abps_oracle(spec):
     G, j = _oracle_triple(spec)
     md = mu(G, j)
     entries = md.entries
-    # mu is a bijection from T//W onto the enhanced parameters it reaches
+    # mu is a bijection from T//W onto the enhanced parameters it reaches,
+    # and T//W has the size of its closed form
     assert len(entries) == sum(len(st.group.irreps()) for st in md.inertial.strata)
+    assert len(entries) == eq_size(md.inertial.action.blocks)
     assert len({(e.param, e.eta) for e in entries}) == len(entries)
     # the packets partition the entries, one per parameter, each as large
     # as the parameter's enhancement count
@@ -817,6 +842,13 @@ def test_abps_oracle(spec):
             images[base] = {_orbit_form(action, act(w, base)) for w in action.elements}
         assert images[base] == {theta(ONE, e, md)}, str(e)
         assert theta(q_power(1), e, md) == support_orbit(e, md), str(e)
+    # the packet property: two entries share a parameter exactly when
+    # theta_s names one orbit for both at a free s
+    s, by_param, by_theta = free("s"), {}, {}
+    for i, e in enumerate(entries):
+        by_param.setdefault(e.param, []).append(i)
+        by_theta.setdefault(theta(s, e, md), []).append(i)
+    assert sorted(by_param.values()) == sorted(by_theta.values())
     tempered = tempered_points(md)
     assert tempered == tuple(e for e in entries if is_tempered(G, e.param))
     assert {id(e) for e in discrete_points(md)} <= {id(e) for e in tempered}

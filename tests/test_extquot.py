@@ -1,13 +1,15 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from abpscalc.combicore import (
     SignedPermutation,
     all_signed_permutations,
     bipartitions,
+    partitions,
 )
 from abpscalc import extquot
 from abpscalc.extquot import (
@@ -35,12 +38,8 @@ from abpscalc.extquot import (
     SymbolicCoordinate,
     Stratum,
     _canonical_coset,
-    _coordinate_blocks,
     _coset_key,
     _flip_generators,
-    _listing,
-    _one_based,
-    _product_blocks,
     _signed_cycles,
     _solve_torus,
     act,
@@ -57,21 +56,177 @@ from abpscalc.extquot import (
     point,
     q_power,
     root_of_unity,
-    sign_flip,
     spectral_eq,
     stabilizer,
     strata,
-    transposition,
     trivial_action,
 )
 from abpscalc.langlands import PadicGroup, line, parse_catalogue
-from abpscalc.springer import UnrecognizedStructure
 from conftest import signed_matrix
 
 S1 = SignedPermutation((2, 1), (1, 1))
 S2 = SignedPermutation((1, 2), (1, -1))
 B2 = hyperoctahedral_action(2)
 B3 = hyperoctahedral_action(3)
+
+
+class UnrecognizedStructure(ValueError):
+    """A listed group that :func:`recognize_subgroup` does not read as
+    the product of its pieces."""
+
+
+def transposition(n: int, i: int, j: int) -> SignedPermutation:
+    """The swap of the coordinates ``i`` and ``j`` (0-based) of rank ``n``."""
+    images = list(range(1, n + 1))
+    images[i], images[j] = j + 1, i + 1
+    return SignedPermutation(images, (1,) * n)
+
+
+def sign_flip(n: int, coords) -> SignedPermutation:
+    """The inversion of the coordinates ``coords`` (0-based) of rank ``n``."""
+    return SignedPermutation(range(1, n + 1), [-1 if c in coords else 1 for c in range(n)])
+
+
+class GeneratedGroup:
+    """The group of signed permutations of a rank-``rank`` torus that
+    ``generators`` generate: the form of the groups that are no product
+    over their coordinate blocks, which the closure, walk and brute-force
+    oracles take, and the oracle of the blocks that a
+    :class:`MonomialAction` declares.
+
+    :attr:`elements` lists the group on first use, sorted by images,
+    then signs, generated breadth first from the identity by left
+    multiplication with the generators, about ``order *
+    len(generators)`` products."""
+
+    def __init__(self, rank: int, generators=()):
+        self.rank = rank
+        self.generators = tuple(generators)
+
+    @cached_property
+    def elements(self) -> tuple:
+        # g * x on (images, signs) tuples: images g[x[i]], signs x[i] g[x[i]],
+        # read from the generator's tuples padded for 1-based lookup
+        padded = [((0,) + g.images, (0,) + g.signs) for g in self.generators]
+        identity = self.identity()
+        group = {(identity.images, identity.signs)}
+        frontier = list(group)
+        while frontier:
+            fresh = []
+            for images, signs in frontier:
+                for g_images, g_signs in padded:
+                    y = (tuple(map(g_images.__getitem__, images)),
+                         tuple(map(mul, signs, map(g_signs.__getitem__, images))))
+                    if y not in group:
+                        group.add(y)
+                        fresh.append(y)
+            frontier = fresh
+        return tuple(SignedPermutation.from_valid(*pair) for pair in sorted(group))
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def identity(self) -> SignedPermutation:
+        return SignedPermutation.identity(self.rank)
+
+
+def generators_of(action):
+    """The generators of a :class:`GeneratedGroup`, or the Coxeter
+    generators of the blocks of a :class:`MonomialAction`: the swaps of
+    consecutive coordinates of each block, with the flip of its first
+    coordinate on a ``"B"`` block and of its first two on a ``"D"``
+    block."""
+    if isinstance(action, GeneratedGroup):
+        return action.generators
+    n, gens = action.rank, []
+    for kind, coords in action.blocks:
+        gens += [transposition(n, i, j) for i, j in zip(coords, coords[1:])]
+        if kind != "A":
+            gens.append(sign_flip(n, coords[:1] if kind == "B" else coords[:2]))
+    return gens
+
+
+def _coordinate_blocks(coords, elements):
+    """The orbits on ``coords`` (0-based, ascending, mapped into
+    themselves by every element) of the group the ``elements``
+    generate: each ascending, in the order of their least coordinates."""
+    parent = {c: c for c in coords}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for w in elements:
+        for c in coords:
+            parent[find(c)] = find(w.images[c] - 1)
+    blocks = {}
+    for c in coords:
+        blocks.setdefault(find(c), []).append(c)
+    return [tuple(block) for block in blocks.values()]
+
+
+def _is_block_generator(g: SignedPermutation, block_of) -> bool:
+    """Whether ``g`` is a transposition (signs +1), the flip of one
+    coordinate, the flip of two coordinates in one block (``block_of``
+    maps each coordinate to its block), or the identity: the generators
+    whose group is always the full product over its coordinate
+    blocks."""
+    moved = [i for i, (j, s) in enumerate(zip(g.images, g.signs)) if j != i + 1 or s != 1]
+    if len(moved) != 2:
+        return len(moved) < 2
+    i, j = moved
+    if g.images[i] == i + 1:  # a flip of i and j
+        return block_of[i] == block_of[j]
+    return g.images[i] == j + 1 and g.signs[i] == g.signs[j] == 1
+
+
+def _generator_blocks(rank, gens):
+    """The orbits of ``gens`` on the coordinates, as ``(kind, coords)``
+    with the coordinates ascending, in the order of their least
+    coordinates.  The kind names the full group on the block that
+    holds what the generators do there: ``"A"`` (symmetric) when no
+    generator inverts a coordinate of it, ``"D"`` (even-signed) when
+    every generator inverts an even number of them, ``"B"``
+    (hyperoctahedral) otherwise."""
+    blocks = []
+    for coords in _coordinate_blocks(range(rank), gens):
+        flipped = [sum(w.signs[c] == -1 for c in coords) for w in gens]
+        kind = "A" if not any(flipped) else "D" if all(f % 2 == 0 for f in flipped) else "B"
+        blocks.append((kind, coords))
+    return tuple(blocks)
+
+
+def recognized_action(action):
+    """The :class:`MonomialAction` whose blocks are recognized from the
+    generators of ``action`` (:func:`generators_of`), when ``action`` is
+    the full product over them of symmetric, hyperoctahedral and
+    even-signed groups; ``None`` otherwise.
+
+    Generators that are transpositions, single flips and double flips
+    inside one block always generate that product, and nothing is
+    listed.  Any other group lies in the product of the full groups on
+    the orbits of its generators, a block being even-signed when every
+    generator inverts an even number of its coordinates (the parity of
+    the inverted coordinates of a block is a character), so it is that
+    product exactly when its listed order is the product's."""
+    gens = generators_of(action)
+    blocks = _generator_blocks(action.rank, gens)
+    block_of = {c: i for i, (_, coords) in enumerate(blocks) for c in coords}
+    declared = MonomialAction(action.rank, blocks)
+    if all(_is_block_generator(g, block_of) for g in gens) or declared.order == action.order:
+        return declared
+    return None
+
+
+def _one_based(coords) -> str:
+    return str(tuple(c + 1 for c in coords))
+
+
+def _listing(elements) -> str:
+    return ", ".join(str(w) for w in elements)
 
 
 def closed_by_brute_force(elements):
@@ -114,7 +269,7 @@ def _coset_orbit(action, c):
     """The orbit of ``c``, sorted, reached from ``c`` by the generators."""
     orbit, frontier = {c}, {c}
     while frontier:
-        frontier = {act_coset(g, x) for x in frontier for g in action.generators} - orbit
+        frontier = {act_coset(g, x) for x in frontier for g in generators_of(action)} - orbit
         orbit |= frontier
     return sorted(orbit, key=_coset_key)
 
@@ -186,7 +341,8 @@ def _closure_strata(action):
 
 def any_strata(action):
     """The strata of a product action, or the closure of any other."""
-    return _closure_strata(action) if _product_blocks(action) is None else strata(action)
+    declared = recognized_action(action)
+    return _closure_strata(action) if declared is None else strata(declared)
 
 
 def brute_force_geometric_eq(action):
@@ -247,7 +403,7 @@ def walked_geometric_eq(action):
     conjugations in all: W(B6) takes about 1 s."""
     n = action.rank
     gens = []
-    for g in action.generators:
+    for g in generators_of(action):
         ginv = [0] * n
         for i, j in enumerate(g.images):
             ginv[j - 1] = i
@@ -377,19 +533,17 @@ def listed(monkeypatch):
 
 
 # the sign flips of an even number of coordinates of a rank-3 torus
-KLEIN_FOUR = MonomialAction(3, [sign_flip(3, (1, 2)), sign_flip(3, (0, 2))])
+KLEIN_FOUR = GeneratedGroup(3, [sign_flip(3, (1, 2)), sign_flip(3, (0, 2))])
 # W(B1) x W(B2) cut down to its even flips by flips across the blocks:
 # no product of full groups on its generator orbits
-COUPLED = MonomialAction(3, [transposition(3, 1, 2), sign_flip(3, (0, 1)), sign_flip(3, (1, 2))])
+COUPLED = GeneratedGroup(3, [transposition(3, 1, 2), sign_flip(3, (0, 1)), sign_flip(3, (1, 2))])
 # the swap of coordinates 1, 2 with the flip of 3: a twisted diagonal of
 # order 2, no product of groups on its coordinate blocks
-SWAP_WITH_FLIP = MonomialAction(3, [SignedPermutation((2, 1, 3), (1, 1, -1))])
+SWAP_WITH_FLIP = GeneratedGroup(3, [SignedPermutation((2, 1, 3), (1, 1, -1))])
 # W(D2) on coordinates 1, 2 times W(B2) on 3, 4, and W(D3) on 1, 3, 5 times
 # S2 on 2, 4: products with an even-signed block
-D2_B2 = MonomialAction(4, [transposition(4, 0, 1), sign_flip(4, (0, 1)),
-                           transposition(4, 2, 3), sign_flip(4, (2,))])
-D3_S2_INTERLEAVED = MonomialAction(5, [transposition(5, 0, 2), transposition(5, 2, 4),
-                                       sign_flip(5, (0, 4)), transposition(5, 1, 3)])
+D2_B2 = MonomialAction(4, [("D", (0, 1)), ("B", (2, 3))])
+D3_S2_INTERLEAVED = MonomialAction(5, [("D", (0, 2, 4)), ("A", (1, 3))])
 EVEN_SIGN_ACTIONS = [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)] + [
     ("D2xB2", D2_B2), ("D3xS2_interleaved", D3_S2_INTERLEAVED)]
 
@@ -570,6 +724,19 @@ def points_on(draw, c):
         for j, t in enumerate(c.translation)
     ]
     return draw(presented(values))
+
+
+def stock_generators(n):
+    """The stock actions of rank ``n``, each with its Coxeter
+    generators: the adjacent transpositions, with the flip of coordinate
+    1 for W(B_n) and of coordinates 1 and 2 for W(D_n)."""
+    swaps = [transposition(n, i, i + 1) for i in range(n - 1)]
+    return [
+        (hyperoctahedral_action(n), swaps + [sign_flip(n, (0,))] * (n > 0)),
+        (even_sign_action(n), swaps + [sign_flip(n, (0, 1))] * (n > 1)),
+        (permutation_action(n), swaps),
+        (trivial_action(n), []),
+    ]
 
 
 def reflection_generators(n):
@@ -887,29 +1054,32 @@ class TestClosureCheck:
     @settings(max_examples=200, deadline=None)
     @given(element_lists())
     def test_generators_give_the_generated_group(self, gens):
-        action = MonomialAction(gens[0].rank, gens)
-        assert action.elements == tuple(sorted(generated(gens), key=lambda w: (w.images, w.signs)))
-        assert closed_by_brute_force(action.elements)
-        assert action.generators == tuple(gens)
-        assert action.order == len(action.elements)
+        # the two breadth-first closures agree, and where the blocks are
+        # recognized, the declared action lists the same group
+        group = GeneratedGroup(gens[0].rank, gens)
+        assert group.elements == tuple(sorted(generated(gens), key=lambda w: (w.images, w.signs)))
+        assert closed_by_brute_force(group.elements)
+        declared = recognized_action(group)
+        if declared is not None:
+            assert declared.elements == group.elements and declared.order == group.order
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 5).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(reflection_generators(n))))))
     def test_reflection_generators_give_their_blocks(self, case):
-        # the order comes from the blocks, and the elements listed from
-        # them on first use are the breadth-first closure
+        # the blocks recognized from reflection generators declare an
+        # action whose order and elements are the breadth-first closure's
         n, gens = case
-        action = MonomialAction(n, gens)
-        want = generated(gens or [action.identity()])
-        assert action.blocks is not None and action.order == len(want)
+        want = generated(gens or [SignedPermutation.identity(n)])
+        action = recognized_action(GeneratedGroup(n, gens))
+        assert action is not None and action.order == len(want)
         assert action.elements == tuple(sorted(want, key=lambda w: (w.images, w.signs)))
         # with an element of most signs added, the group is the same; when
         # that element is no such generator, the group is listed and its
         # order confirms the same blocks
-        extended = MonomialAction(n, gens + [max(want, key=lambda w: (w.signs.count(-1), w.images))])
+        most = max(want, key=lambda w: (w.signs.count(-1), w.images))
+        extended = recognized_action(GeneratedGroup(n, gens + [most]))
         assert extended == action and hash(extended) == hash(action)
-        assert _product_blocks(extended) == action.blocks
 
     def test_product_orders_list_no_element(self, listed):
         b8 = hyperoctahedral_action(8)
@@ -917,27 +1087,33 @@ class TestClosureCheck:
         inertial = _inertial_action(inertial_triple(G, (line("zeta"),) * 5 + (line("eta"),) * 3))
         assert b8.order == 2 ** 8 * factorial(8)
         assert inertial.order == 2 ** 5 * factorial(5) * 2 ** 3 * factorial(3)
-        assert _product_blocks(b8) == (("B", tuple(range(8))),)
-        assert _product_blocks(inertial) == (("B", (0, 1, 2, 3, 4)), ("B", (5, 6, 7)))
-        reordered = MonomialAction(8, reversed(b8.generators))
+        assert b8.blocks == (("B", tuple(range(8))),)
+        assert inertial.blocks == (("B", (0, 1, 2, 3, 4)), ("B", (5, 6, 7)))
+        assert recognized_action(b8) == b8 and recognized_action(inertial) == inertial
+        reordered = MonomialAction(8, [("B", reversed(range(8)))])
         assert b8 == reordered and hash(b8) == hash(reordered)
         assert b8 != inertial
         assert listed == []
 
-    def test_rejects_a_generator_of_another_rank(self):
+    def test_rejects_a_coordinate_outside_the_rank(self):
         with pytest.raises(ValueError):
-            MonomialAction(3, [S1])
+            MonomialAction(1, [("A", (0, 1))])
         with pytest.raises(ValueError):
-            MonomialAction(2, [S1, SignedPermutation.identity(3)])
+            MonomialAction(2, [("B", (-1, 0))])
 
-    def test_a_generator_of_another_rank_is_a_rank_mismatch(self):
-        with pytest.raises(RankMismatch, match="rank 2 for a rank 3 action"):
-            MonomialAction(3, [S1])
+    def test_a_coordinate_outside_the_rank_is_a_rank_mismatch(self):
+        with pytest.raises(RankMismatch, match=re.escape(
+                "outside range(2) in the blocks [('B', (1, 2))] of a rank 2 action")):
+            MonomialAction(2, [("B", (1, 2))])
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_even_sign_blocks_are_read_off_the_generators(self, n, listed):
+        # the Coxeter generators of W(D_n), swaps and the double flip of
+        # coordinates 1 and 2, are recognized as the declared block
         action = even_sign_action(n)
+        gens = [transposition(n, i, i + 1) for i in range(n - 1)] + [sign_flip(n, (0, 1))]
         assert action.blocks == (("D", tuple(range(n))),)
+        assert recognized_action(GeneratedGroup(n, gens)) == action
         assert action.order == 2 ** (n - 1) * factorial(n) and listed == []
 
     def test_even_sign_blocks_of_other_generators_come_from_the_order(self):
@@ -945,11 +1121,10 @@ class TestClosureCheck:
         # generate W(D2); a double flip across two blocks is no
         # reflection generator, and each block stays hyperoctahedral
         signed_swap = SignedPermutation((2, 1, 3), (-1, -1, 1))
-        action = MonomialAction(3, [transposition(3, 0, 1), signed_swap, sign_flip(3, (2,))])
-        assert action.blocks is None
-        assert _product_blocks(action) == (("D", (0, 1)), ("B", (2,)))
-        across = MonomialAction(2, [sign_flip(2, (0,)), sign_flip(2, (0, 1))])
-        assert across.blocks is None and _product_blocks(across) == (("B", (0,)), ("B", (1,)))
+        group = GeneratedGroup(3, [transposition(3, 0, 1), signed_swap, sign_flip(3, (2,))])
+        assert recognized_action(group).blocks == (("D", (0, 1)), ("B", (2,)))
+        across = GeneratedGroup(2, [sign_flip(2, (0,)), sign_flip(2, (0, 1))])
+        assert recognized_action(across).blocks == (("B", (0,)), ("B", (1,)))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_constructors_keep_their_elements(self, n):
@@ -966,10 +1141,17 @@ class TestClosureCheck:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_generators_generate(self, n):
-        for action in (hyperoctahedral_action(n), even_sign_action(n),
-                       permutation_action(n), trivial_action(n)):
-            gens = list(action.generators) or [action.identity()]
-            assert generated(gens) == set(action.elements)
+        for action, gens in stock_generators(n):
+            assert generated(gens or [action.identity()]) == set(action.elements)
+
+    @pytest.mark.parametrize("n", range(MAX_RANK + 1))
+    def test_declared_actions_are_the_recognized_ones(self, n, listed):
+        # each stock action equals the action recognized from its
+        # Coxeter generators, read off them with no element listed
+        for action, gens in stock_generators(n):
+            recognized = recognized_action(GeneratedGroup(n, gens))
+            assert recognized == action and hash(recognized) == hash(action)
+        assert listed == []
 
     @pytest.mark.parametrize("family, size, names, order", [
         ("Sp", 4, ("zeta", "zeta"), 8),
@@ -1010,6 +1192,58 @@ class TestClosureCheck:
              "print(hyperoctahedral_action(5).order)"],
             capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0 and done.stdout.split() == ["3840"]
+
+
+class TestDeclaredBlocks:
+    """``MonomialAction(rank, blocks)`` checks its blocks and keeps them
+    in one canonical form, whatever order they are declared in."""
+
+    @pytest.mark.parametrize("kind", ["C", "E2", "a", None])
+    def test_rejects_another_kind(self, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                f"kind {kind!r} is not A, B or D in the blocks [('B', (0,)), ({kind!r}, (1, 2))] "
+                "of a rank 3 action")):
+            MonomialAction(3, [("B", (0,)), (kind, (2, 1))])
+
+    @pytest.mark.parametrize("blocks", [
+        [("A", (0, 1)), ("B", (1, 2))], [("B", (2, 0, 2))], [("D", (0, 2)), ("A", (2,))],
+    ], ids=["across", "within", "singleton"])
+    def test_rejects_overlapping_blocks(self, blocks):
+        named = [(kind, tuple(sorted(coords))) for kind, coords in blocks]
+        with pytest.raises(ValueError, match=re.escape(
+                f"overlapping coordinates in the blocks {named} of a rank 3 action")) as exc:
+            MonomialAction(3, blocks)
+        assert not isinstance(exc.value, RankMismatch)
+
+    def test_canonical_form(self):
+        # blocks sorted by least coordinate, each ascending, uncovered
+        # coordinates as A blocks of their own, a D block on one
+        # coordinate read as A, and an empty block dropped
+        action = MonomialAction(5, [("B", (4, 1)), ("D", (2,)), ("A", ())])
+        assert action.blocks == (("A", (0,)), ("B", (1, 4)), ("A", (2,)), ("A", (3,)))
+        assert action.order == 8
+
+    def test_small_even_sign_groups_are_trivial(self):
+        for n in (0, 1):
+            assert even_sign_action(n) == permutation_action(n) == trivial_action(n)
+            assert hash(even_sign_action(n)) == hash(trivial_action(n))
+        assert even_sign_action(2) != permutation_action(2) != trivial_action(2)
+        assert hyperoctahedral_action(1) != trivial_action(1)
+        assert trivial_action(2) != trivial_action(3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_declared_order_is_irrelevant(self, data):
+        # the blocks in any order, each in any order, with the lone A
+        # blocks left out, declare the equal action with the equal hash
+        _, blocks = data.draw(block_products())
+        n = sum(len(coords) for _, coords in blocks)
+        shuffled = [(kind, data.draw(st.permutations(coords)))
+                    for kind, coords in data.draw(st.permutations(blocks))
+                    if kind != "A" or len(coords) > 1]
+        want, got = MonomialAction(n, blocks), MonomialAction(n, shuffled)
+        assert got == want and hash(got) == hash(want)
+        assert got.blocks == blocks
 
 
 class TestStabilizers:
@@ -1073,10 +1307,9 @@ class TestStrata:
         pool = {c for w in flips for c in fixed_locus(w)}
         assert len(pool) == 13
         # not a product of groups on coordinate blocks: the closure oracle
-        # stratifies it, and strata refuses it
-        action = MonomialAction(3, flips)
-        with pytest.raises(UnrecognizedStructure):
-            strata(action)
+        # stratifies it
+        action = GeneratedGroup(3, flips)
+        assert recognized_action(action) is None
         sts = _closure_strata(action)
         assert len(sts) == 21
         points = [s for s in sts if s.dimension == 0]
@@ -1119,30 +1352,12 @@ class TestStrata:
         for name in ("fixed_locus", "intersect_cosets", "stabilizer"):
             monkeypatch.setattr(extquot, name, refuse)
         assert len(strata(B3)) == 14
-        # an action that is not a product is refused before any such step
-        with pytest.raises(UnrecognizedStructure):
-            strata(KLEIN_FOUR)
 
     @pytest.mark.parametrize("action", [
         KLEIN_FOUR, SWAP_WITH_FLIP, COUPLED,
     ], ids=["klein_four", "swap_with_flip", "coupled"])
     def test_other_actions_are_not_products(self, action):
-        assert _product_blocks(action) is None
-
-    @pytest.mark.parametrize("action, blocks", [
-        (KLEIN_FOUR, "(1,), (2,), (3,)"), (COUPLED, "(1,), (2, 3)"),
-    ], ids=["klein_four", "coupled"])
-    def test_other_actions_are_refused_by_name(self, action, blocks):
-        with pytest.raises(UnrecognizedStructure) as exc:
-            strata(action)
-        message = str(exc.value)
-        assert f"order {action.order} generated by " in message
-        assert all(str(g) in message for g in action.generators)
-        assert f"coordinate blocks {blocks}," in message
-        # stabilizer refuses it with the same message
-        with pytest.raises(UnrecognizedStructure) as refused:
-            stabilizer(action, point(*["z"] * action.rank))
-        assert str(refused.value) == message
+        assert recognized_action(action) is None
 
 
 class TestStrataMemo:
@@ -1150,7 +1365,7 @@ class TestStrataMemo:
 
     def test_equal_actions_get_equal_strata(self):
         a = hyperoctahedral_action(3)
-        b = MonomialAction(3, reversed(a.generators))
+        b = MonomialAction(3, [("B", (2, 0, 1))])
         assert a is not b and a == b
         assert strata(a) == strata(b)
 
@@ -1174,13 +1389,6 @@ class TestStrataMemo:
         sts.reverse()
         sts.pop()
         assert strata(B3) == want
-
-    def test_unrecognized_structure_reads_as_signed_permutations(self):
-        with pytest.raises(UnrecognizedStructure) as exc:
-            strata(COUPLED)
-        message = str(exc.value)
-        assert "->" in message and "SignedPermutation(" not in message
-        assert "order 8" in message and "(2, 3)" in message
 
 
 class TestSpectralQuotient:
@@ -1237,7 +1445,7 @@ def _fixed_torus_is_connected(group, rank):
 
 # all four sign flips on rank 2: W(B1) x W(B1), unlike the coupled
 # KLEIN_FOUR on rank 3
-DIAGONAL_V4 = MonomialAction(2, [sign_flip(2, (0,)), sign_flip(2, (1,))])
+DIAGONAL_V4 = MonomialAction(2, [("B", (0,)), ("B", (1,))])
 # the actions of the matching corpus
 INERTIAL_ACTIONS = [
     (f"{family}{size}{names}",
@@ -1273,30 +1481,17 @@ def test_families_read_connectivity_from_the_stabilizer_pieces(name, action):
         assert special == {not _fixed_torus_is_connected(st.group, action.rank)}, str(st)
 
 
-def product_action(rank, blocks):
-    """The full product of ``S(coords)``, or ``W(B(coords))`` when
-    ``signed``, over the ``(coords, signed)`` blocks (0-based): swaps of
-    consecutive coordinates of each block, and the flip of its first
-    coordinate when signed."""
-    gens = []
-    for coords, signed in blocks:
-        gens += [transposition(rank, i, j) for i, j in zip(coords, coords[1:])]
-        if signed:
-            gens.append(sign_flip(rank, coords[:1]))
-    return MonomialAction(rank, gens)
-
-
 PATTERN_ACTIONS = (
     [(f"B{n}", hyperoctahedral_action(n)) for n in range(1, 5)]
     + [(f"S{n}", permutation_action(n)) for n in range(1, 5)]
     + [(f"T{n}", trivial_action(n)) for n in range(1, 4)]
     + INERTIAL_ACTIONS
     + [
-        ("B2xB1", product_action(3, [((0, 1), True), ((2,), True)])),
-        ("S2xB1", product_action(3, [((0, 1), False), ((2,), True)])),
-        ("B1^3", product_action(3, [((0,), True), ((1,), True), ((2,), True)])),
+        ("B2xB1", MonomialAction(3, [("B", (0, 1)), ("B", (2,))])),
+        ("S2xB1", MonomialAction(3, [("A", (0, 1)), ("B", (2,))])),
+        ("B1^3", MonomialAction(3, [("B", (0,)), ("B", (1,)), ("B", (2,))])),
         # blocks that interleave: B2 on coordinates 1, 3 and S2 on 2, 4
-        ("B2xS2_interleaved", product_action(4, [((0, 2), True), ((1, 3), False)])),
+        ("B2xS2_interleaved", MonomialAction(4, [("B", (0, 2)), ("A", (1, 3))])),
     ]
 )
 
@@ -1305,7 +1500,7 @@ PATTERN_ACTIONS = (
 def test_patterns_agree_with_the_closure(name, action):
     # the closure is the oracle: same strata in the same order, with the
     # same coset, base point, stabilizer elements and pieces
-    assert _product_blocks(action) is not None
+    assert recognized_action(action) == action
     got, want = strata(action), _closure_strata(action)
     assert [(s.coset, s.base, s.group.elements, s.group.pieces) for s in got] == \
         [(s.coset, s.base, s.group.elements, s.group.pieces) for s in want]
@@ -1452,7 +1647,7 @@ WIDE_STABILIZER_ACTIONS = [
     ("B4", hyperoctahedral_action(4)), ("D4", even_sign_action(4)), ("S4", permutation_action(4)),
     ("Sp10_interleaved", SP10_INTERLEAVED), ("D2xB2", D2_B2),
     ("D3xS2_interleaved", D3_S2_INTERLEAVED),
-    ("B2xS2_interleaved", product_action(4, [((0, 2), True), ((1, 3), False)])),
+    ("B2xS2_interleaved", MonomialAction(4, [("B", (0, 2)), ("A", (1, 3))])),
 ]
 
 
@@ -1568,7 +1763,7 @@ def test_subgroups_given_by_pieces_are_their_products():
     klein = RecognizedSubgroup(3, (("E2", ((2, 3), (1, 3))),))
     assert klein.order == 4 and klein.elements == KLEIN_FOUR.elements
     mixed = RecognizedSubgroup(4, (("A", (0, 2)), ("E2", ((2, 4), (4,)))))
-    want = product_action(4, [((0, 2), False), ((1,), True), ((3,), True)])
+    want = MonomialAction(4, [("A", (0, 2)), ("B", (1,)), ("B", (3,))])
     assert mixed.order == 8 and mixed.elements == want.elements
     # equal pieces on another rank make another group
     assert RecognizedSubgroup(2, ()) != RecognizedSubgroup(3, ())
@@ -1624,7 +1819,7 @@ def seeded_subgroups():
         for seed in range(16):
             rng = random.Random(seed)
             gens = rng.sample(elements, rng.randint(1, 3))
-            out.append((f"B{n}_sub{seed}", MonomialAction(n, gens)))
+            out.append((f"B{n}_sub{seed}", GeneratedGroup(n, gens)))
     return out
 
 
@@ -1635,11 +1830,44 @@ def closed_form_count(n):
     return sum(prod(m + 1 for m in Counter(bp.beta.parts).values()) for bp in bipartitions(n))
 
 
+def eq_size_series(kind, top):
+    """The sizes of T//W for one ``"A"`` or ``"B"`` block of ``k``
+    coordinates, ``k = 0..top``: the sum over strata of the number of
+    characters of the stabilizer, as the coefficients of a generating
+    function.
+
+    A class of ``m`` equal generic coordinates has the stabilizer S_m,
+    with ``p(m)`` characters, so an ``"A"`` block gives [x^k] of the
+    product over ``m`` of ``1 / (1 - p(m) x^m)``.  On a ``"B"`` block
+    the coordinates at 1 and at -1 add the stabilizer W(B_a) x W(B_b),
+    with ``bip(a) bip(b)`` characters, which multiplies the series by
+    ``bip(x)^2``.  Up to ``k = 6`` the series is 1, 1, 3, 6, 15, 28,
+    66 on ``"A"`` and 1, 5, 21, 72, 226, 649, 1,769 on ``"B"``."""
+    series = [1] + [0] * top
+    for m in range(1, top + 1):
+        p = sum(1 for _ in partitions(m))
+        for k in range(m, top + 1):
+            series[k] += p * series[k - m]
+    bip = [len(bipartitions(m)) for m in range(top + 1)]
+    for _ in range({"A": 0, "B": 2}[kind]):
+        series = [sum(bip[j] * series[k - j] for j in range(k + 1)) for k in range(top + 1)]
+    return series
+
+
+def eq_size(blocks):
+    """The size of T//W for an action with the ``"A"`` and ``"B"``
+    ``blocks``: its strata are products of per-block patterns, so the
+    size is the product of the blocks' :func:`eq_size_series`."""
+    return prod(eq_size_series(kind, len(coords))[-1] for kind, coords in blocks)
+
+
 @st.composite
 def block_products(draw):
     """A full product of symmetric, hyperoctahedral and even-signed
     groups of rank at most 6, on blocks of shuffled coordinates so that
-    blocks interleave, with its ``(kind, coords)`` blocks."""
+    blocks interleave, as the group its Coxeter generators generate,
+    with its ``(kind, coords)`` blocks in the order of their least
+    coordinates."""
     n = draw(st.integers(0, 6))
     rest = draw(st.permutations(range(n)))
     gens, blocks = [], []
@@ -1651,22 +1879,36 @@ def block_products(draw):
         if kind != "A":
             gens.append(sign_flip(n, coords[:1] if kind == "B" else coords[:2]))
         blocks.append((kind, coords))
-    return MonomialAction(n, gens), tuple(sorted(blocks, key=lambda b: b[1][0]))
+    return GeneratedGroup(n, gens), tuple(sorted(blocks, key=lambda b: b[1][0]))
 
 
 GEOMETRIC_ACTIONS = (
     [(f"B{n}", hyperoctahedral_action(n)) for n in (1, 2, 3, 4)]
     + [(f"D{n}", even_sign_action(n)) for n in (2, 3, 4)]
     + [(f"S{n}", permutation_action(n)) for n in (2, 3, 4)]
-    + [("T3", trivial_action(3)), ("rank0", MonomialAction(0, [SignedPermutation.identity(0)])), ("klein_four", KLEIN_FOUR),
+    + [("T3", trivial_action(3)), ("rank0", MonomialAction(0)), ("klein_four", KLEIN_FOUR),
        ("swap_with_flip", SWAP_WITH_FLIP)]
     # interleaved blocks, where the families of a class come in another
     # order than the picks per block and length
-    + [("B2xB1_interleaved", product_action(3, [((0, 2), True), ((1,), True)])),
+    + [("B2xB1_interleaved", MonomialAction(3, [("B", (0, 2)), ("B", (1,))])),
        ("D2xB2", D2_B2), ("D3xS2_interleaved", D3_S2_INTERLEAVED)]
     + seeded_subgroups()
     + INERTIAL_ACTIONS
 )
+
+
+@pytest.mark.parametrize("kind, build, want", [
+    ("A", permutation_action, [1, 1, 3, 6, 15, 28, 66]),
+    ("B", hyperoctahedral_action, [1, 5, 21, 72, 226, 649, 1769]),
+], ids=["A", "B"])
+def test_closed_form_sizes_of_one_block(kind, build, want):
+    assert eq_size_series(kind, MAX_RANK) == want
+    assert [len(eq_pairs(build(k))) for k in range(MAX_RANK + 1)] == want
+
+
+@pytest.mark.parametrize("name, action", PATTERN_ACTIONS, ids=[n for n, _ in PATTERN_ACTIONS])
+def test_closed_form_sizes_multiply_over_blocks(name, action):
+    assert len(eq_pairs(action)) == eq_size(action.blocks)
 
 
 class TestGeometricQuotient:
@@ -1695,25 +1937,21 @@ class TestGeometricQuotient:
         # the walk gives the brute force's families in the same order,
         # same representatives and least components, on every action;
         # geometric_eq gives them too on a product over coordinate
-        # blocks, and refuses any other action as strata does
+        # blocks, declared as the blocks recognized from the generators
         walked = walked_geometric_eq(action)
         assert walked == brute_force_geometric_eq(action)
-        if _product_blocks(action) is None:
-            with pytest.raises(UnrecognizedStructure) as refused:
-                geometric_eq(action)
-            with pytest.raises(UnrecognizedStructure) as by_strata:
-                strata(action)
-            assert str(refused.value) == str(by_strata.value)
-        else:
-            got = geometric_eq(action)
+        declared = recognized_action(action)
+        if declared is not None:
+            got = geometric_eq(declared)
             assert got == walked and [str(f) for f in got] == [str(f) for f in walked]
 
     @given(block_products())
     @settings(max_examples=40, deadline=None)
     def test_block_products_agree_with_the_walk(self, drawn):
-        action, blocks = drawn
-        assert action.blocks == blocks
-        got, walked = geometric_eq(action), walked_geometric_eq(action)
+        group, blocks = drawn
+        action = MonomialAction(group.rank, blocks)
+        assert action.blocks == blocks and recognized_action(group) == action
+        got, walked = geometric_eq(action), walked_geometric_eq(group)
         assert got == walked and [str(f) for f in got] == [str(f) for f in walked]
 
     @pytest.mark.parametrize("build, n, count", [
