@@ -14,10 +14,7 @@ import sys
 from pathlib import Path
 
 from .combicore import Partition, sign_twist, staircase
-from .extquot import (
-    MAX_RANK, MINUS_ONE, ONE, RankOutOfRange, free, hyperoctahedral_action, q_power,
-    spectral_eq,
-)
+from .extquot import MINUS_ONE, ONE, free, hyperoctahedral_action, q_power, spectral_eq
 from .langlands import (
     DEFAULT_CATALOGUE,
     FormalParameter,
@@ -26,7 +23,6 @@ from .langlands import (
     component_groups,
     centralizer_display,
     centralizer_restriction,
-    connected_centralizer,
     cuspidal_support,
     enhancements,
     infinitesimal_character,
@@ -37,7 +33,7 @@ from .langlands import (
     parse_catalogue,
     validate,
 )
-from .springer import SO, Sp, SpringerError, cuspidal_triples, springer_blocks
+from .springer import SO, Sp, SpringerError, cuspidal_triples, identity_component, springer_blocks
 from . import abps
 
 
@@ -248,8 +244,6 @@ def cuspidal_rows(family, bound):
 
 
 def extquot_rows(rank):
-    if not 0 <= rank <= MAX_RANK:
-        raise RankOutOfRange(rank)
     action = hyperoctahedral_action(rank)
     rows = []
     for fam in spectral_eq(action):
@@ -272,7 +266,7 @@ def param_record(group, phi):
         "group": str(group),
         "parameter": str(phi),
         "centralizer": centralizer_display(data),
-        "centralizer_connected": str(connected_centralizer(data)),
+        "centralizer_connected": str(identity_component(data.group)),
         "unipotent": str(data.unipotent),
         "a_group": groups.a_group.structure(),
         "a_generators": list(groups.a_group.subgroup_generators()),

@@ -9,9 +9,11 @@ hyperoctahedral or even-signed group, and its stabilizer strata,
 stabilizers and geometric extended quotient are read off the
 coordinate patterns and cycle types of those blocks, with recognized
 Coxeter structure so that irreducible characters are labelled
-combinatorially.  Intersections of cosets are solved by Smith normal
-form over the integers, in :func:`intersect_cosets`, which only the
-tests and the benchmark call.
+combinatorially.  Every coset the library makes, the full torus
+included, is built from a coordinate pattern by :func:`_pattern_coset`.
+Intersections of cosets are solved by Smith normal form over the
+integers, in :func:`intersect_cosets`, which only the tests and the
+benchmark call.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class RankMismatch(ValueError):
 
 
 class RankOutOfRange(ValueError):
-    """A rank that the stratification does not cover: :func:`strata`
-    refuses a rank above :data:`MAX_RANK`, and ``cli.extquot_rows`` also
-    one below 0."""
+    """A rank that the library does not cover: :class:`MonomialAction`
+    and :func:`full_torus` refuse a rank below 0, and :func:`strata` one
+    above :data:`MAX_RANK`."""
 
     def __init__(self, rank: int):
         super().__init__(f"strata cover ranks 0 to {MAX_RANK}, not {rank}")
@@ -223,7 +225,7 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
     a union of parallel components.
 
     The class keeps an instance ``__dict__`` for the equations and the
-    scaled translation, computed on first use.
+    torsion rows, computed on first use.
     """
 
     @property
@@ -231,22 +233,17 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
         return len(self.basis)
 
     @cached_property
-    def _scaled_translation(self):
-        """``(L, L * t)``: the translation over its common denominator
-        ``L``, as integers."""
-        L = lcm(*(x.denominator for x in self.translation))
-        return L, tuple(x.numerator * (L // x.denominator) for x in self.translation)
-
-    @cached_property
     def equations(self):
         """``(E, E t)``: the integral equations of the coset and their
-        right-hand sides."""
+        right-hand sides, each summed on integers over the common
+        denominator ``L`` of the translation ``t``."""
         n, r = self.rank, self.dimension
         rows = [[row[j] for row in self.basis] + e
                 for j, e in enumerate(identity_matrix(n))]
         hermite_reduce(rows, r)
         E = tuple(tuple(row[r:]) for row in rows[r:])
-        L, t = self._scaled_translation
+        L = lcm(*(x.denominator for x in self.translation))
+        t = [x.numerator * (L // x.denominator) for x in self.translation]
         return E, tuple(Fraction(sum(map(mul, row, t)), L) for row in E)
 
     @cached_property
@@ -309,6 +306,8 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
 
 def _canonical_coset(rank, rows, translation, denominator=None) -> TorusCoset:
     """The canonical form of the coset ``translation + span(rows)``.
+    Only :func:`_solve_torus` builds its solutions here; every other
+    coset is built from a coordinate pattern.
 
     ``translation`` holds rational numbers, or, when ``denominator`` is
     given, integer numerators over it.  Either way it is reduced on
@@ -335,7 +334,11 @@ def _canonical_coset(rank, rows, translation, denominator=None) -> TorusCoset:
 
 
 def full_torus(rank: int) -> TorusCoset:
-    return _canonical_coset(rank, identity_matrix(rank), [0] * rank)
+    """The whole torus, one generic class per coordinate; a rank below 0
+    raises :class:`RankOutOfRange`."""
+    if rank < 0:
+        raise RankOutOfRange(rank)
+    return _pattern_coset(rank, [[(c, 1)] for c in range(rank)], ())
 
 
 def _solve_torus(A, b, rank):
@@ -531,13 +534,15 @@ class MonomialAction:
     :attr:`elements` lists the group from them on first use, sorted by
     images, then signs.
 
-    A kind other than ``A``, ``B`` or ``D``, or blocks that overlap,
-    raise ``ValueError``, and a coordinate outside ``range(rank)``
-    raises :class:`RankMismatch`; each message names the blocks and the
-    rank.
+    A rank below 0 raises :class:`RankOutOfRange`.  A kind other than
+    ``A``, ``B`` or ``D``, or blocks that overlap, raise ``ValueError``,
+    and a coordinate outside ``range(rank)`` raises
+    :class:`RankMismatch`; each message names the blocks and the rank.
     """
 
     def __init__(self, rank: int, blocks=()):
+        if rank < 0:
+            raise RankOutOfRange(rank)
         blocks = [(kind, tuple(sorted(coords))) for kind, coords in blocks]
         where = f"blocks {blocks} of a rank {rank} action"
         covered = []
@@ -597,7 +602,7 @@ def trivial_action(n: int) -> MonomialAction:
 # stabilizers and their recognized structure
 
 
-class RecognizedSubgroup:
+class RecognizedSubgroup(value_type("RecognizedSubgroup", "rank pieces")):
     """A subgroup of signed permutations of a rank-``rank`` torus with
     recognized structure.
 
@@ -630,39 +635,19 @@ class RecognizedSubgroup:
     The group is the direct product of its pieces, each ``E2`` piece the
     group its flips generate, and its order is the product of the orders
     of the pieces.  It lists its elements from the pieces on first read,
-    sorted by images, then signs.  Equality and hash read the rank and
-    the pieces; ``repr`` reads ``RecognizedSubgroup(elements=...,
-    pieces=...)``, and is the only one to list the elements.
+    sorted by images, then signs, and keeps them in its instance
+    ``__dict__``.  Equality and hash read the rank and the pieces;
+    ``repr`` reads ``RecognizedSubgroup(elements=..., pieces=...)``, and
+    is the only one to list the elements.
     """
 
-    __slots__ = ("rank", "pieces", "_elements")
-
-    def __init__(self, rank: int, pieces: tuple):
-        self.rank = rank
-        self.pieces = pieces
-        self._elements = None
-
-    @property
+    @cached_property
     def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = _product_elements(
-                self.rank, [_piece_group(kind, data) for kind, data in self.pieces])
-        return self._elements
+        return _product_elements(self.rank, [_piece_group(*piece) for piece in self.pieces])
 
     @property
     def order(self) -> int:
-        order = 1
-        for piece in self.pieces:
-            order *= _piece_order(*piece)
-        return order
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.pieces) == (other.rank, other.pieces)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.pieces))
+        return prod(_piece_order(*piece) for piece in self.pieces)
 
     def __repr__(self) -> str:
         return f"RecognizedSubgroup(elements={self.elements!r}, pieces={self.pieces!r})"
@@ -1189,7 +1174,3 @@ def geometric_eq(action: MonomialAction):
         components.sort(key=lambda c: c.translation)
         out += [GeoEQFamily(w, c) for c in components]
     return out
-
-
-def irreps(group: RecognizedSubgroup):
-    return group.irreps()

@@ -26,7 +26,6 @@ from .springer import (
     UnipotentClass,
     class_reader,
     core_partition,
-    identity_component,
 )
 
 
@@ -438,12 +437,6 @@ def centralizer_restriction(G: PadicGroup, phi: FormalParameter) -> CentralizerD
     det1 = det1 and G.dual_kind != "Sp"
     group = ComplexGroup(tuple(pieces), det1=det1)
     return CentralizerData(group, tuple(factors))
-
-
-def connected_centralizer(data: CentralizerData) -> ComplexGroup:
-    """The identity component of the centralizer: each ``O`` factor
-    becomes ``SO``, with no determinant-one coupling."""
-    return identity_component(data.group)
 
 
 class ComponentGroups(value_type("ComponentGroups", "a_group a_connected s_order")):

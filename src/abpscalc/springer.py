@@ -30,8 +30,6 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import factorial
-from types import MappingProxyType
-from typing import NamedTuple
 
 from .combicore import (
     Bipartition,
@@ -289,18 +287,10 @@ def component_group(group: ComplexGroup, u: UnipotentClass) -> ComponentGroup:
 # symbols
 
 
-class _Symbol(NamedTuple):
-    """The symbol of a class at the trivial character: the two rows, and
-    a read-only map from each markable part value to its interval."""
-
-    top: tuple
-    bottom: tuple
-    intervals: MappingProxyType
-
-
-def _symbol(kind: str, lam: Partition) -> _Symbol:
-    """The symbol of ``lam`` at the trivial character, and the interval
-    of each markable part value.
+def _symbol(kind: str, lam: Partition):
+    """The symbol of ``lam`` at the trivial character, as ``(top,
+    bottom, intervals)``: the two rows as ascending lists, and a dict
+    from each markable part value to its interval.
 
     The interval of a markable part value (even for ``Sp``, odd for
     ``SO`` and ``O``) is a maximal run of consecutive integers lying in
@@ -308,9 +298,8 @@ def _symbol(kind: str, lam: Partition) -> _Symbol:
     containing 0 belongs to no part.
 
     Not memoised: :func:`_class_reads` reads each symbol once per
-    factor class, and a one-factor table reads each of its classes once.
-    The result is frozen: rows and intervals are sorted tuples and the
-    interval map is read-only.
+    factor class, and a one-factor table reads each of its classes once,
+    so every call builds its own rows and dict.
     """
     parts = lam.ascending()
     if kind == "Sp" and len(parts) % 2 == 0:
@@ -333,8 +322,7 @@ def _symbol(kind: str, lam: Partition) -> _Symbol:
         del runs[0]
     parity = 0 if kind == "Sp" else 1
     markable = sorted({v for v in parts if v and v % 2 == parity})
-    intervals = MappingProxyType(dict(zip(markable, map(tuple, runs))))
-    return _Symbol(tuple(top), tuple(bottom), intervals)
+    return top, bottom, dict(zip(markable, map(tuple, runs)))
 
 
 def _flip(read):

@@ -852,3 +852,65 @@ def test_abps_oracle(spec):
     tempered = tempered_points(md)
     assert tempered == tuple(e for e in entries if is_tempered(G, e.param))
     assert {id(e) for e in discrete_points(md)} <= {id(e) for e in tempered}
+
+
+# ---------------------------------------------------------------------------
+# residual points: an oracle for the cocharacters of the discrete entries
+
+
+def residual(x, c):
+    """Whether ``x`` (in half-units) is a residual point of the root
+    system B_m, m = len(x), whose roots ``+-e_i +- e_j`` have parameter
+    2 and ``+-e_i`` the parameter ``c`` (Heckman-Opdam, Ann. of Math.
+    145, 1997): over all roots ``alpha``, #{alpha(x) = k_alpha} minus
+    #{alpha(x) = 0} is at least m."""
+    values = [(s * a, c) for a in x for s in (1, -1)]
+    values += [(s * a + t * b, 2) for i, a in enumerate(x) for b in x[i + 1:]
+               for s in (1, -1) for t in (1, -1)]
+    return sum(v == k for v, k in values) - sum(v == 0 for v, _ in values) >= len(x)
+
+
+def reducibility(G, core, rho):
+    """Moeglin's reducibility point of ``rho`` over the core (J. Algebra
+    268, 2003), in half-units: the core's largest Jordan block on
+    ``rho`` plus 1; without one, 1 when ``rho x S[2]`` has the dual
+    group's type and 0 otherwise."""
+    blocks = [a for l, a in core.summands if l == rho]
+    if blocks:
+        return max(blocks) + 1
+    return int((rho.base.selfdual == "orthogonal") == (G.dual_kind == "Sp"))
+
+
+def _residual_checks(G, j):
+    """One ``(entry, x, c)`` per discrete entry at a zero-dimensional
+    stratum and per line the coordinates carry at its base point."""
+    md = mu(G, j)
+    out = []
+    for e in discrete_points(md):
+        if e.stratum.dimension:
+            continue
+        lines = {}
+        for i, rho in enumerate(_slot_lines(j, e.stratum.base)):
+            lines.setdefault(rho, []).append(i)
+        for rho, coords in lines.items():
+            out.append((e, tuple(e.cochar[i] for i in coords), reducibility(G, j.core, rho)))
+    return out
+
+
+def test_discrete_cocharacters_are_residual_points():
+    # the correcting cocharacter of a discrete entry is the central
+    # character of a discrete series of the block's affine Hecke algebra,
+    # so it is a residual point, line by line, of the B_m on the
+    # coordinates of each line
+    triples, entries, checks = 0, set(), 0
+    for p in ORACLE_CORPUS:
+        spec = p.values[0]
+        if p.marks or spec[0] == "GL":
+            continue
+        G, j = _oracle_triple(spec)
+        triples += 1
+        for e, x, c in _residual_checks(G, j):
+            assert residual(x, c), (_triple_id(spec), str(e), x, c)
+            entries.add((spec, e.stratum.base, e.irrep))
+            checks += 1
+    assert (triples, len(entries), checks) == (35, 123, 212)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -51,7 +51,6 @@ from abpscalc.extquot import (
     geometric_eq,
     hyperoctahedral_action,
     intersect_cosets,
-    irreps,
     permutation_action,
     point,
     q_power,
@@ -260,7 +259,8 @@ def act_coset(w: SignedPermutation, c):
     ``test_walk_moves_no_coset`` can refuse it."""
     if w.rank != c.rank:
         raise RankMismatch(f"rank {w.rank} element on rank {c.rank} coset")
-    L, t = c._scaled_translation
+    L = lcm(*(x.denominator for x in c.translation))
+    t = [x.numerator * (L // x.denominator) for x in c.translation]
     rows = [_signed_image(w, row) for row in c.basis]
     return extquot._canonical_coset(c.rank, rows, _signed_image(w, t), L)
 
@@ -981,6 +981,12 @@ class TestCanonicalCoset:
         rows, t = data.draw(presentations(c))
         assert _canonical_coset(c.rank, rows, t) == c
 
+    @pytest.mark.parametrize("n", range(MAX_RANK + 1))
+    def test_full_torus_from_patterns_is_canonical(self, n):
+        # one generic class per coordinate is already the Hermite form
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert full_torus(n) == _canonical_coset(n, rows, [0] * n)
+
 
 class TestIntersection:
     @pytest.mark.parametrize("n", [2, 3])
@@ -1297,6 +1303,17 @@ class TestStrata:
         with pytest.raises(RankOutOfRange, match=f"ranks 0 to {MAX_RANK}, not {rank}") as exc:
             strata(even_sign_action(rank))
         assert isinstance(exc.value, ValueError) and exc.value.rank == rank
+
+    @pytest.mark.parametrize("build", [
+        MonomialAction, full_torus, hyperoctahedral_action, even_sign_action,
+        permutation_action, trivial_action])
+    @pytest.mark.parametrize("rank", [-1, -2])
+    def test_negative_rank_is_named(self, build, rank):
+        # no action or torus of negative rank exists, so nothing
+        # downstream (spectral_eq, strata) ever sees one
+        with pytest.raises(RankOutOfRange, match=f"ranks 0 to {MAX_RANK}, not {rank}$") as exc:
+            build(rank)
+        assert exc.value.rank == rank
 
     def test_closure_adds_intersections_of_fixed_loci(self):
         # each sign flip fixes four lines; lines of two flips meet in the
@@ -2008,7 +2025,7 @@ class TestGeometricQuotient:
 
 class TestIrreps:
     def test_b2(self):
-        assert len(irreps(recognize_subgroup(B2.elements, 2))) == 5
+        assert len(recognize_subgroup(B2.elements, 2).irreps()) == 5
 
     def test_elementary(self):
         H = recognize_subgroup(
@@ -2018,13 +2035,13 @@ class TestIrreps:
             ],
             2,
         )
-        assert sorted(irreps(H)) == sorted(
+        assert sorted(H.irreps()) == sorted(
             [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         )
 
     def test_even_sign_group(self):
         H = recognize_subgroup(even_sign_action(2).elements, 2)
-        assert [str(l) for l in irreps(H)] == ["{-,2}", "{-,1.1}", "{1,1}", "{1,1}'"]
+        assert [str(l) for l in H.irreps()] == ["{-,2}", "{-,1.1}", "{1,1}", "{1,1}'"]
 
 
 class TestCoordinates:

@@ -26,7 +26,6 @@ from abpscalc.langlands import (
     centralizer_display,
     centralizer_restriction,
     component_groups,
-    connected_centralizer,
     cuspidal_support,
     enhancements,
     infinitesimal_character,
@@ -738,7 +737,8 @@ class TestSharedClassReader:
     def test_connected_component_group_is_that_of_the_identity_component(self):
         for G, phi in [(SP4, PHI_RED), (SP4, PHI_DEEP), *_seeded_parameters()]:
             data = centralizer_restriction(G, phi)
-            want = springer.component_group(connected_centralizer(data), data.unipotent)
+            want = springer.component_group(
+                springer.identity_component(data.group), data.unipotent)
             assert data.springer.connected_component_group == want, str(phi)
             assert component_groups(G, phi).a_connected == want
 
@@ -1043,3 +1043,125 @@ def test_gl_validate_and_is_discrete_agree_with_the_summand_count():
             for H in (PadicGroup("GL", n), PadicGroup("GL", n + 1)):
                 assert _outcome(H, phi) is _reference_outcome(H, phi), (str(H), str(phi))
                 assert is_discrete(H, phi) == _reference_discrete(H, phi), str(phi)
+
+
+# ---------------------------------------------------------------------------
+# Moeglin's partial cuspidal support: an oracle for cuspidal_support on
+# every discrete enhanced parameter
+
+
+def moeglin_support(kind, signs):
+    """The cuspidal support of one isotypic factor read off its Jordan
+    blocks and their signs (Moeglin, JEMS 4, 2002; Moeglin-Tadic, JAMS
+    15, 2002): ``signs`` maps each Jordan block of a factor of kind
+    ``kind`` (``"Sp"``, even blocks, or ``"O"``, odd blocks) to the value
+    of its generator ``z_a``.  An ``Sp`` factor gets a virtual block 0
+    of sign +1.  Until nothing applies: a hole between neighbours ``lo <
+    hi`` (``hi - lo > 2``) lowers ``hi`` by 2, keeping its sign; two
+    neighbours of equal sign leave, and a virtual 0 comes back; on an
+    ``O`` factor the least block ``a > 1`` becomes ``a - 2``.  Returns
+    the core's blocks and the correcting coordinates, in half-units and
+    absolute value: ``hi - 1`` for a hole, ``hi - 1, hi - 3, ..., -(lo -
+    1)`` for a pair, ``a - 1`` for an odd block."""
+    jord = dict(signs)
+    if kind == "Sp":
+        jord[0] = 1
+    coords = []
+    while True:
+        blocks = sorted(jord)
+        pairs = list(zip(blocks, blocks[1:]))
+        hole = next(((lo, hi) for lo, hi in pairs if hi - lo > 2), None)
+        equal = next(((lo, hi) for lo, hi in pairs if jord[lo] == jord[hi]), None)
+        if hole:
+            lo, hi = hole
+            jord[hi - 2] = jord.pop(hi)
+            coords.append(hi - 1)
+        elif equal:
+            lo, hi = equal
+            del jord[lo], jord[hi]
+            coords += [abs(e) for e in range(hi - 1, -lo, -2)]
+            if lo == 0:
+                jord[0] = 1
+        elif kind == "O" and blocks and blocks[0] > 1:
+            a = blocks[0]
+            jord[a - 2] = jord.pop(a)
+            coords.append(a - 1)
+        else:
+            return sorted(a for a in jord if a), coords
+
+
+def _distinct_parts(total, parity, least=None):
+    """Every set of distinct positive parts of the given parity summing
+    to ``total``, as ascending tuples."""
+    if total == 0:
+        yield ()
+        return
+    start = least if least is not None else (2 if parity == 0 else 1)
+    for a in range(start, total + 1, 2):
+        for rest in _distinct_parts(total - a, parity, a + 2):
+            yield (a,) + rest
+
+
+MOEGLIN_LINES = (line("1"), ZETA, line("eta"))
+
+
+def _discrete_parameters(G):
+    """Every discrete parameter of ``G`` over the lines 1, zeta and eta:
+    distinct blocks on each line, even for a symplectic dual group and
+    odd for an orthogonal one, filling the dual group."""
+    parity = 0 if G.dual_kind == "Sp" else 1
+
+    def fill(lines, total):
+        if not lines:
+            if total == 0:
+                yield ()
+            return
+        for used in range(total + 1):
+            for parts in _distinct_parts(used, parity):
+                for rest in fill(lines[1:], total - used):
+                    yield tuple((lines[0], a) for a in parts) + rest
+
+    for summands in fill(MOEGLIN_LINES, G.dual_dim):
+        yield FormalParameter(summands)
+
+
+MOEGLIN_GROUPS = ([PadicGroup("Sp", n) for n in range(2, 13, 2)]
+                  + [PadicGroup("SO", n) for n in range(3, 14, 2)]
+                  + [PadicGroup("SO", n) for n in range(4, 13, 2)])
+
+
+def _moeglin_mismatches(G, phi):
+    """Per enhancement of the discrete ``phi``, whether Moeglin's rule,
+    run on each factor, gives the core and the multiset of ``(line,
+    |e|)`` of :func:`cuspidal_support`."""
+    data, chars = enhancements(G, phi)
+    out = []
+    for eta in chars:
+        core, coords = Counter(), Counter()
+        for fi, f in enumerate(data.factors):
+            signs = {a: eta.value((fi, a)) for a in f.parts.parts}
+            blocks, es = moeglin_support(f.kind, signs)
+            core.update((f.line, a) for a in blocks)
+            coords.update((f.line, e) for e in es)
+        res = cuspidal_support(G, phi, eta)
+        want_coords = Counter((l, abs(e)) for l, e in res.coordinates)
+        out.append(core != Counter(res.core.summands) or coords != want_coords)
+    return out
+
+
+def test_cuspidal_support_is_moeglins_on_every_discrete_parameter():
+    # every discrete parameter of Sp2-Sp12, SO3-SO13 and SO4-SO12 over
+    # {1, zeta, eta}, every enhancement, det phi = 1 or not
+    seen, det_one = 0, 0
+    for G in MOEGLIN_GROUPS:
+        for phi in _discrete_parameters(G):
+            assert is_discrete(G, phi), str(phi)
+            bad = _moeglin_mismatches(G, phi)
+            assert not any(bad), (str(G), str(phi), bad)
+            seen += len(bad)
+            # det phi is zeta^(zeta blocks) eta^(eta blocks) for odd blocks
+            if G.dual_kind == "Sp" or all(
+                    sum(l == other for l, _ in phi.summands) % 2 == 0
+                    for other in MOEGLIN_LINES[1:]):
+                det_one += len(bad)
+    assert (seen, det_one) == (3848, 1748)

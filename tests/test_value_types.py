@@ -22,6 +22,7 @@ from abpscalc.combicore import (
 )
 from abpscalc.extquot import (
     ONE,
+    RecognizedSubgroup,
     SymbolicCoordinate,
     SymbolicTorusPoint,
     full_torus,
@@ -79,6 +80,7 @@ def _samples():
         "SymbolicCoordinate": (z, None),
         "SymbolicTorusPoint": (point(1, "z"), None),
         "TorusCoset": (full_torus(2), None),
+        "RecognizedSubgroup": (RecognizedSubgroup(2, (("B", (0, 1)),)), None),
         "Stratum": (strata(B1)[-1], None),
         "EQPoint": (spectral_eq(B1)[-1], None),
         "GeoEQFamily": (geometric_eq(B1)[-1], None),
@@ -111,14 +113,16 @@ SAMPLES = _samples()
 OWN_HASH = {"SymbolicCoordinate", "WFLine", "FormalParameter"}
 # the fields that no argument sets and that ``repr`` leaves out
 HIDDEN = {"WFLine": ("name",)}
+# the types whose repr is their own: a stabilizer lists its elements
+OWN_REPR = {"RecognizedSubgroup": "RecognizedSubgroup(elements={0.elements!r}, pieces={0.pieces!r})"}
 # the types that multiply with ``*``
 MULTIPLYING = {"SignedPermutation", "SymbolicCoordinate"}
 NAMES = sorted(SAMPLES)
 
 
 def test_every_value_type_has_a_case():
-    # 4 in combicore, 6 in extquot, 7 in springer, 9 in langlands, 5 in abps
-    assert len(SAMPLES) == 31
+    # 4 in combicore, 7 in extquot, 7 in springer, 9 in langlands, 5 in abps
+    assert len(SAMPLES) == 32
     assert all(type(x).__name__ == name for name, (x, _) in SAMPLES.items())
 
 
@@ -154,6 +158,9 @@ class TestContract:
 
     def test_repr(self, name):
         x = SAMPLES[name][0]
+        if name in OWN_REPR:
+            assert repr(x) == OWN_REPR[name].format(x)
+            return
         shown = [f for f in x._fields if f not in HIDDEN.get(name, ())]
         assert repr(x) == f"{name}(" + ", ".join(f"{f}={getattr(x, f)!r}" for f in shown) + ")"
 
