@@ -10,10 +10,11 @@ stabilizers and geometric extended quotient are read off the
 coordinate patterns and cycle types of those blocks, with recognized
 Coxeter structure so that irreducible characters are labelled
 combinatorially.  Every coset the library makes, the full torus
-included, is built from a coordinate pattern by :func:`_pattern_coset`.
-Intersections of cosets are solved by Smith normal form over the
-integers, in :func:`intersect_cosets`, which only the tests and the
-benchmark call.
+included, is built from a coordinate pattern by :func:`_pattern_coset`,
+and torsion membership is read off that pattern.  Intersections of
+cosets are solved by Smith normal form over the integers, in
+:func:`intersect_cosets`, which only the tests call: the benchmark's
+tracer rebinds it by name, but no workload calls it.
 """
 
 from __future__ import annotations
@@ -215,17 +216,20 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
 
     The coset is cut out exactly by its :attr:`equations` ``E x = E t
     (mod Z)``: a point lies in the coset if and only if it satisfies
-    them, so membership and intersection read nothing else.  The reason:
-    row reduction of ``[L^T | I]``, for the basis ``L`` of rank ``r``,
-    gives a unimodular ``U`` with ``U L^T`` zero past row ``r``, and the
-    rows of ``E`` are those last ``n - r`` rows of ``U``.  They vanish on
-    the real span of ``L``, and ``E`` maps ``Z^n`` onto ``Z^(n-r)``.  So
-    if ``E (x - t)`` is integral, some integer vector has the same image,
-    and ``x - t`` lies in the span of ``L`` plus ``Z^n``: one coset, not
-    a union of parallel components.
+    them, so intersection reads nothing else, and neither does
+    membership in a coset that is no coordinate pattern.  Membership in
+    a pattern coset, which is every coset the library builds, reads the
+    pattern instead (:meth:`contains_torsion`).  Why the equations cut
+    out one coset: row reduction of ``[L^T | I]``, for the basis ``L``
+    of rank ``r``, gives a unimodular ``U`` with ``U L^T`` zero past row
+    ``r``, and the rows of ``E`` are those last ``n - r`` rows of ``U``.
+    They vanish on the real span of ``L``, and ``E`` maps ``Z^n`` onto
+    ``Z^(n-r)``.  So if ``E (x - t)`` is integral, some integer vector
+    has the same image, and ``x - t`` lies in the span of ``L`` plus
+    ``Z^n``: one coset, not a union of parallel components.
 
     The class keeps an instance ``__dict__`` for the equations and the
-    torsion rows, computed on first use.
+    membership plan, computed on first use.
     """
 
     @property
@@ -247,16 +251,42 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
         return E, tuple(Fraction(sum(map(mul, row, t)), L) for row in E)
 
     @cached_property
-    def _torsion_rows(self):
-        """``(D, ((row, b), ...))``: each row of :attr:`equations` as its
-        nonzero ``(index, coefficient)`` pairs, with its right-hand side
-        as the integer ``b`` over the common denominator ``D``."""
+    def _torsion_plan(self):
+        """``(fixed, ties, general)``: what :meth:`contains_torsion`
+        tests, read off the basis.
+
+        A coordinate pattern (every row with entries +-1, so with pivot
+        1, since a Hermite pivot is positive; rows with disjoint
+        supports; the translation 0 on them) is its own plan, and
+        ``general`` is ``None``.  ``fixed`` holds ``(c, a, b)`` for each
+        coordinate on no row, meaning ``x_c = a / b (mod Z)`` with ``a /
+        b`` the reduced translation, and ``ties`` holds ``(c, c0, s)``
+        for each entry ``s`` of a row off its pivot ``c0``, meaning
+        ``x_c = s x_c0 (mod Z)``.
+
+        Any other coset keeps its :attr:`equations`: ``fixed`` and
+        ``ties`` are empty, and ``general`` is ``(D, ((row, b), ...))``,
+        each equation as its nonzero ``(index, coefficient)`` pairs with
+        its right-hand side as the integer ``b`` over the common
+        denominator ``D``."""
+        ties, seen = [], set()
+        for row in self.basis:
+            support = [(c, s) for c, s in enumerate(row) if s]
+            if any(s not in (1, -1) or c in seen or self.translation[c] for c, s in support):
+                break
+            seen.update(c for c, _ in support)
+            c0 = support[0][0]
+            ties += [(c, c0, s) for c, s in support[1:]]
+        else:
+            fixed = tuple((c, t.numerator, t.denominator)
+                          for c, t in enumerate(self.translation) if c not in seen)
+            return fixed, tuple(ties), None
         E, rhs = self.equations
         D = lcm(*(b.denominator for b in rhs))
-        return D, tuple(
+        return (), (), (D, tuple(
             (tuple((j, e) for j, e in enumerate(row) if e), b.numerator * (D // b.denominator))
             for row, b in zip(E, rhs)
-        )
+        ))
 
     def generic_point(self) -> SymbolicTorusPoint:
         """The coset with one free variable ``z``, ``z'``, ... per basis row."""
@@ -278,10 +308,18 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
         ``0.5`` is 1/2); what ``Fraction`` refuses raises as it does.  A
         point whose length is not the rank raises :class:`RankMismatch`.
 
-        ``E x = E t (mod Z)`` is tested one equation at a time, on
-        integers: each row sums ``e p / q - b / D`` over its nonzero
-        entries ``e``, skipping integral coordinates ``p / q``, and the
-        test stops at the first row whose sum is not an integer."""
+        A coset built from a coordinate pattern is tested off the pattern
+        (see :attr:`_torsion_plan`), with no arithmetic on fractions:
+        two reduced fractions ``p / q`` and ``a / b`` differ by an
+        integer exactly when ``q = b`` and ``p = a (mod q)``, and
+        ``s p0 / q0`` with ``s = +-1`` is reduced when ``p0 / q0`` is.
+        The test stops at the first coordinate that fails.
+
+        Any other coset (only :func:`_solve_torus` makes them) is tested
+        on ``E x = E t (mod Z)`` one equation at a time, on integers:
+        each row sums ``e p / q - b / D`` over its nonzero entries
+        ``e``, skipping integral coordinates ``p / q``, and the test
+        stops at the first row whose sum is not an integer."""
         v = []
         for x in pt:
             if type(x) is not int and type(x) is not Fraction:
@@ -289,7 +327,19 @@ class TorusCoset(value_type("TorusCoset", "rank basis translation")):
             v.append(x.as_integer_ratio())
         if len(v) != self.rank:
             raise RankMismatch(f"rank {len(v)} point in rank {self.rank} coset")
-        D, rows = self._torsion_rows
+        fixed, ties, general = self._torsion_plan
+        for c, a, b in fixed:
+            p, q = v[c]
+            if q != b or (p - a) % q:
+                return False
+        for c, c0, s in ties:
+            p, q = v[c]
+            p0, q0 = v[c0]
+            if q != q0 or (p - s * p0) % q:
+                return False
+        if general is None:
+            return True
+        D, rows = general
         for row, b in rows:
             num, den = -b, D
             for j, e in row:

@@ -37,7 +37,7 @@ from abpscalc.abps import (
     _slot_lines,
     _support_signature,
 )
-from abpscalc.combicore import Bipartition, Partition
+from abpscalc.combicore import Bipartition, Partition, partitions
 from abpscalc import extquot
 from abpscalc.extquot import (
     MINUS_ONE,
@@ -57,6 +57,7 @@ from abpscalc.langlands import (
     DimensionMismatch,
     FormalParameter,
     PadicGroup,
+    TypeMismatch,
     centralizer_restriction,
     cuspidal_support,
     enhancements,
@@ -740,10 +741,14 @@ MATCHING_TRIPLES = [
 ]
 
 # _component_label removes the core's Jordan blocks from the parts of
-# every factor, and list.remove fails when no factor has such a part
+# every factor, and list.remove fails when no factor has such a part;
+# the Sp8 triples are in the census below
 SP_CORE_CRASH = {
     ("Sp", 2, ("1",)), ("Sp", 4, ("1", "1")), ("Sp", 6, ("1", "1", "1")),
     ("Sp", 6, ("1", "zeta", "zeta")), ("Sp", 6, ("1", "eta", "eta")),
+    ("Sp", 8, ("1", "1", "1", "1")), ("Sp", 8, ("1", "1", "eta", "eta")),
+    ("Sp", 8, ("1", "1", "zeta", "zeta")), ("Sp", 8, ("1", "eta", "eta", "eta")),
+    ("Sp", 8, ("1", "zeta", "zeta", "zeta")),
 }
 
 
@@ -914,3 +919,108 @@ def test_discrete_cocharacters_are_residual_points():
             entries.add((spec, e.stratum.base, e.irrep))
             checks += 1
     assert (triples, len(entries), checks) == (35, 123, 212)
+
+
+# ---------------------------------------------------------------------------
+# the census of the Langlands side: every tempered enhanced parameter with
+# det phi = 1 lands exactly once
+
+CENSUS_GROUPS = ([PadicGroup("Sp", n) for n in (4, 6, 8)]
+                 + [PadicGroup("SO", n) for n in range(4, 10)])
+CENSUS_LINES = (line("1"), line("zeta"), line("eta"))
+
+# the failing census triples, by the ROADMAP item that owns them: the
+# error class each raises, and why.  A ledger triple that answers, or
+# raises anything else, fails its group's census, as a strict xfail
+# would; the triples are checked inside the census rather than as 204
+# xfail cases, whose failure reports alone take about 10 s to format
+CENSUS_LEDGER = {
+    1: (ValueError, "_component_label removes the core's parts from a factor that lacks them"),
+    4: (MatchingError, "SO(2n) acts by W(B) instead of W(D)"),
+    6: (MatchingError, "mu takes the principal block as the reference of a core with "
+                       "Jordan blocks"),
+}
+
+
+def census_owner(G, lines, core):
+    """The item of :data:`CENSUS_LEDGER` that owns the triple of ``G``
+    with the coordinate ``lines`` and ``core``, or ``None`` when the
+    triple answers."""
+    if G.family == "SO" and G.size % 2 == 0:
+        return 4
+    if core != (_ONE_CORE if G.family == "Sp" else FormalParameter(())):
+        return 6
+    if (G.family, G.size, tuple(map(str, lines))) in SP_CORE_CRASH:
+        return 1
+    return None
+
+
+def tempered_det_one_parameters(G):
+    """Every tempered parameter of ``G`` over the lines 1, zeta and eta
+    with det phi = 1: one partition of Jordan blocks per line, filling
+    the dual group, that :func:`validate` accepts.  ``validate`` does not
+    check the determinant (ROADMAP item 13), so it is filtered here: an
+    orthogonal dual group needs an even number of odd blocks on zeta and
+    on eta, since zeta, eta and zeta*eta are distinct."""
+    def fill(lines, total):
+        if not lines:
+            if total == 0:
+                yield ()
+            return
+        for used in range(total + 1):
+            for lam in partitions(used):
+                for rest in fill(lines[1:], total - used):
+                    yield tuple((lines[0], a) for a in lam.parts) + rest
+
+    for summands in fill(CENSUS_LINES, G.dual_dim):
+        phi = FormalParameter(summands)
+        try:
+            validate(G, phi)
+        except TypeMismatch:
+            continue
+        if G.dual_kind != "Sp" and any(
+                sum(a % 2 for l, a in phi.summands if l == rho) % 2 for rho in CENSUS_LINES[1:]):
+            continue
+        if is_tempered(G, phi):
+            yield phi
+
+
+def census(G):
+    """The tempered det-one enhanced parameters of ``G``, by the inertial
+    triple their cuspidal support lies in: ``{(lines, core): [(phi,
+    eta), ...]}``, with ``lines`` the sorted coordinate lines."""
+    out = {}
+    for phi in tempered_det_one_parameters(G):
+        for eta in enhancements(G, phi)[1]:
+            support = cuspidal_support(G, phi, eta)
+            lines = tuple(sorted(l for l, _ in support.coordinates))
+            out.setdefault((lines, support.core), []).append((phi, eta))
+    return out
+
+
+@pytest.mark.parametrize("G", CENSUS_GROUPS, ids=lambda G: f"{G.family}{G.size}")
+def test_census_lands_every_parameter_once(G):
+    # mu on every answering triple reaches each of its census parameters
+    # exactly once, and no parameter of a ledger triple anywhere; every
+    # ledger triple raises exactly its item's error class
+    triples = census(G)
+    landed, answered, failing = Counter(), 0, Counter()
+    for (lines, core), pairs in triples.items():
+        item = census_owner(G, lines, core)
+        if item is None:
+            landed.update((e.param, e.eta) for e in mu(G, inertial_triple(G, lines, core)).entries)
+            answered += len(pairs)
+            continue
+        error, why = CENSUS_LEDGER[item]
+        with pytest.raises(ValueError) as raised:
+            mu(G, inertial_triple(G, lines, core))
+        assert type(raised.value) is error, (item, why, lines, str(core), raised.value)
+        failing[item] += 1
+    for (lines, core), pairs in triples.items():
+        want = int(census_owner(G, lines, core) is None)
+        for phi, eta in pairs:
+            assert landed[phi, eta] == want, (lines, str(core), str(phi), eta)
+    total = sum(map(len, triples.values()))
+    print(f"census {G.family}{G.size}: {answered} of {total} tempered det-1 enhanced "
+          f"parameters answered ({answered / total:.0%}); {len(triples)} triples, "
+          f"failing by item {dict(sorted(failing.items()))}")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -1036,6 +1037,112 @@ class TestIntersection:
         assert any(c.contains_torsion(p) for c in parts) == both
 
 
+def hermite_member(c, p):
+    """Torsion membership read off the Hermite equations of the coset,
+    ``E x = E t (mod Z)`` (:attr:`TorusCoset.equations`), summed with
+    ``Fraction``: the oracle of the membership that
+    :meth:`TorusCoset.contains_torsion` reads off a pattern."""
+    x = [Fraction(v) for v in p]
+    E, rhs = c.equations
+    return all((sum(map(mul, row, x)) - b).denominator == 1 for row, b in zip(E, rhs))
+
+
+def _presented(rng, value):
+    """``value`` as a ``Fraction``, or, where that is exact, as an
+    ``int`` or a ``float``."""
+    forms = [value]
+    if value.denominator == 1:
+        forms.append(int(value))
+    if value.denominator & (value.denominator - 1) == 0:
+        forms.append(float(value))
+    return rng.choice(forms)
+
+
+def seeded_points(c, rng, count=2):
+    """Points for the coset ``c``: ``count`` on it (these first),
+    ``count`` with one coordinate of such a point moved, and ``count``
+    anywhere.  Every coordinate is moved by an integer in [-2, 2], so
+    numerators are often negative and values often 1 or more, and is
+    given as an ``int``, a ``float`` or a ``Fraction``."""
+    def fraction():
+        return Fraction(rng.randrange(-24, 25), rng.choice((1, 2, 3, 4, 6, 8, 12)))
+
+    on = []
+    for _ in range(count):
+        lams = [fraction() for _ in c.basis]
+        on.append([t + sum(l * b[j] for l, b in zip(lams, c.basis))
+                   for j, t in enumerate(c.translation)])
+    moved = [list(v) for v in on]
+    for v in moved:
+        if v:
+            v[rng.randrange(len(v))] += fraction()
+    anywhere = [[fraction() for _ in range(c.rank)] for _ in range(count)]
+    return [tuple(_presented(rng, x + rng.randrange(-2, 3)) for x in v)
+            for v in on + moved + anywhere]
+
+
+def stock_stratum_cosets():
+    """The coset of every stratum of the stock actions of ranks 0 to
+    :data:`MAX_RANK`."""
+    cosets = set()
+    for n in range(MAX_RANK + 1):
+        for action, _ in stock_generators(n):
+            cosets.update(st.coset for st in strata(action))
+    return sorted(cosets, key=lambda c: (c.rank, c.dimension, c.basis, c.translation))
+
+
+class TestPatternMembership:
+    """``contains_torsion`` reads a pattern coset's membership off its
+    pattern; the Hermite equations are the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_fixed_loci_agree_with_the_hermite_equations(self, n):
+        # every coset in a fixed locus of W(B_n); 3,840 elements for B5
+        rng = random.Random(n)
+        cosets = {c for w in hyperoctahedral_action(n).elements for c in fixed_locus(w)}
+        for c in sorted(cosets, key=_coset_key):
+            assert c._torsion_plan[2] is None, str(c)
+            points = seeded_points(c, rng)
+            assert all(c.contains_torsion(p) for p in points[:2]), str(c)
+            for p in points:
+                assert c.contains_torsion(p) == hermite_member(c, p), (str(c), p)
+
+    def test_stock_strata_agree_with_the_hermite_equations(self):
+        rng = random.Random(6)
+        cosets = stock_stratum_cosets()
+        assert len(cosets) > 100
+        for c in cosets:
+            assert c._torsion_plan[2] is None, str(c)
+            points = seeded_points(c, rng, count=4)
+            assert all(c.contains_torsion(p) for p in points[:4]), str(c)
+            for p in points:
+                assert c.contains_torsion(p) == hermite_member(c, p), (str(c), p)
+
+    @pytest.mark.parametrize("A, b, basis, translation", [
+        # an entry 2, on the pivot or off it: not a pattern
+        ([[1, -2]], [0], ((2, 1),), (0, 0)),
+        ([[2, -1]], [0], ((1, 2),), (0, 0)),
+        # pattern-shaped, but the translation 1/2 lies on the row
+        ([[1, -1]], [Fraction(1, 2)], ((1, 1),), (0, Fraction(1, 2))),
+        # entries +-1 and pivots 1, but two rows meet on coordinate 3
+        ([[1, 1, -1]], [0], ((1, 0, 1), (0, 1, 1)), (0, 0, 0)),
+    ], ids=["pivot-two", "entry-two", "translated-row", "overlapping-rows"])
+    def test_other_cosets_keep_the_hermite_equations(self, A, b, basis, translation):
+        [c] = _solve_torus(A, b, len(basis[0]))
+        assert (c.basis, c.translation) == (basis, translation)
+        fixed, ties, general = c._torsion_plan
+        assert (fixed, ties) == ((), ()) and general is not None
+        rng = random.Random(2)
+        grid = product([Fraction(k, 4) for k in range(4)], repeat=c.rank)
+        points = [*grid, *(p for _ in range(8) for p in seeded_points(c, rng))]
+        members = 0
+        for p in points:
+            member = c.contains_torsion(p)
+            assert member == hermite_member(c, p) == in_coset_by_definition(c, p), p
+            members += member
+        assert 0 < members < len(points)
+
+
 FREE_CATALOGUE = parse_catalogue("""
 chi kind=ramified order=5 dim=1 selfdual=none period=1
 psi kind=ramified order=7 dim=1 selfdual=none period=1
@@ -1561,6 +1668,27 @@ def test_pattern_strata_list_no_element(listed):
     sts = strata(action)
     assert len(sts) == 45 and max(st.group.order for st in sts) == action.order
     assert len(spectral_eq(action)) > 0 and listed == []
+
+
+# spectral_eq and eq_pairs of W(D2) and W(D3), rendered as the torus
+# benchmark renders them (one line per result), pinned by their count and
+# their digest in the benchmark's form (the first 16 hex digits of the
+# sha256 of the text).  perfbench/expected.json still books these four
+# items as failing, so the benchmark compares nothing for them
+EVEN_SIGN_RENDERINGS = [
+    ("spectral_eq", 2, 9, "98d3d9e14c76be6b"),
+    ("eq_pairs", 2, 15, "c14806528b9cba1b"),
+    ("spectral_eq", 3, 22, "fc106187cccb05e0"),
+    ("eq_pairs", 3, 36, "db551a0d7803fccb"),
+]
+
+
+@pytest.mark.parametrize("fn, n, count, digest", EVEN_SIGN_RENDERINGS,
+                         ids=[f"{fn}-D{n}" for fn, n, _, _ in EVEN_SIGN_RENDERINGS])
+def test_even_sign_renderings_are_pinned(fn, n, count, digest):
+    result = getattr(extquot, fn)(even_sign_action(n))
+    text = "\n".join(str(x) for x in result)
+    assert (len(result), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
 
 
 class TestEvenSignStrata:
